@@ -1,9 +1,9 @@
 // Command remapd-coordinator drives the Fig. 6 policy grid — the
-// canonical distributed workload — over any of the three execution
-// paths, producing byte-identical tables from all of them:
+// canonical distributed workload — in-process or over a worker fleet,
+// producing byte-identical tables either way:
 //
 //	remapd-coordinator -scale quick                 # in-process
-//	remapd-coordinator -scale quick -dist 4         # four exec'd workers
+//	remapd-coordinator -scale quick -dist 4         # fleet of four local workers
 //	remapd-coordinator -scale quick -listen :7433   # elastic TCP fleet
 //
 // With -listen the coordinator serves a fleet: workers on any machine

@@ -7,10 +7,10 @@
 //	remapd-report -scale quick -dist 4      # same bytes, four worker processes
 //	remapd-report -scale quick -listen :7433  # same bytes, elastic TCP fleet
 //
-// With -dist N the experiment cells fan out to N exec'd copies of this
-// binary in -worker mode; with -listen they fan out to whatever workers
-// dial in over TCP (-worker -connect host:7433), which may join and
-// leave mid-report. Either way the report is byte-identical to the
+// With -dist N the experiment cells fan out to N copies of this binary,
+// exec'd as -worker -connect workers of a loopback fleet; with -listen
+// they fan out to whatever workers dial in over TCP (-worker -connect
+// host:7433), which may join and leave mid-report. Either way the report is byte-identical to the
 // in-process run. -only restricts the report to named sections
 // (comma-separated keys: fig4 fig5 fig6 fig7 fig8 bist noc area
 // ablations).

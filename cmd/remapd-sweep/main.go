@@ -3,8 +3,9 @@
 // n = victim crossbar fraction per epoch) for VGG-19 and ResNet-12.
 //
 // The sweep grid distributes like the other tools: -dist N fans cells
-// out to exec'd worker processes, -listen serves an elastic TCP fleet,
-// and -worker (-connect for a fleet) turns this binary into a worker.
+// out to N local worker processes, -listen serves an elastic TCP fleet
+// that remote workers join, and -worker -connect turns this binary into
+// a worker.
 package main
 
 import (

@@ -9,16 +9,14 @@
 //	remapd-train -model resnet12 -policy none -dataset cifar100
 //	remapd-train -model vgg19 -phase backward        # Fig. 5-style injection
 //	remapd-train -model vgg11 -policy remap-d -noc   # with flit-level NoC
-//	remapd-train -worker -checkpoint-dir ckpt        # dist worker loop
 //	remapd-train -worker -connect host:7433 -slots 2 # join a TCP fleet
 //
-// With -worker the tool runs the dist protocol instead: it reads
-// serialized experiment-cell specs from stdin (sent by a -dist
-// coordinator such as remapd-report) and writes results to stdout.
-// Adding -connect dials a fleet coordinator (remapd-coordinator
-// -listen, or any grid tool with -listen) over TCP instead; the worker
-// advertises -slots concurrent cells, answers heartbeats, redials with
-// backoff if the connection drops, and drains gracefully on Ctrl-C.
+// With -worker -connect the tool runs the dist protocol instead: it
+// dials a fleet coordinator (remapd-coordinator -listen, or any grid
+// tool with -listen) over TCP, runs the serialized experiment cells it
+// is sent, and writes their results back. The worker advertises -slots
+// concurrent cells, answers heartbeats, redials with backoff if the
+// connection drops, and drains gracefully on Ctrl-C.
 package main
 
 import (

@@ -5,7 +5,7 @@
 // help strings; the dist worker mode would have been a fourth copy. The
 // Options struct binds each flag group once and knows how to apply
 // itself to an experiments.Scale, start the debug server, build a dist
-// executor, and serve the worker loop.
+// fleet, and serve the worker loop.
 package cli
 
 import (
@@ -43,7 +43,8 @@ type Options struct {
 	Quiet bool
 	// Progress logs one line per completed grid cell (-progress).
 	Progress bool
-	// Dist fans cells out to this many worker processes (-dist).
+	// Dist fans cells out to this many local worker processes, spawned
+	// into a loopback fleet (-dist).
 	Dist int
 	// Listen serves a TCP fleet coordinator on this address (-listen);
 	// cells run on whatever workers dial in.
@@ -53,8 +54,8 @@ type Options struct {
 	FleetMax int
 	// Worker switches the tool into dist worker mode (-worker).
 	Worker bool
-	// Connect points a -worker at a fleet coordinator instead of
-	// stdin/stdout pipes (-connect host:port).
+	// Connect is the fleet coordinator a -worker dials (-connect
+	// host:port).
 	Connect string
 	// Slots is the concurrent-cell capacity a fleet worker advertises
 	// (-slots).
@@ -69,7 +70,8 @@ type Options struct {
 	StatusAddr string
 	// FleetTrace appends the structured fleet event trace (JSONL) to
 	// this file (-fleet-trace): coordinator membership/scheduling events
-	// with -listen, connection lifecycle events with -worker -connect.
+	// with -dist or -listen, connection lifecycle events with -worker
+	// -connect.
 	FleetTrace string
 	// ServeAddr serves the HTTP classification endpoint when non-empty
 	// (-serve-addr).
@@ -131,10 +133,11 @@ func (o *Options) bindStatusAddr(fs *flag.FlagSet) {
 	fs.StringVar(&o.StatusAddr, "status-addr", "", "serve live run status as JSON on this address (GET /status: grid progress, per-worker fleet table, span aggregates; also pprof+expvar)")
 }
 
-// BindDist registers the coordinator side of distribution: -dist for
-// the exec'd pipe fan-out, -listen/-fleet for the elastic TCP fleet.
+// BindDist registers the coordinator side of distribution: -dist for a
+// fleet of local worker processes, -listen/-fleet for a fleet that
+// workers on any machine join.
 func (o *Options) BindDist(fs *flag.FlagSet) {
-	fs.IntVar(&o.Dist, "dist", 0, "fan experiment cells out to this many worker processes (0 = run in-process); results are byte-identical either way")
+	fs.IntVar(&o.Dist, "dist", 0, "fan experiment cells out to this many local worker processes, exec'd as -worker -connect to a loopback fleet (0 = run in-process); results are byte-identical either way")
 	fs.StringVar(&o.Listen, "listen", "", "serve a fleet coordinator on this TCP address (e.g. :7433); cells run on workers that dial in with -worker -connect, which may join and leave mid-run")
 	fs.IntVar(&o.FleetMax, "fleet", 0, "with -listen: max experiment cells in flight across the fleet (0 = all cores' worth)")
 	o.bindFleetTrace(fs)
@@ -144,8 +147,8 @@ func (o *Options) BindDist(fs *flag.FlagSet) {
 // mode switch, -connect/-slots for dialing a fleet, -chaos-* for the
 // deterministic fault injector.
 func (o *Options) BindWorker(fs *flag.FlagSet) {
-	fs.BoolVar(&o.Worker, "worker", false, "run as a dist worker: read cell specs from stdin, write results to stdout (used by -dist coordinators)")
-	fs.StringVar(&o.Connect, "connect", "", "with -worker: dial this fleet coordinator (host:port) instead of serving stdin/stdout; redials with backoff if the connection drops")
+	fs.BoolVar(&o.Worker, "worker", false, "run as a dist worker: run the experiment cells of the fleet coordinator given by -connect (-dist coordinators spawn their workers this way)")
+	fs.StringVar(&o.Connect, "connect", "", "with -worker: dial this fleet coordinator (host:port); redials with backoff if the connection drops")
 	fs.IntVar(&o.Slots, "slots", 1, "with -connect: concurrent experiment cells this worker advertises")
 	fs.IntVar(&o.ChaosSever, "chaos-sever-after", 0, "with -connect: sever the connection mid-cell once this many protocol frames have passed (fault-injection testing; 0 = off)")
 	fs.Uint64Var(&o.ChaosSeed, "chaos-seed", 0, "with -chaos-sever-after: seed for the injector's deterministic fault schedule")
@@ -161,7 +164,7 @@ func (o *Options) bindFleetTrace(fs *flag.FlagSet) {
 	if fs.Lookup("fleet-trace") != nil {
 		return
 	}
-	fs.StringVar(&o.FleetTrace, "fleet-trace", "", "append the structured fleet event trace (JSONL) to this file: join/leave/drop/requeue/stall events on a -listen coordinator, connect/disconnect/sever on a -worker -connect worker")
+	fs.StringVar(&o.FleetTrace, "fleet-trace", "", "append the structured fleet event trace (JSONL) to this file: join/leave/drop/requeue/stall events on a -dist or -listen coordinator, connect/disconnect/sever on a -worker -connect worker")
 }
 
 // Validate rejects incoherent combinations.
@@ -182,10 +185,13 @@ func (o *Options) Validate() error {
 		return errors.New("cli: -listen and -worker are mutually exclusive (a worker never coordinates)")
 	}
 	if o.Listen != "" && o.Dist > 0 {
-		return errors.New("cli: -listen and -dist are mutually exclusive (pick the fleet or the pipe fan-out)")
+		return errors.New("cli: -listen and -dist are mutually exclusive (pick remote or local workers)")
 	}
 	if o.Connect != "" && !o.Worker {
 		return errors.New("cli: -connect requires -worker")
+	}
+	if o.Worker && o.Connect == "" {
+		return errors.New("cli: -worker requires -connect (the coordinator to dial)")
 	}
 	if o.Connect != "" && o.Slots < 1 {
 		return fmt.Errorf("cli: -slots must be >= 1, got %d", o.Slots)
@@ -293,30 +299,30 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 			}
 		})
 	}
-	if o.Dist > 0 {
-		exec, err := o.NewExecutor(logf)
-		if err != nil {
-			return nil, cleanup, err
-		}
+	var (
+		fleet *dist.Fleet
+		err   error
+	)
+	switch {
+	case o.Dist > 0:
+		fleet, err = o.SpawnFleet(logf, trace)
 		// Runner slots = worker processes; each process parallelises
 		// internally via its -j share of the cores.
 		s.Workers = o.Dist
-		s.Exec = exec
-		cleanups = append(cleanups, exec.Close)
-	}
-	if o.Listen != "" {
-		fleet, err := o.NewFleet(logf, trace)
-		if err != nil {
-			return nil, cleanup, err
-		}
+	case o.Listen != "":
+		fleet, err = o.NewFleet(logf, trace)
 		// Runner slots bound the fleet-wide in-flight set; the fleet maps
 		// each onto whichever connected worker has a free slot, so a
 		// worker joining mid-run immediately starts pulling cells.
-		inflight := o.FleetMax
-		if inflight <= 0 {
-			inflight = runtime.NumCPU()
+		s.Workers = o.FleetMax
+		if s.Workers <= 0 {
+			s.Workers = runtime.NumCPU()
 		}
-		s.Workers = inflight
+	}
+	if err != nil {
+		return nil, cleanup, err
+	}
+	if fleet != nil {
 		s.Exec = fleet
 		o.status.Register("fleet", fleet.StatusSection)
 		cleanups = append(cleanups, fleet.Close)
@@ -350,22 +356,23 @@ func portSuffix(addr net.Addr) string {
 	return ""
 }
 
-// NewExecutor builds the dist executor for -dist N: N re-invocations of
-// this binary in -worker mode, sharing the coordinator's checkpoint and
-// metrics directories, each capped to a fair share of the cores.
-func (o *Options) NewExecutor(logf experiments.Logf) (*dist.Executor, error) {
+// SpawnFleet builds the fleet for -dist N: N re-invocations of this
+// binary as -worker -connect workers of a loopback fleet, sharing the
+// coordinator's checkpoint and metrics directories, each capped to a
+// fair share of the cores. trace is as for NewFleet.
+func (o *Options) SpawnFleet(logf experiments.Logf, trace *obs.FleetTrace) (*dist.Fleet, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("cli: locate own binary for -dist workers: %w", err)
 	}
-	cmd := []string{exe, "-worker", "-j", strconv.Itoa(workerProcs(o.Dist))}
+	argv := []string{exe, "-j", strconv.Itoa(workerProcs(o.Dist))}
 	if o.CheckpointDir != "" {
-		cmd = append(cmd, "-checkpoint-dir", o.CheckpointDir)
+		argv = append(argv, "-checkpoint-dir", o.CheckpointDir)
 	}
 	if o.MetricsDir != "" {
-		cmd = append(cmd, "-metrics-dir", o.MetricsDir)
+		argv = append(argv, "-metrics-dir", o.MetricsDir)
 	}
-	return &dist.Executor{Command: cmd, Logf: logf}, nil
+	return dist.SpawnFleet(o.Dist, argv, nil, dist.FleetOptions{Logf: logf, Trace: trace})
 }
 
 // SetGOMAXPROCS applies a -j cap to the Go scheduler for single-run
@@ -389,11 +396,10 @@ func workerProcs(n int) int {
 	return per
 }
 
-// ServeWorker runs the dist worker loop — over stdin/stdout pipes by
-// default, or dialing a fleet coordinator when -connect is set — with
-// the options' checkpoint/metrics directories and -j GOMAXPROCS cap.
-// logf receives checkpoint-store warnings and (for fleet workers)
-// connection lifecycle notices on stderr.
+// ServeWorker runs the dist worker loop against the -connect fleet
+// coordinator, with the options' checkpoint/metrics directories and -j
+// GOMAXPROCS cap. logf receives checkpoint-store warnings and connection
+// lifecycle notices on stderr.
 func (o *Options) ServeWorker(ctx context.Context, logf experiments.Logf) error {
 	if o.Workers > 0 {
 		runtime.GOMAXPROCS(o.Workers)
@@ -413,29 +419,26 @@ func (o *Options) ServeWorker(ctx context.Context, logf experiments.Logf) error 
 		}
 		opts.Metrics = sink
 	}
-	if o.Connect != "" {
-		dial := dist.DialOptions{Slots: o.Slots, Worker: opts, Logf: logf}
-		if o.FleetTrace != "" {
-			trace, err := obs.NewFleetTraceFile(o.FleetTrace)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if cerr := trace.Close(); cerr != nil && logf != nil {
-					logf("cli: %v", cerr)
-				}
-			}()
-			dial.Trace = trace
+	dial := dist.DialOptions{Slots: o.Slots, Worker: opts, Logf: logf}
+	if o.FleetTrace != "" {
+		trace, err := obs.NewFleetTraceFile(o.FleetTrace)
+		if err != nil {
+			return err
 		}
-		if o.ChaosSever > 0 {
-			chaos := dist.NewChaos(dist.ChaosConfig{Seed: o.ChaosSeed, SeverAfter: o.ChaosSever}, logf)
-			chaos.SetTrace(dial.Trace)
-			if logf != nil {
-				logf("fault injection armed: %s", chaos)
+		defer func() {
+			if cerr := trace.Close(); cerr != nil && logf != nil {
+				logf("cli: %v", cerr)
 			}
-			dial.Chaos = chaos
-		}
-		return dist.DialAndServe(ctx, o.Connect, dial)
+		}()
+		dial.Trace = trace
 	}
-	return dist.Serve(ctx, os.Stdin, os.Stdout, opts)
+	if o.ChaosSever > 0 {
+		chaos := dist.NewChaos(dist.ChaosConfig{Seed: o.ChaosSeed, SeverAfter: o.ChaosSever}, logf)
+		chaos.SetTrace(dial.Trace)
+		if logf != nil {
+			logf("fault injection armed: %s", chaos)
+		}
+		dial.Chaos = chaos
+	}
+	return dist.DialAndServe(ctx, o.Connect, dial)
 }

@@ -5,16 +5,17 @@ import (
 	"time"
 )
 
-// Backoff schedules: all retry waits in this package — cell requeues on
-// both executors and worker redials — follow the same jitterless
+// Backoff schedules: all retry waits in this package — cell requeues,
+// worker respawns and worker redials — follow the same jitterless
 // doubling series base, 2·base, 4·base, … capped at max. Deterministic
 // by design: the schedule depends only on the attempt number, never on
 // the wall clock or a random source, so two runs of the same failing
 // grid back off identically and test transcripts are reproducible.
 const (
-	// requeueBase/requeueMax pace cell requeue attempts. Without a wait,
-	// a crash-looping worker binary is relaunched (or a flapping fleet
-	// worker re-offered the cell) as fast as it can die.
+	// requeueBase/requeueMax pace cell requeue attempts and the respawn
+	// of a spawned worker that exited. Without a wait, a crash-looping
+	// worker binary is relaunched (or a flapping fleet worker re-offered
+	// the cell) as fast as it can die.
 	requeueBase = 250 * time.Millisecond
 	requeueMax  = 2 * time.Second
 

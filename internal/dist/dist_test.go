@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,12 +19,16 @@ import (
 )
 
 // The tests exec this test binary itself as the worker process (the same
-// pattern the real tools use: one binary, a -worker switch). TestMain
-// dispatches on an environment variable: unset runs the tests, "worker"
-// runs the real dist.Serve loop, "worker-kill" runs it with a saboteur
-// that SIGKILL-equivalents the process as soon as the cell persists its
-// first checkpoint, and "garbage" speaks a valid hello and then breaks
-// the protocol on every request.
+// pattern the real tools use: one binary, a -worker switch).
+// dist.SpawnFleet runs each child as `<binary> -worker -connect <addr>`;
+// TestMain dispatches on an environment variable: unset runs the tests,
+// "worker" runs the real DialAndServe loop against the -connect address,
+// "worker-kill" runs it with a saboteur that SIGKILL-equivalents the
+// process as soon as the cell persists its first checkpoint, "garbage"
+// speaks a valid hello and then answers every cell with non-protocol
+// output, "mute" speaks a valid hello and then answers nothing,
+// "exit-early" exits before its hello, and "crash-loop" joins once,
+// dies on its first cell, and then exits before its hello forever.
 const (
 	modeEnv   = "REMAPD_DIST_TEST_MODE"
 	ckptEnv   = "REMAPD_DIST_TEST_CKPT"
@@ -38,15 +42,40 @@ func TestMain(m *testing.M) {
 	case "worker", "worker-kill":
 		runTestWorker()
 	case "garbage":
-		runGarbageWorker()
+		runRawWorker(func(conn net.Conn) {
+			_, _ = fmt.Fprintln(conn, "xyzzy: this is not a protocol reply")
+		})
 	case "mute":
-		runMuteWorker()
-	case "slow-hello":
-		time.Sleep(time.Minute) // never says hello; only a signal ends it
+		// The shape of a wedged-but-alive process: only a reply timeout
+		// (or the heartbeat deadline) can unmask it.
+		runRawWorker(func(net.Conn) {})
+	case "exit-early":
+		os.Exit(3)
+	case "crash-loop":
+		marker := os.Getenv(markerEnv)
+		if _, err := os.Stat(marker); err == nil {
+			os.Exit(3)
+		}
+		runRawWorker(func(net.Conn) {
+			_ = os.WriteFile(marker, []byte("died once\n"), 0o644)
+			os.Exit(137)
+		})
 	default:
 		fmt.Fprintf(os.Stderr, "unknown %s=%q\n", modeEnv, os.Getenv(modeEnv))
 		os.Exit(2)
 	}
+}
+
+// connectAddr returns the coordinator address SpawnFleet put in argv.
+func connectAddr() string {
+	for i, arg := range os.Args[:len(os.Args)-1] {
+		if arg == "-connect" {
+			return os.Args[i+1]
+		}
+	}
+	fmt.Fprintln(os.Stderr, "test worker: no -connect address in argv")
+	os.Exit(2)
+	return ""
 }
 
 func runTestWorker() {
@@ -66,7 +95,7 @@ func runTestWorker() {
 				// First incarnation: die abruptly (no reply, no cleanup —
 				// indistinguishable from SIGKILL to the coordinator) as soon
 				// as the in-flight cell has persisted at least one epoch.
-				// The marker makes the relaunched worker behave, so the
+				// The marker makes the respawned worker behave, so the
 				// retry exercises resume, not an immortal crash loop.
 				go func() {
 					for {
@@ -80,47 +109,50 @@ func runTestWorker() {
 			}
 		}
 	}
-	if err := dist.Serve(ctx, os.Stdin, os.Stdout, opts); err != nil && ctx.Err() == nil {
+	// A bounded redial: a child outliving its test must not dial a dead
+	// port forever.
+	err := dist.DialAndServe(ctx, connectAddr(), dist.DialOptions{Worker: opts, MaxRedials: 3})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-func runGarbageWorker() {
-	enc := json.NewEncoder(os.Stdout)
-	_ = enc.Encode(dist.Reply{Type: "hello", Proto: dist.ProtoVersion, PID: os.Getpid()})
-	sc := bufio.NewScanner(os.Stdin)
+// runRawWorker dials the coordinator, says a valid hello, and hands every
+// run request to onRun; it exits when the coordinator hangs up.
+func runRawWorker(onRun func(net.Conn)) {
+	conn, err := net.Dial("tcp", connectAddr())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	_ = json.NewEncoder(conn).Encode(dist.Reply{Type: "hello", Proto: dist.ProtoVersion, PID: os.Getpid(), Slots: 1})
+	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	for sc.Scan() {
-		fmt.Println("xyzzy: this is not a protocol reply")
+		var req dist.Request
+		if json.Unmarshal(sc.Bytes(), &req) == nil && req.Type == "run" {
+			onRun(conn)
+		}
 	}
 	os.Exit(0)
 }
 
-// runMuteWorker speaks a perfect hello and then goes silent: it reads
-// every request and answers none, the shape of a wedged-but-alive
-// process that only a reply timeout can unmask on the pipe transport.
-func runMuteWorker() {
-	enc := json.NewEncoder(os.Stdout)
-	_ = enc.Encode(dist.Reply{Type: "hello", Proto: dist.ProtoVersion, PID: os.Getpid(), Slots: 1})
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		// Swallow the request; the coordinator hears nothing.
-	}
-	os.Exit(0)
-}
-
-// workerExecutor builds an Executor whose workers are re-execs of this
-// test binary in the given mode.
-func workerExecutor(t *testing.T, mode string, env ...string) *dist.Executor {
+// spawnFleet spawns n re-execs of this test binary in the given mode.
+// Fleet goroutines may log a beat after the test body returns, which
+// t.Logf forbids, so the default Logf is a capture.
+func spawnFleet(t *testing.T, n int, mode string, opts dist.FleetOptions, env ...string) *dist.Fleet {
 	t.Helper()
-	return &dist.Executor{
-		Command: []string{os.Args[0]},
-		Env:     append([]string{modeEnv + "=" + mode}, env...),
-		Logf:    t.Logf,
+	if opts.Logf == nil {
+		opts.Logf = new(logCapture).logf
 	}
+	f, err := dist.SpawnFleet(n, []string{os.Args[0]}, append([]string{modeEnv + "=" + mode}, env...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
 }
 
 // microScale is a grid small enough for unit-test budget but wide enough
@@ -140,7 +172,7 @@ func microScale() experiments.Scale {
 var microPolicies = []string{"ideal", "none", "remap-d"}
 
 // TestDistByteIdenticalToInProcess is the acceptance criterion: the same
-// Fig. 6 grid through two exec'd worker processes must render the exact
+// Fig. 6 grid through two spawned worker processes must render the exact
 // table the in-process runner renders.
 func TestDistByteIdenticalToInProcess(t *testing.T) {
 	reg := experiments.DefaultRegime()
@@ -151,10 +183,8 @@ func TestDistByteIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exec := workerExecutor(t, "worker")
-	defer exec.Close()
 	remote := microScale()
-	remote.Exec = exec
+	remote.Exec = spawnFleet(t, 2, "worker", dist.FleetOptions{})
 	rows, err := experiments.Fig6(context.Background(), remote, reg, microPolicies)
 	if err != nil {
 		t.Fatal(err)
@@ -188,21 +218,11 @@ func TestWorkerKilledMidCellRetriesAndResumes(t *testing.T) {
 
 	ckptDir := t.TempDir()
 	marker := filepath.Join(t.TempDir(), "died-once")
-	exec := workerExecutor(t, "worker-kill", ckptEnv+"="+ckptDir, markerEnv+"="+marker)
-	defer exec.Close()
-
-	var mu sync.Mutex
-	var lines []string
-	capture := func(format string, args ...interface{}) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	exec.Logf = capture
-
+	var capture logCapture
 	remote := scale()
-	remote.Exec = exec
-	remote.Progress = capture
+	remote.Exec = spawnFleet(t, 1, "worker-kill", dist.FleetOptions{Logf: capture.logf},
+		ckptEnv+"="+ckptDir, markerEnv+"="+marker)
+	remote.Progress = capture.logf
 	rows, err := experiments.Fig6(context.Background(), remote, reg, policies)
 	if err != nil {
 		t.Fatal(err)
@@ -214,17 +234,10 @@ func TestWorkerKilledMidCellRetriesAndResumes(t *testing.T) {
 	if got, want := experiments.FormatFig6(rows), experiments.FormatFig6(baseline); got != want {
 		t.Fatalf("post-crash Fig. 6 differs from in-process:\n--- in-process\n%s\n--- dist\n%s", want, got)
 	}
-	mu.Lock()
-	transcript := strings.Join(lines, "\n")
-	mu.Unlock()
-	if !strings.Contains(transcript, "requeueing") {
-		t.Fatalf("transcript records no requeue:\n%s", transcript)
-	}
-	if !strings.Contains(transcript, "attempt 2") {
-		t.Fatalf("status line does not record the second attempt:\n%s", transcript)
-	}
-	if !strings.Contains(transcript, "resumed from checkpoint") {
-		t.Fatalf("retried cell recomputed instead of resuming:\n%s", transcript)
+	for _, must := range []string{"requeueing on a surviving worker", "respawning", "attempt 2", "resumed from checkpoint"} {
+		if !capture.contains(must) {
+			t.Fatalf("transcript missing %q:\n%s", must, capture.String())
+		}
 	}
 }
 
@@ -246,15 +259,13 @@ func specCell(policy string) experiments.Cell {
 }
 
 // TestGarbageWorkerExhaustsRetries: a worker that answers with
-// non-protocol output must be discarded and the cell retried on fresh
-// processes; when every attempt hits the same breakage, the error names
-// the cell and the attempt count.
+// non-protocol output must be dropped and the cell retried on its
+// respawned process; when every attempt hits the same breakage, the
+// error names the cell and the attempt count.
 func TestGarbageWorkerExhaustsRetries(t *testing.T) {
-	exec := workerExecutor(t, "garbage")
-	exec.Retries = 2
-	defer exec.Close()
+	fleet := spawnFleet(t, 1, "garbage", dist.FleetOptions{Retries: 2})
 	cell := specCell("ideal")
-	res, err := exec.Execute(context.Background(), 0, cell, nil)
+	res, err := fleet.Execute(context.Background(), 0, cell, nil)
 	if err == nil {
 		t.Fatal("garbage replies must fail the cell")
 	}
@@ -273,10 +284,8 @@ func TestGarbageWorkerExhaustsRetries(t *testing.T) {
 // (here: an unknown policy, which every worker would reject identically)
 // must fail immediately — retrying determinism is pure waste.
 func TestDeterministicCellErrorNotRetried(t *testing.T) {
-	exec := workerExecutor(t, "worker")
-	defer exec.Close()
-	cell := specCell("no-such-policy")
-	res, err := exec.Execute(context.Background(), 0, cell, nil)
+	fleet := spawnFleet(t, 1, "worker", dist.FleetOptions{})
+	res, err := fleet.Execute(context.Background(), 0, specCell("no-such-policy"), nil)
 	if err == nil {
 		t.Fatal("unknown policy must fail the cell")
 	}
@@ -288,27 +297,23 @@ func TestDeterministicCellErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestCellWithoutSpecFailsImmediately: closures cannot travel; the
-// executor must say so instead of hanging or crashing.
+// TestCellWithoutSpecFailsImmediately: closures cannot travel to a
+// spawned worker; the fleet must say so instead of hanging or crashing.
 func TestCellWithoutSpecFailsImmediately(t *testing.T) {
-	exec := workerExecutor(t, "worker")
-	defer exec.Close()
+	fleet := spawnFleet(t, 1, "worker", dist.FleetOptions{})
 	cell := experiments.Cell{Key: experiments.CellKey{Model: "closure-only", Seed: 1}}
-	_, err := exec.Execute(context.Background(), 0, cell, nil)
+	_, err := fleet.Execute(context.Background(), 0, cell, nil)
 	if err == nil || !strings.Contains(err.Error(), "no serializable spec") {
 		t.Fatalf("err = %v, want a no-spec refusal", err)
 	}
 }
 
 // TestMuteWorkerHitsReplyTimeout: a worker that accepts cells but never
-// answers must trip Executor.Timeout, be discarded, and cost the cell
+// answers must trip FleetOptions.Timeout, be dropped, and cost the cell
 // its retries — the error names the silence, not a crash.
 func TestMuteWorkerHitsReplyTimeout(t *testing.T) {
-	exec := workerExecutor(t, "mute")
-	exec.Retries = 2
-	exec.Timeout = 200 * time.Millisecond
-	defer exec.Close()
-	res, err := exec.Execute(context.Background(), 0, specCell("ideal"), nil)
+	fleet := spawnFleet(t, 1, "mute", dist.FleetOptions{Retries: 2, Timeout: 200 * time.Millisecond})
+	res, err := fleet.Execute(context.Background(), 0, specCell("ideal"), nil)
 	if err == nil {
 		t.Fatal("a mute worker must fail the cell")
 	}
@@ -322,70 +327,68 @@ func TestMuteWorkerHitsReplyTimeout(t *testing.T) {
 
 // TestCloseRacesInFlightExecute: Close while a cell is mid-flight must
 // leave Execute with an error or a completed result — never a hang, and
-// never a freshly launched orphan process (go test -race keeps the
+// never a freshly respawned orphan process (go test -race keeps the
 // accounting honest).
 func TestCloseRacesInFlightExecute(t *testing.T) {
-	exec := workerExecutor(t, "worker")
+	fleet := spawnFleet(t, 1, "worker", dist.FleetOptions{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := exec.Execute(context.Background(), 0, specCell("ideal"), nil)
+		_, err := fleet.Execute(context.Background(), 0, specCell("ideal"), nil)
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
-	exec.Close()
+	fleet.Close()
 	select {
 	case err := <-done:
 		// Both outcomes are legal — the cell may have finished just
 		// before Close — but a post-Close failure must say "closed",
 		// not dress up as a worker crash with retries.
 		if err != nil && !strings.Contains(err.Error(), "closed") {
-			t.Fatalf("post-Close error %q does not name the closed executor", err)
+			t.Fatalf("post-Close error %q does not name the closed fleet", err)
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Execute hung after Close")
 	}
 }
 
-// TestHelloWaitRespectsContext: cancelling the grid during worker
-// startup must abandon the hello wait immediately instead of sitting
-// out the full hello timeout.
-func TestHelloWaitRespectsContext(t *testing.T) {
-	exec := workerExecutor(t, "slow-hello")
-	defer exec.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := exec.Execute(ctx, 0, specCell("ideal"), nil)
-	if err == nil {
-		t.Fatal("a never-hello worker under a dead context must fail")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("Execute took %s; the hello wait ignored the context", elapsed)
-	}
-}
-
-// TestWorkerServeShutdown pins the protocol basics without processes:
-// hello first, shutdown honoured, EOF clean.
-func TestWorkerServeShutdown(t *testing.T) {
-	var out strings.Builder
-	in := strings.NewReader(`{"type":"shutdown"}` + "\n")
-	if err := dist.Serve(context.Background(), in, &out, dist.WorkerOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(out.String(), "\n", 2)[0]
-	var hello dist.Reply
-	if err := json.Unmarshal([]byte(first), &hello); err != nil {
-		t.Fatalf("first line %q is not a reply: %v", first, err)
-	}
-	if hello.Type != "hello" || hello.Proto != dist.ProtoVersion {
-		t.Fatalf("hello = %+v", hello)
-	}
-
-	out.Reset()
-	if err := dist.Serve(context.Background(), strings.NewReader(""), &out, dist.WorkerOptions{}); err != nil {
-		t.Fatal("EOF must be a clean shutdown, got:", err)
-	}
-	if err := dist.Serve(context.Background(), strings.NewReader("not json\n"), &out, dist.WorkerOptions{}); err == nil {
-		t.Fatal("malformed request must error")
-	}
+// TestSpawnFailureFailsFast: workers that cannot join must fail the grid
+// within seconds instead of stalling it — at SpawnFleet when a child
+// exits before its hello, and at Execute when every slot crash-loops
+// after the fleet came up.
+func TestSpawnFailureFailsFast(t *testing.T) {
+	t.Run("exit-before-hello", func(t *testing.T) {
+		start := time.Now()
+		f, err := dist.SpawnFleet(2, []string{os.Args[0]}, []string{modeEnv + "=exit-early"}, dist.FleetOptions{Logf: new(logCapture).logf})
+		if err == nil {
+			f.Close()
+			t.Fatal("SpawnFleet succeeded with workers that never join")
+		}
+		if !strings.Contains(err.Error(), "exited before joining") {
+			t.Fatalf("err = %v, want an exited-before-joining error", err)
+		}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("SpawnFleet took %s to notice", elapsed)
+		}
+	})
+	t.Run("crash-loop", func(t *testing.T) {
+		var capture logCapture
+		marker := filepath.Join(t.TempDir(), "died-once")
+		fleet := spawnFleet(t, 1, "crash-loop", dist.FleetOptions{Logf: capture.logf}, markerEnv+"="+marker)
+		done := make(chan error, 1)
+		go func() {
+			_, err := fleet.Execute(context.Background(), 0, specCell("ideal"), nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("err = %v, want the closed fleet", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Execute stalled on a crash-looping fleet:\n%s", capture.String())
+		}
+		if !capture.contains("every worker slot gave up") {
+			t.Fatalf("transcript does not record the give-up:\n%s", capture.String())
+		}
+	})
 }

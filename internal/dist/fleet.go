@@ -16,18 +16,27 @@ import (
 	"remapd/internal/obs"
 )
 
-// This file is the coordinator side of the TCP transport. A Fleet owns a
+// This file is the coordinator side of the protocol. A Fleet owns a
 // net.Listener; workers dial in, announce a slot count, and the fleet
-// schedules cells onto whichever connected worker has free capacity —
-// an elastic pool rather than the Executor's fixed one-process-per-slot
-// layout. Workers may join and leave mid-grid: a joiner starts receiving
-// cells immediately, a leaver (crash, partition, drain) has its in-flight
-// cells requeued onto survivors, and when the pool is empty the grid
-// stalls with a progress log instead of failing.
+// schedules cells onto whichever connected worker has free capacity.
+// Workers may join and leave mid-grid: a joiner starts receiving cells
+// immediately, a leaver (crash, partition, drain) has its in-flight cells
+// requeued onto survivors, and when the pool is empty the grid stalls
+// with a progress log instead of failing.
 
 const (
-	// DefaultHeartbeatEvery is the probe interval for connected workers
-	// (proto >= 2); DefaultHeartbeatMisses consecutive unanswered probes
+	// DefaultRetries bounds how many workers a cell is offered before its
+	// failure is final. Three attempts tolerates two crashes/timeouts per
+	// cell without letting a poisoned cell spin forever.
+	DefaultRetries = 3
+
+	// helloTimeout bounds how long a fresh connection (or a freshly
+	// spawned worker) may take to announce itself; one that says nothing
+	// (or something else) within it is not speaking the protocol.
+	helloTimeout = 30 * time.Second
+
+	// DefaultHeartbeatEvery is the probe interval for connected workers;
+	// DefaultHeartbeatMisses consecutive unanswered probes
 	// declare the worker dead. Any frame from the worker — log, result,
 	// heartbeat — proves liveness, so a busy worker streaming epoch logs
 	// never needs its probes to land on time.
@@ -47,10 +56,10 @@ const (
 type FleetOptions struct {
 	// Retries is the per-cell attempt bound (<= 0 means DefaultRetries).
 	Retries int
-	// Timeout, when > 0, bounds the silence between a cell assignment
-	// and its result reply, exactly as Executor.Timeout does. Heartbeats
-	// make it mostly redundant for crash detection; it remains the
-	// backstop against a live worker that simply never finishes.
+	// Timeout, when > 0, bounds the time between a cell assignment and
+	// its result reply; log frames reset nothing. Heartbeats make it
+	// mostly redundant for crash detection; it remains the backstop
+	// against a live worker that simply never finishes.
 	Timeout time.Duration
 	// HeartbeatEvery / HeartbeatMisses tune the liveness deadline
 	// (defaults above). A worker is declared dead after Misses+1
@@ -71,16 +80,18 @@ type FleetOptions struct {
 // dialed-in workers. The runner keeps its own scheduling discipline
 // (bounded in-flight set, deterministic reassembly by submission index);
 // the fleet only decides which connected worker runs each cell, so
-// results are byte-identical to the in-process and exec'd paths no
-// matter how the pool churns.
+// results are byte-identical to the in-process path no matter how the
+// pool churns.
 type Fleet struct {
-	opts FleetOptions
-	ln   net.Listener
+	opts  FleetOptions
+	ln    net.Listener
+	spawn *spawner // the exec'd local workers; nil unless SpawnFleet built the fleet
 
-	mu      sync.Mutex
-	workers map[string]*fleetWorker
-	notify  chan struct{} // closed+replaced whenever capacity may have grown
-	closed  bool
+	mu        sync.Mutex
+	workers   map[string]*fleetWorker
+	notify    chan struct{} // closed+replaced whenever capacity may have grown
+	closed    bool
+	closeOnce sync.Once
 
 	nextID     atomic.Int64 // request IDs, shared across all connections
 	nextWorker atomic.Int64 // join counter, names workers deterministically
@@ -101,7 +112,6 @@ type fleetWorker struct {
 	name  string
 	addr  string
 	conn  net.Conn
-	proto int
 	slots int
 
 	// Harness-domain accounting (see stats.go). counts meters the raw
@@ -180,6 +190,10 @@ func (w *fleetWorker) route(rep Reply) {
 // workers. The caller owns nothing afterwards: Close tears down the
 // listener and every connection.
 func NewFleet(ln net.Listener, opts FleetOptions) *Fleet {
+	return newFleet(ln, opts, nil)
+}
+
+func newFleet(ln net.Listener, opts FleetOptions, spawn *spawner) *Fleet {
 	trace := opts.Trace
 	if trace == nil {
 		// Always record: a nil-Logf, nil-Trace embedder can still ask
@@ -189,6 +203,7 @@ func NewFleet(ln net.Listener, opts FleetOptions) *Fleet {
 	f := &Fleet{
 		ln:      ln,
 		opts:    opts,
+		spawn:   spawn,
 		workers: map[string]*fleetWorker{},
 		notify:  make(chan struct{}),
 		trace:   trace,
@@ -262,21 +277,19 @@ func (f *Fleet) serve(raw net.Conn) {
 	guard := time.AfterFunc(helloTimeout, func() { _ = conn.Close() })
 	hello, err := readHello(sc)
 	guard.Stop()
+	if err == nil && !f.spawn.admit(hello.PID) {
+		err = fmt.Errorf("pid %d is not one of this fleet's spawned workers", hello.PID)
+	}
 	if err != nil {
 		f.logf("dist: fleet: rejected connection from %v: %v", conn.RemoteAddr(), err)
 		_ = conn.Close()
 		return
 	}
-	slots := hello.Slots
-	if slots <= 0 {
-		slots = 1 // proto 1 workers predate the slot advertisement
-	}
 	w := &fleetWorker{
 		name:    fmt.Sprintf("fw%d/pid%d", f.nextWorker.Add(1), hello.PID),
 		addr:    fmt.Sprint(conn.RemoteAddr()),
 		conn:    conn,
-		proto:   hello.Proto,
-		slots:   slots,
+		slots:   hello.Slots,
 		counts:  cc,
 		enc:     json.NewEncoder(conn),
 		pending: map[int64]chan Reply{},
@@ -294,14 +307,9 @@ func (f *Fleet) serve(raw net.Conn) {
 	f.notifyLocked()
 	n := len(f.workers)
 	f.mu.Unlock()
-	f.logf("dist: fleet: %s joined from %v (proto %d, %d slot(s)); %d worker(s) connected", w.name, conn.RemoteAddr(), w.proto, w.slots, n)
-	f.trace.Emit(obs.FleetEvent{Kind: obs.FleetJoin, Worker: w.name, Addr: w.addr, Proto: w.proto, Slots: w.slots, Workers: n})
-	if w.proto >= 2 {
-		// A version-1 worker would reject the unknown heartbeat request
-		// type; it keeps the pipe era's liveness model instead (its
-		// death surfaces as a closed connection or a cell timeout).
-		go f.monitor(w)
-	}
+	f.logf("dist: fleet: %s joined from %v (%d slot(s)); %d worker(s) connected", w.name, conn.RemoteAddr(), w.slots, n)
+	f.trace.Emit(obs.FleetEvent{Kind: obs.FleetJoin, Worker: w.name, Addr: w.addr, Proto: ProtoVersion, Slots: w.slots, Workers: n})
+	go f.monitor(w)
 	f.read(w, sc)
 }
 
@@ -319,8 +327,11 @@ func readHello(sc *bufio.Scanner) (Reply, error) {
 		if rep.Type != "hello" {
 			return Reply{}, fmt.Errorf("first reply %q, want hello", rep.Type)
 		}
-		if rep.Proto < MinProtoVersion || rep.Proto > ProtoVersion {
-			return Reply{}, fmt.Errorf("speaks protocol %d, want %d..%d", rep.Proto, MinProtoVersion, ProtoVersion)
+		if rep.Proto != ProtoVersion {
+			return Reply{}, fmt.Errorf("speaks protocol %d, want %d", rep.Proto, ProtoVersion)
+		}
+		if rep.Slots < 1 {
+			return Reply{}, fmt.Errorf("advertises %d slots, want >= 1", rep.Slots)
 		}
 		return rep, nil
 	}
@@ -543,7 +554,7 @@ func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *ob
 	id := f.nextID.Add(1)
 	ch := w.register(id)
 	defer w.deregister(id)
-	if err := w.send(Request{Type: "run", ID: id, Proto: ProtoVersion, Spec: spec}); err != nil {
+	if err := w.send(Request{Type: "run", ID: id, Spec: spec}); err != nil {
 		f.drop(w, fmt.Errorf("send cell: %w", err))
 		return nil, fmt.Errorf("dist: fleet: send cell to %s: %w", w.name, err)
 	}
@@ -569,8 +580,8 @@ func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *ob
 					logf("%s", rep.Line)
 				}
 			case "telemetry":
-				// Worker-reported run segment (proto >= 3): harness-domain
-				// timing only, folded into the cell's span.
+				// Worker-reported run segment: harness-domain timing
+				// only, folded into the cell's span.
 				if rep.Span != nil {
 					span.RunSegment(rep.Span.Seconds, rep.Span.Failed)
 				}
@@ -597,13 +608,14 @@ func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *ob
 // stragglers after a grace period. The shutdown frame is sent but the
 // connection left open so the worker can close its own side — closing
 // first could reset the socket and discard the frame unread. Workers
-// that never act on it (partitioned) are cut off by the grace timer.
-func (f *Fleet) Close() {
+// that never act on it (partitioned) are cut off by the grace timer. On
+// a spawned fleet Close also waits for every child process to exit
+// (see spawner.reap), so no worker outlives it. Every call returns only
+// once the first has finished.
+func (f *Fleet) Close() { f.closeOnce.Do(f.close) }
+
+func (f *Fleet) close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
 	f.closed = true
 	workers := f.workers
 	f.workers = map[string]*fleetWorker{}
@@ -618,6 +630,25 @@ func (f *Fleet) Close() {
 			_ = workers[name].conn.Close()
 		}
 	})
+	f.spawn.reap()
+}
+
+// cellError marks a worker-reported deterministic cell failure (retrying
+// cannot help).
+type cellError struct{ msg string }
+
+func (e *cellError) Error() string { return e.msg }
+
+// decodeResult rebuilds the typed result value from a result reply.
+func decodeResult(rep Reply) (interface{}, error) {
+	value, err := experiments.NewResultFor(rep.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("dist: result reply: %w", err)
+	}
+	if err := json.Unmarshal(rep.Value, value); err != nil {
+		return nil, fmt.Errorf("dist: decode %s result: %w", rep.Kind, err)
+	}
+	return value, nil
 }
 
 var _ experiments.CellExecutor = (*Fleet)(nil)

@@ -11,12 +11,11 @@ import (
 	"time"
 
 	"remapd/internal/experiments"
-	"remapd/internal/obs"
 )
 
-// These tests live inside the package to reach negotiation and liveness
-// internals the public surface hides on purpose: the v1 hello override,
-// the worker table, and the backoff schedule.
+// These tests live inside the package to reach hello and liveness
+// internals the public surface hides on purpose: the worker table, the
+// telemetry frame, and the backoff schedule.
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -64,181 +63,71 @@ func internalSpecCell(policy string) experiments.Cell {
 	return sp.Cell(s)
 }
 
-// TestV1WorkerNegotiation: a version-1 hello (no slot advertisement)
-// must be admitted with one assumed slot and must never receive a
-// heartbeat probe — the v1 protocol has no such request type.
-func TestV1WorkerNegotiation(t *testing.T) {
-	f := internalFleet(t, FleetOptions{
-		HeartbeatEvery:  10 * time.Millisecond,
-		HeartbeatMisses: 2,
-		Logf:            discardLogf,
-	})
-	conn, err := net.Dial("tcp", f.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := json.NewEncoder(conn).Encode(Reply{Type: "hello", Proto: 1, PID: 42}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "v1 worker admission", func() bool { return f.workerCount() == 1 })
-
-	f.mu.Lock()
-	var admitted *fleetWorker
-	for _, w := range f.workers {
-		admitted = w
-	}
-	f.mu.Unlock()
-	if admitted.proto != 1 || admitted.slots != 1 {
-		t.Fatalf("admitted as proto %d with %d slots, want proto 1 with 1 slot", admitted.proto, admitted.slots)
-	}
-
-	// Sit through many heartbeat intervals: no probe may arrive, and the
-	// silent-but-v1 worker must not be declared dead by a clock it never
-	// agreed to.
-	if err := conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			break // read deadline: the quiet we wanted
-		}
-		if req.Type == "heartbeat" {
-			t.Fatal("v1 worker received a heartbeat probe")
-		}
-	}
-	if n := f.workerCount(); n != 1 {
-		t.Fatalf("v1 worker was dropped (%d workers); heartbeat deadline must not apply to proto 1", n)
-	}
-}
-
-// TestV2WorkerNegotiation: a version-2 worker speaks slots, heartbeats,
-// and goodbye but not the telemetry frame. The fleet must admit it at
-// proto 2, run cells on it normally, and the attached lifecycle span
-// must show an attempt with no run segment — the telemetry frame was
-// negotiated away cleanly, not half-sent or mistaken for a protocol
-// error.
-func TestV2WorkerNegotiation(t *testing.T) {
-	f := internalFleet(t, FleetOptions{Logf: discardLogf})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- DialAndServe(ctx, f.Addr().String(), DialOptions{
-			Logf:       discardLogf,
-			RedialBase: 20 * time.Millisecond,
-			helloProto: 2,
-		})
-	}()
-	waitFor(t, "v2 worker admission", func() bool { return f.workerCount() == 1 })
-	f.mu.Lock()
-	for _, w := range f.workers {
-		if w.proto != 2 {
-			t.Errorf("admitted as proto %d, want 2", w.proto)
-		}
-	}
-	f.mu.Unlock()
-
-	rec := obs.NewSpanRecorder()
-	cell := internalSpecCell("ideal")
-	cell.Span = rec.Begin(cell.Key.String())
-	res, err := f.Execute(context.Background(), 0, cell, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (a missing telemetry frame must not look like a failure)", res.Attempts)
-	}
-	cell.Span.Finish("ok")
-	spans := rec.Spans()
-	if len(spans) != 1 || len(spans[0].Attempts) != 1 {
-		t.Fatalf("span shape wrong: %+v", spans)
-	}
-	a := spans[0].Attempts[0]
-	if a.RunSeconds != 0 || a.Failed {
-		t.Errorf("v2 attempt should have no run segment and no failure: %+v", a)
-	}
-	if a.WireSeconds <= 0 {
-		t.Errorf("dispatch→result time should land in wire seconds when no run segment exists: %+v", a)
-	}
-
-	f.Close()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("v2 worker did not exit after fleet close")
-	}
-}
-
-// TestTelemetryRequiresBothSides pins the worker half of the
-// negotiation directly: a proto-3 worker answering a run request that
-// carries no coordinator version (an older coordinator) must not send a
-// telemetry frame, and one answering a proto-3 request must send
-// exactly one, immediately before the result.
-func TestTelemetryRequiresBothSides(t *testing.T) {
+// TestTelemetryPrecedesResult pins the worker's telemetry frame: every
+// run request produces exactly one, carrying the run segment, sent
+// immediately before the result.
+func TestTelemetryPrecedesResult(t *testing.T) {
 	spec, err := experiments.EncodeSpec(internalSpecCell("ideal").Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(reqProto, workerProto int) []Reply {
-		var frames []Reply
-		rep := runRequest(context.Background(),
-			Request{Type: "run", ID: 1, Proto: reqProto, Spec: spec},
-			experiments.Runtime{}, workerProto,
-			func(r Reply) { frames = append(frames, r) })
-		if rep.Error != "" {
-			t.Fatalf("cell failed: %s", rep.Error)
+	var frames []Reply
+	rep := runRequest(context.Background(), Request{Type: "run", ID: 1, Spec: spec},
+		experiments.Runtime{}, func(r Reply) { frames = append(frames, r) })
+	if rep.Error != "" {
+		t.Fatalf("cell failed: %s", rep.Error)
+	}
+	n := 0
+	for _, fr := range frames {
+		if fr.Type == "telemetry" {
+			n++
 		}
-		return frames
 	}
-	countTelemetry := func(frames []Reply) int {
-		n := 0
-		for _, fr := range frames {
-			if fr.Type == "telemetry" {
-				if fr.Span == nil || fr.Span.Seconds <= 0 {
-					t.Errorf("telemetry frame without a run segment: %+v", fr)
-				}
-				n++
-			}
-		}
-		return n
+	if n != 1 {
+		t.Fatalf("%d telemetry frames, want exactly 1", n)
 	}
-	if n := countTelemetry(run(0, ProtoVersion)); n != 0 {
-		t.Errorf("old coordinator received %d telemetry frame(s), want 0", n)
-	}
-	if n := countTelemetry(run(ProtoVersion, 2)); n != 0 {
-		t.Errorf("v2 worker sent %d telemetry frame(s), want 0", n)
-	}
-	if n := countTelemetry(run(ProtoVersion, ProtoVersion)); n != 1 {
-		t.Errorf("v3<->v3 produced %d telemetry frame(s), want exactly 1", n)
+	last := frames[len(frames)-1]
+	if last.Type != "telemetry" || last.ID != 1 || last.Span == nil || last.Span.Seconds <= 0 || last.Span.Failed {
+		t.Fatalf("last frame before the result = %+v, want the cell's telemetry with its run segment", last)
 	}
 }
 
-// TestTooNewProtoRejected: a hello from the future must be refused and
+// TestTooNewProtoRejected: a hello the fleet does not speak — any
+// protocol version but ProtoVersion, or no slots — must be refused and
 // the connection closed, never half-admitted.
 func TestTooNewProtoRejected(t *testing.T) {
 	f := internalFleet(t, FleetOptions{Logf: discardLogf})
-	conn, err := net.Dial("tcp", f.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := json.NewEncoder(conn).Encode(Reply{Type: "hello", Proto: ProtoVersion + 97, PID: 42, Slots: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// The fleet closes the connection on rejection; the read unblocks
-	// with EOF rather than a deadline.
-	buf := make([]byte, 1)
-	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("rejected connection still delivered data")
-	}
-	if n := f.workerCount(); n != 0 {
-		t.Fatalf("future-proto worker was admitted (%d workers)", n)
+	for _, tc := range []struct {
+		name         string
+		proto, slots int
+	}{
+		{"newer", ProtoVersion + 1, 1},
+		{"older", ProtoVersion - 1, 1},
+		{"no-proto", 0, 1},
+		{"no-slots", ProtoVersion, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", f.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			if err := json.NewEncoder(conn).Encode(Reply{Type: "hello", Proto: tc.proto, PID: 42, Slots: tc.slots}); err != nil {
+				t.Fatal(err)
+			}
+			// The fleet closes the connection on rejection; the read
+			// unblocks with EOF rather than a deadline.
+			buf := make([]byte, 1)
+			if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Read(buf); err == nil {
+				t.Fatal("rejected connection still delivered data")
+			}
+			if n := f.workerCount(); n != 0 {
+				t.Fatalf("hello %+v was admitted (%d workers)", tc, n)
+			}
+		})
 	}
 }
 

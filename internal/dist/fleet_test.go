@@ -16,7 +16,7 @@ import (
 
 // The fleet tests run workers in-process: DialAndServe on a goroutine
 // against a loopback listener exercises the full TCP protocol — hello
-// negotiation, slot accounting, heartbeats, requeue, drain — without
+// validation, slot accounting, heartbeats, requeue, drain — without
 // exec'ing anything, which keeps the failure schedules deterministic
 // and the transcripts capturable.
 
@@ -291,8 +291,8 @@ func TestFleetChaosGarbledReplyRequeues(t *testing.T) {
 	waitWorker(t, w)
 }
 
-// TestFleetCellWithoutSpecFails mirrors the Executor refusal: closures
-// cannot travel over TCP either.
+// TestFleetCellWithoutSpecFails: closures cannot travel over TCP; the
+// refusal needs no worker at all.
 func TestFleetCellWithoutSpecFails(t *testing.T) {
 	fleet := newTestFleet(t, dist.FleetOptions{})
 	cell := experiments.Cell{Key: experiments.CellKey{Model: "closure-only", Seed: 1}}

@@ -16,7 +16,7 @@ import (
 // goroutine, so a worker saturating all its slots with training still
 // echoes on time; conversely a partitioned or wedged worker accumulates
 // misses even though its TCP connection looks healthy, which is exactly
-// the failure the exec'd pipe transport could never see.
+// the failure a closed-connection check alone could never see.
 func (f *Fleet) monitor(w *fleetWorker) {
 	every := f.opts.HeartbeatEvery
 	if every <= 0 {

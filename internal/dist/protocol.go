@@ -2,27 +2,29 @@
 // coordinator side plugs into the experiment runner as its CellExecutor:
 // the runner keeps its scheduling discipline — bounded in-flight set,
 // first-error cancellation, deterministic result reassembly by submission
-// index — and dist only changes where each cell's work happens. Two
-// executors exist:
+// index — and dist only changes where each cell's work happens.
 //
-//   - Executor execs one worker process per runner slot and speaks the
-//     protocol over the child's stdin/stdout pipes (the -dist N path).
-//   - Fleet listens on a net.Listener; worker processes on any machine
-//     dial in (-worker -connect host:port), advertise a slot count in
-//     their hello, and the fleet work-steals cells across whatever
-//     workers are currently connected (the -listen path). Workers may
-//     join and leave mid-grid; heartbeats detect dead or partitioned
-//     workers and their in-flight cells are requeued onto survivors.
+// There is one executor, Fleet. It listens on a net.Listener; worker
+// processes dial in (-worker -connect host:port), advertise a slot count
+// in their hello, and the fleet work-steals cells across whatever workers
+// are currently connected. Workers may join and leave mid-grid;
+// heartbeats detect dead or partitioned workers and their in-flight cells
+// are requeued onto survivors. A fleet comes from one of two
+// constructors:
 //
-// The worker side is the same binary run with a -worker flag: it reads
+//   - NewFleet wraps a caller's listener; workers on any machine join it
+//     (the -listen path).
+//   - SpawnFleet listens on a loopback port and execs N local workers of
+//     the same binary into it, respawning any that die (the -dist N path).
+//
+// The worker side is the same binary run with -worker -connect: it reads
 // serialized cell specs, executes them through the same registered run
-// functions the in-process path uses, and writes results back.
+// functions the in-process path uses, and writes results back
+// (DialAndServe), up to its advertised slot count concurrently,
+// demultiplexed by request ID.
 //
-// The protocol is line-delimited JSON over any byte stream. One request
-// or reply per line; requests flow coordinator→worker, replies
-// worker→coordinator. A pipe worker (Serve) handles one cell at a time; a
-// fleet worker (DialAndServe) handles up to its advertised slot count
-// concurrently, demultiplexed by request ID.
+// The protocol is line-delimited JSON over TCP. One request or reply per
+// line; requests flow coordinator→worker, replies worker→coordinator.
 //
 // Determinism: a spec is pure coordinates, the registered run functions
 // are deterministic in those coordinates, and results are scalar structs
@@ -44,47 +46,22 @@ package dist
 import "encoding/json"
 
 // ProtoVersion is the wire protocol version this binary speaks. The
-// worker's hello carries it; the coordinator accepts any version in
-// [MinProtoVersion, ProtoVersion] rather than guessing at anything else.
-//
-// Version 2 added the fleet transport: the hello's slot advertisement
-// (Reply.Slots), heartbeat request/reply liveness probes, and the
-// goodbye drain notice.
-//
-// Version 3 added operational telemetry: the coordinator advertises its
-// own version on run requests (Request.Proto), and a worker that sees
-// proto >= 3 there sends a telemetry reply (Reply.Span) immediately
-// before each result, carrying the cell's execution wall time. The
-// frame is negotiated down in both directions — an old coordinator
-// omits Request.Proto so a v3 worker stays silent, and an old worker
-// ignores the unknown field and simply never sends telemetry.
-const ProtoVersion = 3
-
-// MinProtoVersion is the oldest worker protocol a coordinator still
-// accepts. A version-1 worker (exec'd pipe era) never receives heartbeat
-// requests — it would reject the unknown type — and is assumed to have
-// one slot; everything else is unchanged, so mixed-version fan-out keeps
-// working.
-const MinProtoVersion = 1
+// coordinator and its workers always ship in the same binary, so there is
+// nothing to negotiate: the worker's hello carries the version and the
+// coordinator admits exactly this one. Bump it (and run `make
+// wire-golden`) on any change to the field sets below.
+const ProtoVersion = 4
 
 // Request is one coordinator→worker line.
 type Request struct {
 	// Type is "run" (execute Spec, reply with a result), "heartbeat"
-	// (reply with a heartbeat echoing ID — liveness probe, proto >= 2
-	// only), or "shutdown" (finish nothing — the worker exits; a pipe
-	// worker drains naturally because it only reads the next request
-	// after replying, a fleet worker cancels its in-flight cells first).
+	// (reply with a heartbeat echoing ID — liveness probe), or "shutdown"
+	// (finish nothing — the worker cancels its in-flight cells and exits).
 	Type string `json:"type"`
 	// ID correlates the request's replies; the worker echoes it on every
 	// log, result and heartbeat line. Monotonic per coordinator, never
 	// reused.
 	ID int64 `json:"id,omitempty"`
-	// Proto is the coordinator's protocol version, advertised on run
-	// requests (proto >= 3). A worker only volunteers proto-gated frames
-	// (telemetry) when both sides speak them: min(hello proto, request
-	// proto) >= 3. Older coordinators omit the field; older workers
-	// ignore it.
-	Proto int `json:"proto,omitempty"`
 	// Spec is the serialized experiments.CellSpec for a run request.
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
@@ -93,17 +70,16 @@ type Request struct {
 type Reply struct {
 	// Type is "hello" (first line after connecting), "log" (one progress
 	// line from an in-flight cell), "telemetry" (the cell's run-segment
-	// timing, sent immediately before its result when both sides speak
-	// proto >= 3), "result" (a cell finished), "heartbeat" (liveness
-	// echo, proto >= 2), or "goodbye" (the worker is draining: it will
-	// finish its in-flight cells, send their results, and disconnect —
-	// assign it nothing new).
+	// timing, sent immediately before its result), "result" (a cell
+	// finished), "heartbeat" (liveness echo), or "goodbye" (the worker is
+	// draining: it will finish its in-flight cells, send their results,
+	// and disconnect — assign it nothing new).
 	Type string `json:"type"`
 	// Proto and PID describe the worker on hello.
 	Proto int `json:"proto,omitempty"`
 	PID   int `json:"pid,omitempty"`
 	// Slots is the worker's concurrent-cell capacity, advertised on
-	// hello (proto >= 2; a missing or zero value means one slot).
+	// hello; a hello with fewer than one slot is rejected.
 	Slots int `json:"slots,omitempty"`
 	// ID echoes the request being answered (log, result, heartbeat).
 	ID int64 `json:"id,omitempty"`
@@ -118,7 +94,7 @@ type Reply struct {
 	// error. Protocol failures have no reply at all — they surface as a
 	// dead or silent worker.
 	Error string `json:"error,omitempty"`
-	// Span carries a telemetry reply's run segment (proto >= 3). Purely
+	// Span carries a telemetry reply's run segment. Purely
 	// harness-domain: the coordinator folds it into the cell's lifecycle
 	// span and it never influences results.
 	Span *RunSpan `json:"span,omitempty"`

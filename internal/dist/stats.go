@@ -92,7 +92,7 @@ func (f *Fleet) Stats() FleetStats {
 		rows = append(rows, WorkerStats{
 			Worker:   w.name,
 			Addr:     w.addr,
-			Proto:    w.proto,
+			Proto:    ProtoVersion,
 			Slots:    w.slots,
 			Inflight: w.inflight,
 			Draining: w.draining,

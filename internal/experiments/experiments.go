@@ -64,7 +64,7 @@ type Scale struct {
 	// (per-cell durations, per-phase costs). Also fingerprint-excluded.
 	Prof *obs.Profile
 	// Exec, when non-nil, runs cells through an alternative executor
-	// (e.g. dist.Executor ships them to worker processes). Scheduling
+	// (e.g. dist.Fleet ships them to worker processes). Scheduling
 	// only and fingerprint-excluded: results must be byte-identical to
 	// in-process execution.
 	Exec CellExecutor

@@ -143,7 +143,7 @@ type Runner struct {
 	// (harness domain; never feeds back into results).
 	Prof *obs.Profile
 	// Exec, when non-nil, runs cells somewhere other than in-process
-	// (e.g. dist.Executor fans them out to worker processes). Scheduling
+	// (e.g. dist.Fleet fans them out to worker processes). Scheduling
 	// only: results must be identical to the nil (in-process) executor.
 	Exec CellExecutor
 	// Spans, when non-nil, records a lifecycle span per cell (harness

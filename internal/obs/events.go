@@ -57,7 +57,7 @@ type EpochEvent struct {
 // Kind implements Event.
 func (*EpochEvent) Kind() string { return "epoch" }
 
-// ReportEvent records the policy's EpochReport at one epoch boundary —
+// ReportEvent records the policy's remap.Report at one epoch boundary —
 // the authoritative per-epoch swap/sender/protection accounting (summing
 // ReportEvent.Swaps over a trace reproduces the trainer's Result.Swaps).
 type ReportEvent struct {

@@ -8,7 +8,7 @@
 // network is mapped and pre-deployment faults are present) and Maintain — a
 // phase-agnostic maintenance step invoked whenever no compute is in flight
 // and BIST results can be refreshed. The trainer invokes it at every epoch
-// boundary (the paper's remap trigger point, via the EpochEnd adapter);
+// boundary (the paper's remap trigger point, with TriggerEpoch);
 // internal/serve invokes it online, under live inference traffic, on a
 // request-count / BIST-failure trigger.
 package remap
@@ -32,7 +32,7 @@ import (
 // fault-critical computation (the paper's setting); during serving only
 // forward tasks execute, so the criticality flips. Policies must not
 // branch on Trigger in any other way — the epoch-boundary behaviour under
-// TriggerEpoch is pinned byte-identical to the pre-redesign EpochEnd.
+// TriggerEpoch is pinned byte-identical by the Fig. 5–8 tables.
 type Trigger int
 
 const (
@@ -69,8 +69,8 @@ type Context struct {
 	Epoch int
 
 	// Trigger records which phase invoked this maintenance step. The zero
-	// value is TriggerDeploy; callers set it per invocation (the EpochEnd
-	// adapter sets TriggerEpoch).
+	// value is TriggerDeploy; callers set it per invocation (the trainer
+	// sets TriggerEpoch at every epoch boundary).
 	Trigger Trigger
 
 	// GradAbs accumulates, per MVM layer, the sum of |∂L/∂w| over the
@@ -108,10 +108,6 @@ type Report struct {
 	MeanDensity float64
 }
 
-// EpochReport is the pre-redesign name of Report, kept as an alias so
-// checkpoint/result plumbing and tests need no lockstep rename.
-type EpochReport = Report
-
 // Policy is a fault-tolerance scheme.
 type Policy interface {
 	Name() string
@@ -120,15 +116,6 @@ type Policy interface {
 	// re-protect or re-place tasks, and report what was done. It must be
 	// safe to call from any phase described by ctx.Trigger.
 	Maintain(ctx *Context) Report
-}
-
-// EpochEnd adapts the pre-redesign epoch-boundary entry point onto
-// Maintain: it stamps the context with TriggerEpoch and delegates. Trainer
-// call sites use this adapter, so Fig. 5–8 outputs are byte-identical to
-// the old Policy.EpochEnd surface.
-func EpochEnd(p Policy, ctx *Context) EpochReport {
-	ctx.Trigger = TriggerEpoch
-	return p.Maintain(ctx)
 }
 
 // Resumable is implemented by policies carrying internal mutable state that

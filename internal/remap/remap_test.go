@@ -75,7 +75,7 @@ func TestNonePolicyIsInert(t *testing.T) {
 	p := None{}
 	p.Deploy(r.ctx)
 	rep := p.Maintain(r.ctx)
-	if rep != (EpochReport{}) {
+	if rep != (Report{}) {
 		t.Fatalf("None reported %+v", rep)
 	}
 	for i := range r.chip.Tasks {

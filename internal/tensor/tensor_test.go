@@ -382,25 +382,3 @@ func TestRNGIntnRange(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := NewRNG(1)
-	x, y := New(128, 128), New(128, 128)
-	rng.FillNormal(x, 1)
-	rng.FillNormal(y, 1)
-	out := New(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
-	}
-}
-
-func BenchmarkIm2Col32(b *testing.B) {
-	g := ConvGeom{InC: 16, InH: 32, InW: 32, K: 3, Stride: 1, Pad: 1}
-	src := make([]float32, g.InC*g.InH*g.InW)
-	dst := make([]float32, g.ColRows()*g.ColCols())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Im2Col(dst, src)
-	}
-}

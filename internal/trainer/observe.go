@@ -114,10 +114,10 @@ func (o *epochObserver) endEpoch(epoch int, loss, acc float64, chip *arch.Chip, 
 	o.rec.Set("train.test_acc", acc)
 }
 
-// recordReport emits the policy's EpochReport as a ReportEvent and rolls
+// recordReport emits the policy's Report as a ReportEvent and rolls
 // its counts into the remap counters. Summing the emitted Swaps over a
 // trace reproduces Result.Swaps — the property the telemetry tests pin.
-func (o *epochObserver) recordReport(epoch int, policy string, rep remap.EpochReport) {
+func (o *epochObserver) recordReport(epoch int, policy string, rep remap.Report) {
 	if o == nil {
 		return
 	}

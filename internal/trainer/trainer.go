@@ -275,7 +275,8 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 		// task moved now gets a full epoch of training before it is next
 		// measured.
 		if ctx != nil {
-			rep := remap.EpochEnd(pol, ctx)
+			ctx.Trigger = remap.TriggerEpoch
+			rep := pol.Maintain(ctx)
 			res.Senders += rep.Senders
 			res.Swaps += rep.Swaps
 			res.Unmatched += rep.Unmatched
