@@ -11,7 +11,7 @@
 #
 #	make bench-baseline && git add BENCH_BASELINE.json
 
-BENCH_GATED := ^(BenchmarkMatMulSerial|BenchmarkMatMulTransBSerial|BenchmarkMatMulTransASerial|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkConvForwardBackward|BenchmarkLinearForwardBackward|BenchmarkNetworkInfer|BenchmarkClampRowInto|BenchmarkQuantize|BenchmarkFabricStep)$$
+BENCH_GATED := ^(BenchmarkMatMulSerial|BenchmarkMatMulTransBSerial|BenchmarkMatMulTransBNarrow|BenchmarkMatMulTransASerial|BenchmarkIm2Col|BenchmarkCol2Im|BenchmarkConvForwardBackward|BenchmarkLinearForwardBackward|BenchmarkNetworkInfer|BenchmarkClampRowInto|BenchmarkQuantize|BenchmarkFabricStep)$$
 BENCH_PKGS  := ./internal/tensor/ ./internal/nn/ ./internal/reram/ ./internal/arch/
 BENCH_FLAGS := -run '^$$' -cpu=1 -benchtime=50x -benchmem
 # Extra remapd-benchdiff flags for the budget diff (CI passes -github).

@@ -17,6 +17,7 @@ import (
 	"remapd/internal/nn"
 	"remapd/internal/remap"
 	"remapd/internal/reram"
+	"remapd/internal/tensor"
 	"remapd/internal/trainer"
 )
 
@@ -296,6 +297,70 @@ func TestSnapshotComponentsRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(stateA, stateB) {
 		t.Error("policy state differs after restore")
+	}
+}
+
+// TestFaultedChipRoundTripCounts saves a chip whose crossbars carry
+// overwritten and healed faults and applies the snapshot to a chip with a
+// different fault pattern. Every restored crossbar must report the saved
+// counts: Apply heals and re-injects through the counted state writers,
+// so no count from the overwritten pattern survives the restore.
+func TestFaultedChipRoundTripCounts(t *testing.T) {
+	newState := func(seed uint64) *trainer.TrainState {
+		net := testModel(1)
+		chip := testChip()
+		if err := chip.MapNetwork(net); err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(seed)
+		for _, x := range chip.Xbars[:12] {
+			for f := 0; f < 400; f++ {
+				x.InjectFault(rng.Intn(16), rng.Intn(16), reram.CellState(rng.Intn(3)), rng)
+			}
+		}
+		return &trainer.TrainState{
+			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9, 0),
+			TrainRNG: tensor.NewRNG(1), FaultRNG: tensor.NewRNG(2),
+			Chip: chip, Policy: remap.None{}, Result: &trainer.Result{},
+		}
+	}
+	src, dst := newState(3), newState(4)
+	data, err := EncodeState(src, "fp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Apply(dst); err != nil {
+		t.Fatal(err)
+	}
+	faulty := 0
+	for xi, xa := range src.Chip.Xbars {
+		xb := dst.Chip.Xbars[xi]
+		sa0, sa1 := 0, 0
+		for i := 0; i < xb.Cells(); i++ {
+			switch xb.StateAt(i) {
+			case reram.SA0:
+				sa0++
+			case reram.SA1:
+				sa1++
+			}
+		}
+		if xb.FaultCount() != xa.FaultCount() || xb.CountState(reram.SA0) != xa.CountState(reram.SA0) ||
+			xb.CountState(reram.SA1) != xa.CountState(reram.SA1) || len(xb.FaultCells()) != len(xa.FaultCells()) ||
+			xb.CountState(reram.SA0) != sa0 || xb.CountState(reram.SA1) != sa1 {
+			t.Errorf("crossbar %d: restored counts (faults %d, SA0 %d, SA1 %d, cells %d, dense SA0 %d SA1 %d) != saved (%d, %d, %d, %d)",
+				xi, xb.FaultCount(), xb.CountState(reram.SA0), xb.CountState(reram.SA1), len(xb.FaultCells()), sa0, sa1,
+				xa.FaultCount(), xa.CountState(reram.SA0), xa.CountState(reram.SA1), len(xa.FaultCells()))
+		}
+		if xa.FaultCount() > 0 {
+			faulty++
+		}
+	}
+	if faulty != 12 {
+		t.Fatalf("%d faulted crossbars saved, want 12", faulty)
 	}
 }
 

@@ -26,6 +26,10 @@ type Crossbar struct {
 	// writes counts row-write operations over the crossbar's lifetime
 	// (weight updates + BIST test writes), for endurance accounting.
 	writes uint64
+	// nSA0 and nSA1 count the cells in each stuck state. setState, the
+	// only writer of state, keeps them current, so the fault counts and
+	// the density are O(1) reads.
+	nSA0, nSA1 int
 }
 
 // NewCrossbar returns a fault-free crossbar.
@@ -71,7 +75,7 @@ func (x *Crossbar) InjectFault(r, c int, s CellState, rng *tensor.RNG) {
 // (inPositive = the fault hits the G⁺ cell). Targeted tests use it.
 func (x *Crossbar) InjectFaultPolar(r, c int, s CellState, inPositive bool, rng *tensor.RNG) {
 	i := r*x.Size + c
-	x.state[i] = s
+	x.setState(i, s)
 	x.inPositive[i] = inPositive
 	switch s {
 	case SA0:
@@ -88,26 +92,43 @@ func (x *Crossbar) InjectFaultPolar(r, c int, s CellState, inPositive bool, rng 
 //lint:hotpath
 func (x *Crossbar) FaultInPositive(i int) bool { return x.inPositive[i] }
 
-// FaultCount returns the number of stuck cells.
-func (x *Crossbar) FaultCount() int {
-	n := 0
-	for _, s := range x.state {
-		if s != Healthy {
-			n++
-		}
+// setState moves cell i to state s and keeps the per-state counts in
+// step. Every state write goes through it.
+func (x *Crossbar) setState(i int, s CellState) {
+	switch s {
+	case Healthy, SA0, SA1:
+	default:
+		panic(fmt.Sprintf("reram: invalid cell state %d", s))
 	}
-	return n
+	x.count(x.state[i], -1)
+	x.count(s, +1)
+	x.state[i] = s
 }
+
+// count adds d to the count of stuck state s (a no-op for Healthy).
+func (x *Crossbar) count(s CellState, d int) {
+	switch s {
+	case SA0:
+		x.nSA0 += d
+	case SA1:
+		x.nSA1 += d
+	}
+}
+
+// FaultCount returns the number of stuck cells.
+func (x *Crossbar) FaultCount() int { return x.nSA0 + x.nSA1 }
 
 // CountState returns the number of cells in state s.
 func (x *Crossbar) CountState(s CellState) int {
-	n := 0
-	for _, st := range x.state {
-		if st == s {
-			n++
-		}
+	switch s {
+	case Healthy:
+		return x.Cells() - x.FaultCount()
+	case SA0:
+		return x.nSA0
+	case SA1:
+		return x.nSA1
 	}
-	return n
+	return 0
 }
 
 // FaultDensity returns the fraction of stuck cells in [0, 1].
@@ -256,6 +277,7 @@ func (x *Crossbar) HealAll() {
 		x.state[i] = Healthy
 		x.gFault[i] = 0
 	}
+	x.nSA0, x.nSA1 = 0, 0
 }
 
 // FaultCells returns the flat indices of all stuck cells in ascending
@@ -275,7 +297,7 @@ func (x *Crossbar) FaultCells() []int {
 // an RNG: checkpoint resume must reproduce the exact analog state the
 // snapshot captured.
 func (x *Crossbar) RestoreFault(i int, s CellState, g float64, inPositive bool) {
-	x.state[i] = s
+	x.setState(i, s)
 	x.gFault[i] = g
 	x.inPositive[i] = inPositive
 }

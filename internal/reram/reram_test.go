@@ -355,3 +355,63 @@ func TestFaultDensityMatchesInjectionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFaultCountInvariant applies seeded random sequences of every cell
+// state writer — InjectFault, InjectFaultPolar (SA0↔SA1 overwrites and
+// heals by injecting Healthy), RestoreFault and HealAll — and checks the
+// maintained counts against a dense recount after every operation.
+func TestFaultCountInvariant(t *testing.T) {
+	p := DefaultDeviceParams()
+	p.CrossbarSize = 8 // 64 cells: random ops collide often
+	var overwrites, heals, healAlls int
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := tensor.NewRNG(seed)
+		x := NewCrossbar(0, p)
+		for op := 0; op < 400; op++ {
+			i := rng.Intn(x.Cells())
+			r, c := i/x.Size, i%x.Size
+			s := CellState(rng.Intn(3))
+			before := x.StateAt(i)
+			switch k := rng.Intn(32); {
+			case k < 12:
+				x.InjectFault(r, c, s, rng)
+			case k < 22:
+				x.InjectFaultPolar(r, c, s, rng.Intn(2) == 0, rng)
+			case k < 31:
+				x.RestoreFault(i, s, rng.Float64(), rng.Intn(2) == 0)
+			default:
+				x.HealAll()
+				healAlls++
+			}
+			switch after := x.StateAt(i); {
+			case before != Healthy && after != Healthy && before != after:
+				overwrites++
+			case before != Healthy && after == Healthy:
+				heals++
+			}
+
+			var sa0, sa1 int
+			for j := 0; j < x.Cells(); j++ {
+				switch x.StateAt(j) {
+				case SA0:
+					sa0++
+				case SA1:
+					sa1++
+				}
+			}
+			if x.FaultCount() != sa0+sa1 || x.CountState(SA0) != sa0 || x.CountState(SA1) != sa1 ||
+				x.CountState(Healthy) != x.Cells()-sa0-sa1 || len(x.FaultCells()) != sa0+sa1 {
+				t.Fatalf("seed %d op %d: FaultCount %d, SA0 %d, SA1 %d, Healthy %d, FaultCells %d; dense recount SA0 %d SA1 %d",
+					seed, op, x.FaultCount(), x.CountState(SA0), x.CountState(SA1), x.CountState(Healthy),
+					len(x.FaultCells()), sa0, sa1)
+			}
+			if want := float64(sa0+sa1) / float64(x.Cells()); math.Float64bits(x.FaultDensity()) != math.Float64bits(want) {
+				t.Fatalf("seed %d op %d: FaultDensity %v, want %v", seed, op, x.FaultDensity(), want)
+			}
+		}
+	}
+	if overwrites == 0 || heals == 0 || healAlls == 0 {
+		t.Fatalf("sequences missed a transition: %d stuck→stuck overwrites, %d heals, %d HealAll",
+			overwrites, heals, healAlls)
+	}
+}

@@ -167,7 +167,7 @@ func (rep *Replica) Rounds() int { return rep.round }
 // targets and the scan set.
 func (rep *Replica) forwardXbars(dst []int) []int {
 	dst = dst[:0]
-	for _, xi := range rep.chip.MappedXbars() {
+	for xi := range rep.chip.Xbars {
 		if t := rep.chip.TaskOf(xi); t != nil && t.Phase == arch.Forward {
 			dst = append(dst, xi)
 		}
@@ -283,10 +283,10 @@ func (s *Server) Flush() {
 // the simulated tick the scheduler sealed the batch.
 func (s *Server) flushLocked(closeTick uint64) {
 	reqs := s.queue
-	s.queue = s.queue[len(s.queue):]
 	if len(reqs) == 0 {
 		return
 	}
+	s.queue = reqs[len(reqs):]
 	rep := s.reps[s.next]
 	s.next = (s.next + 1) % len(s.reps)
 
@@ -356,6 +356,11 @@ func (s *Server) flushLocked(closeTick uint64) {
 		s.scanLocked(rep)
 	}
 	s.refreshGaugesLocked()
+
+	// The batch's backing array becomes the next queue, so steady-state
+	// enqueueing does not regrow it; clearing drops the finished requests.
+	clear(reqs)
+	s.queue = reqs[:0]
 }
 
 // scanLocked runs one online maintenance round on rep: materialise the
@@ -444,11 +449,16 @@ func (s *Server) refreshGaugesLocked() {
 	if s.stats.Requests > 0 {
 		s.stats.AccuracyTotal = float64(s.correct) / float64(s.stats.Requests)
 	}
+	// Ascending crossbar index within each replica, replica by replica:
+	// the summation order fixes MeanDensity's bits. The walk over every
+	// crossbar allocates nothing, and TrueDensity is an O(1) read.
 	total, used := 0.0, 0
 	for _, rep := range s.reps {
-		for _, xi := range rep.chip.MappedXbars() {
-			total += rep.chip.TrueDensity(xi)
-			used++
+		for xi := range rep.chip.Xbars {
+			if rep.chip.TaskOf(xi) != nil {
+				total += rep.chip.TrueDensity(xi)
+				used++
+			}
 		}
 	}
 	if used > 0 {

@@ -277,3 +277,56 @@ func TestBatchDeadlineFlush(t *testing.T) {
 		t.Fatalf("want 2 batches, got %d", got)
 	}
 }
+
+// raceEnabled is set in -race builds (race_test.go). There sync.Pool
+// drops pooled items at random, so allocation counts are not the
+// program's own.
+var raceEnabled bool
+
+// TestBatchFlushAllocs pins the serving bookkeeping of a warm server: a
+// full batch through two replicas, with refresh-write wear, allocates
+// nothing. Before the allocation-free crossbar walks, every flush
+// allocated the MappedXbars slices of the wear and density gauges plus a
+// regrown queue (25 allocations at this shape).
+func TestBatchFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := Config{BatchMax: 8, BatchWait: 16, WritesPerBatch: 4, InC: 3, InH: 16, InW: 16}
+	var reps []*Replica
+	for i := 0; i < 2; i++ {
+		rep, err := NewReplica(ReplicaConfig{Net: testNet(5), Chip: testChip(), Policy: remap.NewRemapD(), FaultSeed: 21}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	srv, err := New(cfg, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.CIFAR10Like(1, 16, 16, 77)
+	imgLen := ds.C * ds.H * ds.W
+	reqs := make([]*Request, cfg.BatchMax)
+	for i := range reqs {
+		reqs[i] = &Request{Image: ds.TestX.Data[i*imgLen : (i+1)*imgLen], Label: ds.TestY[i]}
+	}
+	var arrival uint64
+	batch := func() {
+		for _, r := range reqs {
+			arrival++
+			r.Arrival = arrival
+			srv.Submit(r)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm both replicas' workspaces
+		batch()
+	}
+	before := srv.Stats().Batches
+	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+		t.Fatalf("batch flush allocates %v times, want 0", allocs)
+	}
+	if got := srv.Stats().Batches - before; got != 21 {
+		t.Fatalf("%d batches flushed, want 21 (one per run plus the warm-up call)", got)
+	}
+}

@@ -6,7 +6,9 @@ package tensor
 // at least len(src). The 8-way unrolling exposes independent per-element
 // chains to the pipeline (each dst[j] is its own accumulation chain, so the
 // unroll cannot reorder any addition) and the full-width reslices eliminate
-// per-element bounds checks.
+// per-element bounds checks. The float32 conversion of each product forbids
+// fusing the multiply and the add (Go may emit FMA on arm64 otherwise),
+// keeping every result bit-identical to the amd64 kernel.
 //
 //lint:hotpath
 func axpy(dst, src []float32, v float32) {
@@ -15,16 +17,16 @@ func axpy(dst, src []float32, v float32) {
 	for j := 0; j < n; j += 8 {
 		d := dst[j : j+8 : j+8]
 		s := src[j : j+8 : j+8]
-		d[0] += v * s[0]
-		d[1] += v * s[1]
-		d[2] += v * s[2]
-		d[3] += v * s[3]
-		d[4] += v * s[4]
-		d[5] += v * s[5]
-		d[6] += v * s[6]
-		d[7] += v * s[7]
+		d[0] += float32(v * s[0])
+		d[1] += float32(v * s[1])
+		d[2] += float32(v * s[2])
+		d[3] += float32(v * s[3])
+		d[4] += float32(v * s[4])
+		d[5] += float32(v * s[5])
+		d[6] += float32(v * s[6])
+		d[7] += float32(v * s[7])
 	}
 	for j := n; j < len(src); j++ {
-		dst[j] += v * src[j]
+		dst[j] += float32(v * src[j])
 	}
 }

@@ -9,13 +9,18 @@ import "testing"
 // large variants exercise the parallelFor sharding path and are tracked for
 // ns/op drift only.
 
+// benchOperands returns normal-range operands: training traffic, not the
+// denormal-scale mix fillKernelOperand uses to expose summation-order
+// changes, whose denormal products would time the FPU's slow path.
 func benchOperands(m, k, n int) (a, b, bt, at, out *Tensor) {
 	rng := NewRNG(3)
 	a, b = New(m, k), New(k, n)
 	bt, at = New(n, k), New(k, m)
 	out = New(m, n)
 	for _, t := range []*Tensor{a, b, bt, at} {
-		fillKernelOperand(t, rng)
+		for i := range t.Data {
+			t.Data[i] = float32(rng.NormFloat64())
+		}
 	}
 	return
 }
@@ -31,6 +36,19 @@ func BenchmarkMatMulSerial(b *testing.B) {
 
 func BenchmarkMatMulTransBSerial(b *testing.B) {
 	A, _, Bt, _, out := benchOperands(48, 48, 48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransBInto(out, A, Bt)
+	}
+}
+
+// BenchmarkMatMulTransBNarrow is the conv-forward shape: cols × Wfᵀ for
+// the first 3×3 conv of a narrow vgg11 (k = 3·9 = 27 inputs per output,
+// n = 8 output channels), 512 output pixels — serial, below
+// parallelThreshold.
+func BenchmarkMatMulTransBNarrow(b *testing.B) {
+	A, _, Bt, _, out := benchOperands(512, 27, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

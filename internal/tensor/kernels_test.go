@@ -25,7 +25,7 @@ func naiveMatMulInto(out, a, b *Tensor) {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -41,7 +41,7 @@ func naiveMatMulTransBInto(out, a, b *Tensor) {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			orow[j] = s
 		}
@@ -62,7 +62,7 @@ func naiveMatMulTransAInto(out, a, b *Tensor) {
 			}
 			orow := out.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -154,8 +154,8 @@ func fillKernelOperand(t *Tensor, rng *RNG) {
 
 // matmulShapes is the property sweep: degenerate (k=0, 1×N, N×1), prime,
 // tile-remainder (mrTile±1, transABlock±1), and above-parallel-threshold
-// shapes.
-var matmulShapes = []struct{ m, k, n int }{
+// shapes, followed by the tile4x8 edge grid from kernelEdgeShapes.
+var matmulShapes = append([]struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 7, 1},
 	{1, 0, 5},   // k = 0: output must be exactly zero
@@ -172,6 +172,22 @@ var matmulShapes = []struct{ m, k, n int }{
 	{64, 64, 65}, // just above parallelThreshold: exercises sharding
 	{65, 64, 64},
 	{130, 70, 66}, // parallel path with row remainder on every shard
+}, kernelEdgeShapes()...)
+
+// kernelEdgeShapes crosses output widths around the tile4x8 column tile
+// (n = 8q−1, 8q, 8q+1) with row counts around its row tile (m = 3, 4, 5,
+// 8) and short inner dimensions (k = 0, 1, and a conv-like 27), so every
+// mix of full tiles, remainder columns and remainder rows is swept.
+func kernelEdgeShapes() []struct{ m, k, n int } {
+	var shapes []struct{ m, k, n int }
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 63, 64, 65} {
+		for _, m := range []int{3, 4, 5, 8} {
+			for _, k := range []int{0, 1, 27} {
+				shapes = append(shapes, struct{ m, k, n int }{m, k, n})
+			}
+		}
+	}
+	return shapes
 }
 
 func bitEqual(t *testing.T, name string, shape []int, got, want []float32) {
@@ -288,4 +304,44 @@ func TestMatMulParallelRace(t *testing.T) {
 	MatMulTransAInto(got, at, b)
 	naiveMatMulTransAInto(want, at, b)
 	bitEqual(t, "MatMulTransAInto(parallel)", []int{m, k, n}, got.Data, want.Data)
+}
+
+// TestTile4x8MatchesGoTwin compares the tile4x8 kernel with its portable
+// twin bit for bit, so the non-amd64 path is checked on amd64 too. The
+// operands are fillKernelOperand data (±0, 1e-20 scale) salted with NaN,
+// laid out with row strides wider than the tile; the test also checks
+// that nothing outside the 4×8 output tile is written.
+func TestTile4x8MatchesGoTwin(t *testing.T) {
+	rng := NewRNG(17)
+	nan := float32(math.NaN())
+	for k := 0; k <= 33; k++ {
+		for _, ld := range []int{tileCols, 11, 64} {
+			lda := k + 3
+			a := make([]float32, 3*lda+k)
+			b := make([]float32, max(k-1, 0)*ld+tileCols)
+			for _, op := range [][]float32{a, b} {
+				fillKernelOperand(&Tensor{Shape: []int{len(op)}, Data: op}, rng)
+				for i := range op {
+					if rng.Intn(64) == 0 {
+						op[i] = nan
+					}
+				}
+			}
+			got := make([]float32, 3*ld+tileCols+ld)
+			want := make([]float32, len(got))
+			for i := range got {
+				got[i] = float32(i) + 0.5 // sentinel
+				want[i] = got[i]
+			}
+			tile4x8(got, ld, a, lda, b, ld, k)
+			tile4x8Go(want, ld, a, lda, b, ld, k)
+			bitEqual(t, "tile4x8", []int{k, ld}, got, want)
+			for i := range got {
+				inTile := i < 3*ld+tileCols && i%ld < tileCols
+				if !inTile && math.Float32bits(got[i]) != math.Float32bits(float32(i)+0.5) {
+					t.Fatalf("k=%d ld=%d: element %d outside the tile was written", k, ld, i)
+				}
+			}
+		}
+	}
 }

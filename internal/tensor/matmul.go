@@ -4,24 +4,27 @@ import "sync"
 
 // The three GEMM kernels below are register-tiled: each pass over the
 // streamed operand computes a small compile-time-constant tile of output
-// rows (mrTile) instead of one, which divides the memory traffic on the
-// streamed matrix by the tile height — the dominant cost once the operand
-// no longer fits in cache. All three funnel their inner loops through the
-// vector axpy kernel (SSE2 on amd64, unrolled Go elsewhere), which operates
-// on distinct output elements only. The tiling is chosen so that it can
-// never change results: it only reorders *which rows* are in flight, while
-// the additions into any single output element stay in ascending inner-index
-// order with a single accumulation chain, exactly like the naive reference
-// loops (kernels_test.go proves bit-identity over a shape sweep). Tile sizes
-// are compile-time constants — never derived from GOMAXPROCS — so the
+// rows instead of one, which divides the memory traffic on the streamed
+// matrix by the tile height — the dominant cost once the operand no longer
+// fits in cache. MatMulInto and MatMulTransAInto funnel their inner loops
+// through the vector axpy kernel (SSE2 on amd64, unrolled Go elsewhere).
+// MatMulTransBInto, whose output is only as wide as a layer's output
+// channels, runs every full 4×8 output tile through the tile4x8 register
+// micro-kernel instead (tile.go). Both kernels work on distinct output
+// elements only. The tiling is chosen so that it can never change results:
+// it only reorders *which elements* are in flight, while the additions
+// into any single output element stay in ascending inner-index order with
+// a single accumulation chain, exactly like the naive reference loops
+// (kernels_test.go proves bit-identity over a shape sweep). Tile sizes are
+// compile-time constants — never derived from GOMAXPROCS — so the
 // summation order per shape is fixed on every machine.
 //
 // The row loops live in named functions (not closures) so the serial path —
 // every GEMM below parallelThreshold — allocates nothing; only the parallel
 // branch builds a closure for the goroutine fan-out.
 const (
-	// mrTile is the output-row tile of MatMulInto/MatMulTransBInto: four
-	// rows of a share each streamed row of b (or bᵀ).
+	// mrTile is the output-row tile of MatMulInto: four rows of a share
+	// each streamed row of b.
 	mrTile = 4
 	// transABlock is the output-row block of MatMulTransAInto: the block
 	// stays cache-resident across the full k-sweep instead of re-streaming
@@ -124,28 +127,40 @@ func MatMulInto(out, a, b *Tensor) {
 var transScratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // transBRows accumulates out rows [r0, r1) of a × bᵀ, where bt holds the
-// already-transposed operand (k×n row-major). Same row tiling as
-// matmulRows, but with unguarded axpy calls: the dot-product reference has
-// no zero-skip, so neither may this path. Rows of od must be pre-zeroed.
+// already-transposed operand (k×n row-major). Every full 4×8 output tile
+// goes through the tile4x8 micro-kernel, which keeps the tile in registers
+// across the whole k loop; the n mod 8 remainder columns and the m mod 4
+// remainder rows keep the axpy path. Both give each output element one
+// chain from +0 in ascending p with no zero-skip — the dot-product
+// reference has none, so neither may this path. Rows of od must be
+// pre-zeroed.
 //
 //lint:hotpath
 func transBRows(od, ad, bt []float32, k, n, r0, r1 int) {
+	if k == 0 {
+		return // every output stays the pre-zeroed +0
+	}
+	nt := n &^ (tileCols - 1) // columns covered by full tiles
 	i := r0
-	for ; i+mrTile <= r1; i += mrTile {
-		a0 := ad[i*k : i*k+k]
-		a1 := ad[(i+1)*k : (i+1)*k+k]
-		a2 := ad[(i+2)*k : (i+2)*k+k]
-		a3 := ad[(i+3)*k : (i+3)*k+k]
-		o0 := od[i*n : i*n+n]
-		o1 := od[(i+1)*n : (i+1)*n+n]
-		o2 := od[(i+2)*n : (i+2)*n+n]
-		o3 := od[(i+3)*n : (i+3)*n+n]
+	for ; i+tileRows <= r1; i += tileRows {
+		for j := 0; j < nt; j += tileCols {
+			tile4x8(od[i*n+j:(i+3)*n+j+tileCols], n,
+				ad[i*k:(i+3)*k+k], k,
+				bt[j:(k-1)*n+j+tileCols], n, k)
+		}
+		if nt == n {
+			continue
+		}
+		o0 := od[i*n+nt : i*n+n]
+		o1 := od[(i+1)*n+nt : (i+1)*n+n]
+		o2 := od[(i+2)*n+nt : (i+2)*n+n]
+		o3 := od[(i+3)*n+nt : (i+3)*n+n]
 		for p := 0; p < k; p++ {
-			brow := bt[p*n : p*n+n]
-			axpy(o0, brow, a0[p])
-			axpy(o1, brow, a1[p])
-			axpy(o2, brow, a2[p])
-			axpy(o3, brow, a3[p])
+			brow := bt[p*n+nt : p*n+n]
+			axpy(o0, brow, ad[i*k+p])
+			axpy(o1, brow, ad[(i+1)*k+p])
+			axpy(o2, brow, ad[(i+2)*k+p])
+			axpy(o3, brow, ad[(i+3)*k+p])
 		}
 	}
 	for ; i < r1; i++ {
@@ -158,8 +173,8 @@ func transBRows(od, ad, bt []float32, k, n, r0, r1 int) {
 }
 
 // MatMulTransBInto computes out = a × bᵀ where b is n×k (so bᵀ is k×n).
-// The kernel first transposes b into pooled scratch, then accumulates
-// out rows with the vector axpy kernel over contiguous bᵀ rows. Per output
+// The kernel first transposes b into pooled scratch, then computes out in
+// register tiles over contiguous bᵀ rows (transBRows). Per output
 // element the additions happen in ascending-p order with a single chain
 // starting from exact zero — the same sequence the dot-product reference
 // produces (`s := 0; s += a[i][p]·b[j][p]`) — so results are bit-identical,
