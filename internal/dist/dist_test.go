@@ -248,14 +248,14 @@ func specCell(policy string) experiments.Cell {
 	sp := &experiments.CellSpec{
 		Kind:   "policy",
 		Key:    experiments.CellKey{Model: "cnn-s", Policy: policy, Seed: 1},
-		Scale:  s.Spec(),
+		Scale:  s.ScaleSpec,
 		Regime: experiments.DefaultRegime(),
 		Dataset: experiments.DatasetSpec{
 			Name: "cifar10-like", Train: s.TrainN, Test: s.TestN, Img: s.ImgSize, Seed: 77,
 		},
 		Classes: 10,
 	}
-	return sp.Cell(s)
+	return experiments.Cell{Spec: sp}
 }
 
 // TestGarbageWorkerExhaustsRetries: a worker that answers with
@@ -269,7 +269,7 @@ func TestGarbageWorkerExhaustsRetries(t *testing.T) {
 	if err == nil {
 		t.Fatal("garbage replies must fail the cell")
 	}
-	if !strings.Contains(err.Error(), cell.Key.String()) {
+	if !strings.Contains(err.Error(), cell.Spec.Key.String()) {
 		t.Fatalf("error %q does not name the cell", err)
 	}
 	if !strings.Contains(err.Error(), "after 2 attempts") {
@@ -294,17 +294,6 @@ func TestDeterministicCellErrorNotRetried(t *testing.T) {
 	}
 	if res.Attempts != 1 {
 		t.Fatalf("deterministic failure took %d attempts, want 1 (no retry)", res.Attempts)
-	}
-}
-
-// TestCellWithoutSpecFailsImmediately: closures cannot travel to a
-// spawned worker; the fleet must say so instead of hanging or crashing.
-func TestCellWithoutSpecFailsImmediately(t *testing.T) {
-	fleet := spawnFleet(t, 1, "worker", dist.FleetOptions{})
-	cell := experiments.Cell{Key: experiments.CellKey{Model: "closure-only", Seed: 1}}
-	_, err := fleet.Execute(context.Background(), 0, cell, nil)
-	if err == nil || !strings.Contains(err.Error(), "no serializable spec") {
-		t.Fatalf("err = %v, want a no-spec refusal", err)
 	}
 }
 

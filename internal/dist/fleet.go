@@ -14,6 +14,7 @@ import (
 	"remapd/internal/det"
 	"remapd/internal/experiments"
 	"remapd/internal/obs"
+	"remapd/internal/trainer"
 )
 
 // This file is the coordinator side of the protocol. A Fleet owns a
@@ -482,10 +483,8 @@ func (f *Fleet) release(w *fleetWorker) {
 // checkpoints make requeues resume rather than recompute.
 func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, logf experiments.Logf) (experiments.CellResult, error) {
 	_ = slot // the fleet schedules by worker capacity, not runner slot
-	res := experiments.CellResult{Key: cell.Key}
-	if cell.Spec == nil {
-		return res, fmt.Errorf("cell %s: no serializable spec; cannot execute remotely", cell.Key)
-	}
+	key := cell.Spec.Key
+	res := experiments.CellResult{Key: key}
 	spec, err := experiments.EncodeSpec(cell.Spec)
 	if err != nil {
 		return res, err
@@ -508,7 +507,7 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 		cell.Span.Dispatch(w.name)
 		//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
 		start := time.Now()
-		value, err := f.runOn(ctx, w, spec, cell.Span, logf)
+		result, err := f.runOn(ctx, w, spec, cell.Span, logf)
 		//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
 		seconds := time.Since(start).Seconds()
 		f.release(w)
@@ -516,8 +515,8 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 		if err == nil {
 			w.done.Add(1)
 			f.done.Add(1)
-			f.trace.Emit(obs.FleetEvent{Kind: obs.FleetDone, Worker: w.name, Cell: cell.Key.String(), Attempt: attempt, Seconds: seconds})
-			res.Value = value
+			f.trace.Emit(obs.FleetEvent{Kind: obs.FleetDone, Worker: w.name, Cell: key.String(), Attempt: attempt, Seconds: seconds})
+			res.Result = result
 			return res, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -529,20 +528,20 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 			// same way. Wrap with the key like the in-process runner.
 			w.failed.Add(1)
 			f.failed.Add(1)
-			return res, fmt.Errorf("cell %s: %s", cell.Key, fatal.msg)
+			return res, fmt.Errorf("cell %s: %s", key, fatal.msg)
 		}
 		lastErr = err
 		w.requeued.Add(1)
 		f.requeued.Add(1)
-		f.logf("dist: fleet: cell %s attempt %d/%d failed: %v; requeueing on a surviving worker", cell.Key, attempt, retries, err)
-		f.trace.Emit(obs.FleetEvent{Kind: obs.FleetRequeue, Worker: w.name, Cell: cell.Key.String(), Attempt: attempt, Cause: fmt.Sprint(err)})
+		f.logf("dist: fleet: cell %s attempt %d/%d failed: %v; requeueing on a surviving worker", key, attempt, retries, err)
+		f.trace.Emit(obs.FleetEvent{Kind: obs.FleetRequeue, Worker: w.name, Cell: key.String(), Attempt: attempt, Cause: fmt.Sprint(err)})
 		if attempt < retries {
 			if err := sleepCtx(ctx, Backoff(attempt, requeueBase, requeueMax)); err != nil {
 				return res, err
 			}
 		}
 	}
-	return res, fmt.Errorf("dist: fleet: cell %s failed after %d attempts: %w", cell.Key, retries, lastErr)
+	return res, fmt.Errorf("dist: fleet: cell %s failed after %d attempts: %w", key, retries, lastErr)
 }
 
 // runOn assigns one cell to one worker and waits for its result,
@@ -550,7 +549,7 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 // Worker death (gone), silence past Timeout, or a protocol surprise
 // returns a retryable error; an Error reply is the cell's own fault and
 // comes back as *cellError.
-func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *obs.CellSpan, logf experiments.Logf) (interface{}, error) {
+func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *obs.CellSpan, logf experiments.Logf) (*trainer.Result, error) {
 	id := f.nextID.Add(1)
 	ch := w.register(id)
 	defer w.deregister(id)
@@ -639,16 +638,13 @@ type cellError struct{ msg string }
 
 func (e *cellError) Error() string { return e.msg }
 
-// decodeResult rebuilds the typed result value from a result reply.
-func decodeResult(rep Reply) (interface{}, error) {
-	value, err := experiments.NewResultFor(rep.Kind)
-	if err != nil {
-		return nil, fmt.Errorf("dist: result reply: %w", err)
+// decodeResult rebuilds the training result from a result reply.
+func decodeResult(rep Reply) (*trainer.Result, error) {
+	res := &trainer.Result{}
+	if err := json.Unmarshal(rep.Value, res); err != nil {
+		return nil, fmt.Errorf("dist: decode result: %w", err)
 	}
-	if err := json.Unmarshal(rep.Value, value); err != nil {
-		return nil, fmt.Errorf("dist: decode %s result: %w", rep.Kind, err)
-	}
-	return value, nil
+	return res, nil
 }
 
 var _ experiments.CellExecutor = (*Fleet)(nil)

@@ -53,14 +53,14 @@ func internalSpecCell(policy string) experiments.Cell {
 	sp := &experiments.CellSpec{
 		Kind:   "policy",
 		Key:    experiments.CellKey{Model: "cnn-s", Policy: policy, Seed: 1},
-		Scale:  s.Spec(),
+		Scale:  s.ScaleSpec,
 		Regime: experiments.DefaultRegime(),
 		Dataset: experiments.DatasetSpec{
 			Name: "cifar10-like", Train: s.TrainN, Test: s.TestN, Img: s.ImgSize, Seed: 77,
 		},
 		Classes: 10,
 	}
-	return sp.Cell(s)
+	return experiments.Cell{Spec: sp}
 }
 
 // TestTelemetryPrecedesResult pins the worker's telemetry frame: every

@@ -291,17 +291,6 @@ func TestFleetChaosGarbledReplyRequeues(t *testing.T) {
 	waitWorker(t, w)
 }
 
-// TestFleetCellWithoutSpecFails: closures cannot travel over TCP; the
-// refusal needs no worker at all.
-func TestFleetCellWithoutSpecFails(t *testing.T) {
-	fleet := newTestFleet(t, dist.FleetOptions{})
-	cell := experiments.Cell{Key: experiments.CellKey{Model: "closure-only", Seed: 1}}
-	_, err := fleet.Execute(context.Background(), 0, cell, nil)
-	if err == nil || !strings.Contains(err.Error(), "no serializable spec") {
-		t.Fatalf("err = %v, want a no-spec refusal", err)
-	}
-}
-
 // TestFleetDeterministicCellErrorNotRetried: a cell that fails as a
 // property of its own spec must not burn fleet retries.
 func TestFleetDeterministicCellErrorNotRetried(t *testing.T) {

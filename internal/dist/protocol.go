@@ -18,17 +18,17 @@
 //     the same binary into it, respawning any that die (the -dist N path).
 //
 // The worker side is the same binary run with -worker -connect: it reads
-// serialized cell specs, executes them through the same registered run
-// functions the in-process path uses, and writes results back
-// (DialAndServe), up to its advertised slot count concurrently,
-// demultiplexed by request ID.
+// serialized cell specs, runs each through experiments.CellSpec.Execute —
+// the same single run path the in-process executor calls — and writes the
+// *trainer.Result back (DialAndServe), up to its advertised slot count
+// concurrently, demultiplexed by request ID.
 //
 // The protocol is line-delimited JSON over TCP. One request or reply per
 // line; requests flow coordinator→worker, replies worker→coordinator.
 //
-// Determinism: a spec is pure coordinates, the registered run functions
-// are deterministic in those coordinates, and results are scalar structs
-// that survive a JSON round-trip exactly (encoding/json renders float64
+// Determinism: a spec is pure coordinates, Execute is deterministic in
+// those coordinates, and a trainer.Result is a scalar struct that
+// survives a JSON round-trip exactly (encoding/json renders float64
 // shortest-round-trip), so a cell computes identical bytes no matter
 // which process or machine runs it — the dist and fleet Fig. 6
 // byte-identity tests pin this, including under injected network faults
@@ -50,7 +50,7 @@ import "encoding/json"
 // nothing to negotiate: the worker's hello carries the version and the
 // coordinator admits exactly this one. Bump it (and run `make
 // wire-golden`) on any change to the field sets below.
-const ProtoVersion = 4
+const ProtoVersion = 5
 
 // Request is one coordinator→worker line.
 type Request struct {
@@ -85,10 +85,8 @@ type Reply struct {
 	ID int64 `json:"id,omitempty"`
 	// Line is one progress line (log).
 	Line string `json:"line,omitempty"`
-	// Kind and Value carry a successful result: Kind names the cell kind
-	// (so the coordinator decodes Value into the right type) and Value is
-	// the run function's return, JSON-encoded.
-	Kind  string          `json:"kind,omitempty"`
+	// Value carries a successful result: the cell's *trainer.Result,
+	// JSON-encoded.
 	Value json.RawMessage `json:"value,omitempty"`
 	// Error carries a failed result: the cell ran to a deterministic
 	// error. Protocol failures have no reply at all — they surface as a

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -258,7 +257,8 @@ func serveConn(ctx context.Context, conn net.Conn, opts DialOptions) error {
 	return errors.New("dist: connection closed by coordinator")
 }
 
-// runRequest executes one run request and builds its result reply. Every
+// runRequest executes one run request through CellSpec.Execute, the same
+// path the in-process runner takes, and builds its result reply. Every
 // failure mode that is a property of the spec (unknown kind, bad
 // coordinates, a deterministic training error, a panic) becomes an error
 // reply — the coordinator must not retry those, because every worker
@@ -282,27 +282,16 @@ func runRequest(ctx context.Context, req Request, rt experiments.Runtime, send f
 	}
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
 	start := time.Now()
-	value, err := executeSpec(ctx, sp, rt, logf)
+	res, err := sp.Execute(ctx, rt, logf)
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
 	span := &RunSpan{Seconds: time.Since(start).Seconds(), Failed: err != nil}
 	send(Reply{Type: "telemetry", ID: req.ID, Span: span})
 	if err != nil {
 		return Reply{Type: "result", ID: req.ID, Error: err.Error()}
 	}
-	data, err := json.Marshal(value)
+	data, err := json.Marshal(res)
 	if err != nil {
 		return Reply{Type: "result", ID: req.ID, Error: fmt.Sprintf("dist: encode result for %s: %v", sp.Key, err)}
 	}
-	return Reply{Type: "result", ID: req.ID, Kind: sp.Kind, Value: data}
-}
-
-// executeSpec runs the spec with panic recovery, mirroring the in-process
-// runner's guarantee that a panicking cell kills the cell, not the fleet.
-func executeSpec(ctx context.Context, sp *experiments.CellSpec, rt experiments.Runtime, logf experiments.Logf) (value interface{}, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("cell %s panicked: %v\n%s", sp.Key, p, debug.Stack())
-		}
-	}()
-	return sp.Execute(ctx, rt, logf)
+	return Reply{Type: "result", ID: req.ID, Value: data}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"remapd/internal/arch"
 	"remapd/internal/reram"
-	"remapd/internal/trainer"
 )
 
 // The ablations quantify the design decisions DESIGN.md §6 calls out.
@@ -23,7 +21,7 @@ type ThresholdRow struct {
 // too low churns tasks between marginally different crossbars, too high
 // leaves hot crossbars untreated.
 func AblationThreshold(ctx context.Context, s Scale, reg FaultRegime, model string, thresholds []float64) ([]ThresholdRow, error) {
-	out, err := newRunner(s).Run(ctx, specCells(ablationThresholdSpecs(s, reg, model, thresholds), s))
+	out, err := newRunner(s).Run(ctx, ablationThresholdSpecs(s, reg, model, thresholds))
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +31,7 @@ func AblationThreshold(ctx context.Context, s Scale, reg FaultRegime, model stri
 		var accs []float64
 		swaps, unmatched := 0, 0
 		for range s.Seeds {
-			res := out[i].Value.(*trainer.Result)
+			res := out[i].Result
 			i++
 			accs = append(accs, res.FinalTestAcc)
 			swaps += res.Swaps
@@ -58,7 +56,7 @@ type ReceiverRow struct {
 // flit-level NoC enabled.
 func AblationReceiverSelection(ctx context.Context, s Scale, reg FaultRegime, model string) ([]ReceiverRow, error) {
 	selections := []string{"nearest", "random"}
-	out, err := newRunner(s).Run(ctx, specCells(ablationReceiverSpecs(s, reg, model), s))
+	out, err := newRunner(s).Run(ctx, ablationReceiverSpecs(s, reg, model))
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +67,7 @@ func AblationReceiverSelection(ctx context.Context, s Scale, reg FaultRegime, mo
 		var cycles int64
 		swaps := 0
 		for range s.Seeds {
-			res := out[i].Value.(*trainer.Result)
+			res := out[i].Result
 			i++
 			accs = append(accs, res.FinalTestAcc)
 			cycles += res.NoCCyclesTotal
@@ -95,7 +93,7 @@ type CodingRow struct {
 func AblationCoding(ctx context.Context, s Scale, reg FaultRegime, model string) ([]CodingRow, error) {
 	codings := []reram.CodingScheme{reram.OffsetCoding, reram.DifferentialCoding}
 	policies := []string{"ideal", "none", "remap-d"}
-	out, err := newRunner(s).Run(ctx, specCells(ablationCodingSpecs(s, reg, model), s))
+	out, err := newRunner(s).Run(ctx, ablationCodingSpecs(s, reg, model))
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +106,7 @@ func AblationCoding(ctx context.Context, s Scale, reg FaultRegime, model string)
 		accs := make([][]float64, len(policies))
 		for pi := range policies {
 			for range s.Seeds {
-				accs[pi] = append(accs[pi], out[i].Value.(*trainer.Result).FinalTestAcc)
+				accs[pi] = append(accs[pi], out[i].Result.FinalTestAcc)
 				i++
 			}
 		}
@@ -137,7 +135,7 @@ type BISTvsTruthRow struct {
 // enough to drive remapping.
 func AblationBISTvsTruth(ctx context.Context, s Scale, reg FaultRegime, model string) ([]BISTvsTruthRow, error) {
 	sources := []string{"bist", "truth"}
-	out, err := newRunner(s).Run(ctx, specCells(ablationBISTSpecs(s, reg, model), s))
+	out, err := newRunner(s).Run(ctx, ablationBISTSpecs(s, reg, model))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +145,7 @@ func AblationBISTvsTruth(ctx context.Context, s Scale, reg FaultRegime, model st
 		var accs []float64
 		swaps := 0
 		for range s.Seeds {
-			res := out[i].Value.(*trainer.Result)
+			res := out[i].Result
 			i++
 			accs = append(accs, res.FinalTestAcc)
 			swaps += res.Swaps
@@ -155,11 +153,6 @@ func AblationBISTvsTruth(ctx context.Context, s Scale, reg FaultRegime, model st
 		rows = append(rows, BISTvsTruthRow{Source: src, Accuracy: mean(accs), Swaps: swaps})
 	}
 	return rows, nil
-}
-
-// newChipWithParams builds a chip from explicit device params.
-func newChipWithParams(p reram.DeviceParams, s Scale) *arch.Chip {
-	return arch.NewChip(p, s.Geom)
 }
 
 // FormatThreshold renders the threshold sweep.

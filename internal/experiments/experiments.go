@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"remapd/internal/arch"
@@ -28,20 +27,13 @@ import (
 	"remapd/internal/trainer"
 )
 
-// Scale bundles every size knob of a reproduction run.
+// Scale bundles every size knob of a reproduction run: the serializable
+// coordinates a cell's result depends on (ScaleSpec), the grid axes, and
+// the process-local scheduling and observation machinery.
 type Scale struct {
-	Name         string
-	ImgSize      int
-	TrainN       int
-	TestN        int
-	WidthScale   float64
-	Epochs       int
-	BatchSize    int
-	LR           float64
-	CrossbarSize int
-	Geom         arch.Geometry
-	Models       []string
-	Seeds        []uint64
+	ScaleSpec
+	Models []string
+	Seeds  []uint64
 
 	// Workers bounds how many experiment cells the runner executes
 	// concurrently (<=0 means GOMAXPROCS). Results are identical for any
@@ -102,12 +94,14 @@ func (s Scale) cellCheckpoint(reg FaultRegime, key CellKey, classes int) trainer
 // small data — every experiment finishes in CPU-minutes.
 func QuickScale() Scale {
 	return Scale{
-		Name: "quick", ImgSize: 16, TrainN: 384, TestN: 256,
-		WidthScale: 0.125, Epochs: 5, BatchSize: 32, LR: 0.05,
-		CrossbarSize: 32,
-		Geom:         arch.Geometry{TilesX: 8, TilesY: 8, IMAsPerTile: 2, XbarsPerIMA: 4},
-		Models:       []string{"vgg11", "resnet12"},
-		Seeds:        []uint64{1},
+		ScaleSpec: ScaleSpec{
+			Name: "quick", ImgSize: 16, TrainN: 384, TestN: 256,
+			WidthScale: 0.125, Epochs: 5, BatchSize: 32, LR: 0.05,
+			CrossbarSize: 32,
+			Geom:         arch.Geometry{TilesX: 8, TilesY: 8, IMAsPerTile: 2, XbarsPerIMA: 4},
+		},
+		Models: []string{"vgg11", "resnet12"},
+		Seeds:  []uint64{1},
 	}
 }
 
@@ -162,23 +156,6 @@ func PaperRegime() FaultRegime {
 	}
 }
 
-// buildModel constructs a named model at the scale.
-func buildModel(name string, s Scale, seed uint64) (*nn.Network, error) {
-	return models.Build(name, models.Config{
-		InC: 3, InH: s.ImgSize, InW: s.ImgSize, Classes: 10,
-		WidthScale: s.WidthScale, BatchNorm: true, Seed: seed,
-	})
-}
-
-// buildModelFor constructs a model with an explicit class count (Fig. 8
-// uses CIFAR100Like).
-func buildModelFor(name string, s Scale, seed uint64, classes int) (*nn.Network, error) {
-	return models.Build(name, models.Config{
-		InC: 3, InH: s.ImgSize, InW: s.ImgSize, Classes: classes,
-		WidthScale: s.WidthScale, BatchNorm: true, Seed: seed,
-	})
-}
-
 // NewChip builds a chip at the scale's technology point.
 func NewChip(s Scale) *arch.Chip {
 	p := reram.DefaultDeviceParams()
@@ -187,19 +164,12 @@ func NewChip(s Scale) *arch.Chip {
 }
 
 // BuildModel constructs a registered model at the scale's geometry with an
-// explicit class count (exported for the cmd tools).
+// explicit class count.
 func BuildModel(name string, s Scale, seed uint64, classes int) (*nn.Network, error) {
-	return buildModelFor(name, s, seed, classes)
-}
-
-// baseTrainConfig returns a trainer config without fault machinery.
-func baseTrainConfig(s Scale, seed uint64) trainer.Config {
-	cfg := trainer.DefaultConfig()
-	cfg.Epochs = s.Epochs
-	cfg.BatchSize = s.BatchSize
-	cfg.LR = s.LR
-	cfg.Seed = seed
-	return cfg
+	return models.Build(name, models.Config{
+		InC: 3, InH: s.ImgSize, InW: s.ImgSize, Classes: classes,
+		WidthScale: s.WidthScale, BatchNorm: true, Seed: seed,
+	})
 }
 
 // mean averages a slice.
@@ -265,30 +235,4 @@ func (s Scale) train(key CellKey, net *nn.Network, ds *dataset.Dataset, cfg trai
 		return nil, cerr
 	}
 	return res, err
-}
-
-// runOne trains one (model, policy, seed) cell and returns final accuracy
-// and the result for overhead accounting. key carries the cell's grid
-// coordinates for checkpoint identity; logf receives the cell's progress.
-func runOne(ctx context.Context, key CellKey, s Scale, reg FaultRegime, ds *dataset.Dataset, classes int, logf Logf) (*trainer.Result, error) {
-	net, err := buildModelFor(key.Model, s, key.Seed, classes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := baseTrainConfig(s, key.Seed)
-	cfg.Ctx = ctx
-	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, key, classes)
-	if key.Policy != "ideal" {
-		pol, trackGrads, err := PolicyByName(key.Policy, reg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Chip = NewChip(s)
-		cfg.Policy = pol
-		cfg.Pre = &reg.Pre
-		cfg.Post = &reg.Post
-		cfg.TrackGradAbs = trackGrads
-	}
-	return s.train(key, net, ds, cfg)
 }

@@ -7,7 +7,6 @@ import (
 	"remapd/internal/bist"
 	"remapd/internal/reram"
 	"remapd/internal/tensor"
-	"remapd/internal/trainer"
 )
 
 // ---------------------------------------------------------------- Fig. 4
@@ -71,7 +70,7 @@ type Fig5Row struct {
 // faults on backward crossbars only) at the regime's phase density. The
 // 3 × models × seeds grid runs on the parallel cell runner.
 func Fig5(ctx context.Context, s Scale, reg FaultRegime) ([]Fig5Row, error) {
-	out, err := newRunner(s).Run(ctx, specCells(fig5Specs(s, reg), s))
+	out, err := newRunner(s).Run(ctx, fig5Specs(s, reg))
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +79,9 @@ func Fig5(ctx context.Context, s Scale, reg FaultRegime) ([]Fig5Row, error) {
 	for _, model := range s.Models {
 		var ideal, fwd, bwd []float64
 		for range s.Seeds {
-			ideal = append(ideal, out[i].Value.(*trainer.Result).FinalTestAcc)
-			fwd = append(fwd, out[i+1].Value.(*trainer.Result).FinalTestAcc)
-			bwd = append(bwd, out[i+2].Value.(*trainer.Result).FinalTestAcc)
+			ideal = append(ideal, out[i].Result.FinalTestAcc)
+			fwd = append(fwd, out[i+1].Result.FinalTestAcc)
+			bwd = append(bwd, out[i+2].Result.FinalTestAcc)
 			i += 3
 		}
 		row := Fig5Row{
@@ -115,7 +114,7 @@ func Fig6(ctx context.Context, s Scale, reg FaultRegime, policies []string) ([]F
 	if len(policies) == 0 {
 		policies = PolicyNames()
 	}
-	out, err := newRunner(s).Run(ctx, specCells(fig6Specs(s, reg, policies), s))
+	out, err := newRunner(s).Run(ctx, fig6Specs(s, reg, policies))
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +126,7 @@ func Fig6(ctx context.Context, s Scale, reg FaultRegime, policies []string) ([]F
 			var accs []float64
 			swaps, unmatched := 0, 0
 			for range s.Seeds {
-				res := out[i].Value.(*trainer.Result)
+				res := out[i].Result
 				i++
 				accs = append(accs, res.FinalTestAcc)
 				swaps += res.Swaps
@@ -164,7 +163,7 @@ type Fig7Row struct {
 // schedule means the paper's (0.1–1%, 0.1–2%) axes map to roughly 6× these
 // values here.
 func Fig7(ctx context.Context, s Scale, reg FaultRegime, sweepModels []string, ms, ns []float64) ([]Fig7Row, error) {
-	out, err := newRunner(s).Run(ctx, specCells(fig7Specs(s, reg, sweepModels, ms, ns), s))
+	out, err := newRunner(s).Run(ctx, fig7Specs(s, reg, sweepModels, ms, ns))
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +172,7 @@ func Fig7(ctx context.Context, s Scale, reg FaultRegime, sweepModels []string, m
 	for _, model := range sweepModels {
 		var idealAccs []float64
 		for range s.Seeds {
-			idealAccs = append(idealAccs, out[i].Value.(*trainer.Result).FinalTestAcc)
+			idealAccs = append(idealAccs, out[i].Result.FinalTestAcc)
 			i++
 		}
 		idealAcc := mean(idealAccs)
@@ -181,7 +180,7 @@ func Fig7(ctx context.Context, s Scale, reg FaultRegime, sweepModels []string, m
 			for _, n := range ns {
 				var accs []float64
 				for range s.Seeds {
-					accs = append(accs, out[i].Value.(*trainer.Result).FinalTestAcc)
+					accs = append(accs, out[i].Result.FinalTestAcc)
 					i++
 				}
 				acc := mean(accs)
@@ -214,7 +213,7 @@ type Fig8Row struct {
 func Fig8(ctx context.Context, s Scale, reg FaultRegime) ([]Fig8Row, error) {
 	sets := []string{"cifar100-like", "svhn-like"}
 	policies := []string{"ideal", "none", "remap-d"}
-	out, err := newRunner(s).Run(ctx, specCells(fig8Specs(s, reg), s))
+	out, err := newRunner(s).Run(ctx, fig8Specs(s, reg))
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +227,7 @@ func Fig8(ctx context.Context, s Scale, reg FaultRegime) ([]Fig8Row, error) {
 			accs := make([][]float64, len(policies))
 			for pi := range policies {
 				for range s.Seeds {
-					accs[pi] = append(accs[pi], out[i].Value.(*trainer.Result).FinalTestAcc)
+					accs[pi] = append(accs[pi], out[i].Result.FinalTestAcc)
 					i++
 				}
 			}

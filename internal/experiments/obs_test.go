@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"remapd/internal/arch"
 	"remapd/internal/dataset"
 	"remapd/internal/nn"
 	"remapd/internal/obs"
@@ -164,23 +165,20 @@ func TestTrainTelemetryFlushedOnError(t *testing.T) {
 	}
 }
 
-// microCell builds the pieces of one training cell at micro scale.
+// microCell builds the pieces of one policy cell at micro scale, the way
+// CellSpec.run does.
 func microCell(t *testing.T, s Scale, reg FaultRegime, key CellKey) (*dataset.Dataset, *nn.Network, trainer.Config) {
 	t.Helper()
 	ds := dataset.CIFAR10Like(s.TrainN, s.TestN, s.ImgSize, 77)
-	net, err := buildModel(key.Model, s, key.Seed)
+	net, err := BuildModel(key.Model, s, key.Seed, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseTrainConfig(s, key.Seed)
-	pol, trackGrads, err := PolicyByName(key.Policy, reg)
+	sp := &CellSpec{Kind: "policy", Key: key, Scale: s.ScaleSpec, Regime: reg}
+	cfg, p, err := sp.trainConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Chip = NewChip(s)
-	cfg.Policy = pol
-	cfg.Pre = &reg.Pre
-	cfg.Post = &reg.Post
-	cfg.TrackGradAbs = trackGrads
+	cfg.Chip = arch.NewChip(p, s.Geom)
 	return ds, net, cfg
 }

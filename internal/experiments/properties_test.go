@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"remapd/internal/models"
 	"remapd/internal/nn"
 	"remapd/internal/noc"
+	"remapd/internal/obs"
 	"remapd/internal/remap"
 	"remapd/internal/tensor"
 )
@@ -26,7 +28,7 @@ func tinyScale() Scale {
 func faultyChip(t *testing.T, model string, seed uint64) (*nn.Network, *arch.Chip) {
 	t.Helper()
 	s := tinyScale()
-	net, err := buildModel(model, s, seed)
+	net, err := BuildModel(model, s, seed, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +139,67 @@ func TestInferMatchesForwardEvalOnEveryModel(t *testing.T) {
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%s: Infer diverges from Forward(x, false) at %d: %v vs %v", model, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// swapProbe is an obs.Recorder that hands every SwapEvent to check at the
+// moment Maintain emits it, right after the swap it describes.
+type swapProbe struct{ check func(*obs.SwapEvent) }
+
+func (swapProbe) Add(string, int64)       {}
+func (swapProbe) Set(string, float64)     {}
+func (swapProbe) Observe(string, float64) {}
+func (p swapProbe) Emit(ev obs.Event) {
+	if sw, ok := ev.(*obs.SwapEvent); ok {
+		p.check(sw)
+	}
+}
+
+// TestRemapDSwapsMoveCriticalTasksToCleanerCrossbars: every swap Remap-D's
+// Maintain makes, on every model, under the training and the serving
+// trigger, sensing by BIST estimate or by ground truth, takes a task of
+// the critical phase (backward in training, forward under serving) from
+// an over-threshold crossbar to one whose density is strictly lower and
+// within the threshold.
+func TestRemapDSwapsMoveCriticalTasksToCleanerCrossbars(t *testing.T) {
+	reg := DefaultRegime()
+	for _, trig := range []remap.Trigger{remap.TriggerEpoch, remap.TriggerServing} {
+		crit := arch.Backward
+		if trig == remap.TriggerServing {
+			crit = arch.Forward
+		}
+		for _, useBIST := range []bool{true, false} {
+			swaps := 0
+			for _, model := range models.Names() {
+				_, chip := faultyChip(t, model, 5)
+				rd := remap.NewRemapD()
+				rd.Threshold, rd.UseBIST = reg.RemapThreshold, useBIST
+				rng := tensor.NewRNG(6)
+				ctx := &remap.Context{Chip: chip, RNG: rng}
+				rd.Deploy(ctx)
+				when := fmt.Sprintf("%s maintain(%s) bist=%v", model, trig, useBIST)
+				ctx.Trigger = trig
+				ctx.Obs = swapProbe{check: func(ev *obs.SwapEvent) {
+					swaps++
+					if !(ev.ReceiverDensity < ev.SenderDensity) || ev.ReceiverDensity > rd.Threshold || ev.SenderDensity <= rd.Threshold {
+						t.Errorf("%s: swap %d→%d with densities %g→%g (threshold %g)",
+							when, ev.Sender, ev.Receiver, ev.SenderDensity, ev.ReceiverDensity, rd.Threshold)
+					}
+					if moved := chip.TaskOf(ev.Receiver); moved == nil || moved.Phase != crit {
+						t.Errorf("%s: swap %d→%d moved %+v, want a %v task", when, ev.Sender, ev.Receiver, moved, crit)
+					}
+				}}
+				for round := 0; round < 3; round++ {
+					ctx.Epoch = round
+					reg.Post.InjectEpoch(chip.Xbars, rng)
+					chip.InvalidateAll()
+					rd.Maintain(ctx)
+				}
+			}
+			if swaps == 0 {
+				t.Errorf("trigger %s bist=%v: Remap-D never swapped; the property was checked on nothing", trig, useBIST)
 			}
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"remapd/internal/obs"
+	"remapd/internal/trainer"
 )
 
 // This file is the parallel experiment runner. Every figure and ablation of
@@ -67,21 +67,9 @@ func (k CellKey) RNGSeed() uint64 {
 // Logf is the progress-line sink type shared across the runner layers.
 type Logf = func(format string, args ...interface{})
 
-// Cell couples a key with the work it identifies. Run must be self
-// contained: it may read shared immutable inputs (a *dataset.Dataset) but
-// must construct everything it mutates (network, chip, RNGs) itself, and
-// should pass ctx into trainer.Config.Ctx so cancellation stops the run at
-// the next batch boundary. logf (never nil) multiplexes the cell's
-// progress lines into the runner's sink, prefixed with the cell key, so
-// interleaved per-epoch output from concurrent cells stays attributable.
+// Cell is one submitted spec plus its lifecycle span: what the runner
+// hands an executor.
 type Cell struct {
-	Key CellKey
-	Run func(ctx context.Context, logf Logf) (interface{}, error)
-	// Spec, when non-nil, is the cell's serializable description — the
-	// same work as Run, expressed as coordinates instead of a closure, so
-	// a dist executor can ship the cell to another process. Cells built by
-	// the figure constructors always carry one; Run stays the in-process
-	// fast path and the two must compute the identical result.
 	Spec *CellSpec
 	// Span is the cell's lifecycle span (harness domain), opened by the
 	// runner when span recording is on and nil otherwise — every method
@@ -90,17 +78,17 @@ type Cell struct {
 	Span *obs.CellSpan
 }
 
-// CellResult is one cell's outcome envelope: the figure-specific value
-// plus execution provenance (how many attempts the cell took and which
-// worker finished it — both empty for in-process execution beyond the
-// first attempt).
+// CellResult is one cell's outcome envelope: the training result plus
+// execution provenance (how many attempts the cell took and which worker
+// finished it — both empty for in-process execution beyond the first
+// attempt).
 type CellResult struct {
 	Key      CellKey
-	Value    interface{}
+	Result   *trainer.Result
 	Attempts int
-	// Worker identifies the executor slot/process that produced the value
-	// ("" for in-process execution). Provenance only — never feeds back
-	// into results.
+	// Worker identifies the executor slot/process that produced the
+	// result ("" for in-process execution). Provenance only — never feeds
+	// back into results.
 	Worker string
 }
 
@@ -108,26 +96,31 @@ type CellResult struct {
 // Execute from its worker goroutines: slot is the stable goroutine index
 // (0..Workers-1), which lets a dist executor pin one OS process per slot.
 // Execute must honour ctx cancellation and must be safe for concurrent
-// calls on distinct slots.
+// calls on distinct slots. logf (never nil) multiplexes the cell's
+// progress lines into the runner's sink, prefixed with the cell key.
 type CellExecutor interface {
 	Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error)
 }
 
-// localExecutor runs cells in-process — the default when Runner.Exec is
-// nil and the behaviour all dist executors must reproduce byte-for-byte.
-type localExecutor struct{}
+// localExecutor runs cells in-process with the given runtime facilities —
+// the default when Runner.Exec is nil and the behaviour all dist
+// executors must reproduce byte-for-byte.
+type localExecutor struct{ rt Runtime }
 
-func (localExecutor) Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error) {
+func (e localExecutor) Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error) {
 	// In-process cells time their own run segment, so spans mean the same
 	// thing on every execution path.
 	cell.Span.Dispatch("")
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
 	start := time.Now()
-	v, err := runCell(ctx, cell, logf)
+	res, err := cell.Spec.Execute(ctx, e.rt, logf)
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
 	cell.Span.RunSegment(time.Since(start).Seconds(), err != nil)
 	cell.Span.EndAttempt(err != nil)
-	return CellResult{Key: cell.Key, Value: v, Attempts: 1}, err
+	if err != nil && !errors.Is(err, context.Canceled) {
+		err = fmt.Errorf("cell %s: %w", cell.Spec.Key, err)
+	}
+	return CellResult{Key: cell.Spec.Key, Result: res, Attempts: 1}, err
 }
 
 // Runner executes cells on a bounded worker pool.
@@ -144,7 +137,8 @@ type Runner struct {
 	Prof *obs.Profile
 	// Exec, when non-nil, runs cells somewhere other than in-process
 	// (e.g. dist.Fleet fans them out to worker processes). Scheduling
-	// only: results must be identical to the nil (in-process) executor.
+	// only: results must be identical to the in-process executor, which
+	// a nil Exec selects (with no checkpoint store or metrics sink).
 	Exec CellExecutor
 	// Spans, when non-nil, records a lifecycle span per cell (harness
 	// domain; never feeds back into results).
@@ -157,13 +151,13 @@ type Runner struct {
 	outMu sync.Mutex
 }
 
-// Run executes every cell and returns their results indexed by submission
+// Run executes every spec and returns their results indexed by submission
 // order. On the first cell error it cancels the remaining cells (in-flight
-// cells stop at their next cancellation check) and returns that error; a
-// panicking cell is converted into an error instead of killing the
-// process. The results of cells that did not complete are zero-valued.
-func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
-	if len(cells) == 0 {
+// cells stop at their next cancellation check) and returns that error (a
+// panicking cell is one: CellSpec.Execute recovers it). The results of
+// cells that did not complete are zero-valued.
+func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, error) {
+	if len(specs) == 0 {
 		return nil, nil
 	}
 	if ctx == nil {
@@ -173,8 +167,8 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	if workers > len(specs) {
+		workers = len(specs)
 	}
 	exec := r.Exec
 	if exec == nil {
@@ -186,11 +180,12 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 
 	// Span recording opens every cell's span at submission time, before
 	// any scheduling decision, so queue time means the same thing for the
-	// first and the last cell of the grid. cells is the caller's slice;
-	// the Span field is written once here, before any worker reads it.
-	if r.Spans != nil {
-		for i := range cells {
-			cells[i].Span = r.Spans.Begin(cells[i].Key.String())
+	// first and the last cell of the grid.
+	cells := make([]Cell, len(specs))
+	for i, sp := range specs {
+		cells[i].Spec = sp
+		if r.Spans != nil {
+			cells[i].Span = r.Spans.Begin(sp.Key.String())
 		}
 	}
 
@@ -218,10 +213,10 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 		go func(slot int) {
 			defer wg.Done()
 			for i := range jobs {
-				logf, transcript := r.cellLogf(cells[i].Key)
+				logf, transcript := r.cellLogf(cells[i].Spec.Key)
 				var stopCell func()
 				if r.Prof != nil {
-					stopCell = r.Prof.StartCell(cells[i].Key.String())
+					stopCell = r.Prof.StartCell(cells[i].Spec.Key.String())
 				}
 				cells[i].Span.Schedule()
 				res, err := exec.Execute(runCtx, slot, cells[i], logf)
@@ -236,7 +231,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 				default:
 					cells[i].Span.Finish("failed")
 				}
-				res.Key = cells[i].Key
+				res.Key = cells[i].Spec.Key
 				results[i], errs[i] = res, err
 				if err != nil {
 					failed.Add(1)
@@ -259,7 +254,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]CellResult, error) {
 						r.Logf("%s", line)
 					}
 					r.Logf("cell %d/%d %s: %s (elapsed %s)",
-						n, len(cells), cells[i].Key, status,
+						n, len(cells), cells[i].Spec.Key, status,
 						//lint:allow no-wall-clock operator-facing elapsed display only; never reaches cell results
 						time.Since(start).Round(time.Millisecond))
 					r.outMu.Unlock()
@@ -326,26 +321,13 @@ func (r *Runner) cellLogf(key CellKey) (Logf, *[]string) {
 	}, transcript
 }
 
-// runCell executes one cell with panic recovery.
-func runCell(ctx context.Context, c Cell, logf Logf) (res interface{}, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("cell %s panicked: %v\n%s", c.Key, p, debug.Stack())
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err = c.Run(ctx, logf)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		err = fmt.Errorf("cell %s: %w", c.Key, err)
-	}
-	return res, err
-}
-
 // newRunner builds the runner a figure function uses, honouring the
 // scale's worker bound, progress sink, harness profile, executor, and
 // telemetry surfaces.
 func newRunner(s Scale) *Runner {
-	return &Runner{Workers: s.Workers, Logf: s.Progress, Prof: s.Prof, Exec: s.Exec, Spans: s.Spans, Status: s.Status}
+	exec := s.Exec
+	if exec == nil {
+		exec = localExecutor{rt: Runtime{Checkpoints: s.Checkpoints, Metrics: s.Metrics}}
+	}
+	return &Runner{Workers: s.Workers, Logf: s.Progress, Prof: s.Prof, Exec: exec, Spans: s.Spans, Status: s.Status}
 }

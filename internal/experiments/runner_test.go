@@ -10,32 +10,51 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"remapd/internal/trainer"
 )
 
-// arithCells builds n cells whose result is a pure function of the cell
-// index, with a tiny index-dependent sleep so completion order differs
-// from submission order under concurrency.
-func arithCells(n int, ran *atomic.Int64) []Cell {
-	cells := make([]Cell, n)
-	for i := 0; i < n; i++ {
-		cells[i] = Cell{
-			Key: CellKey{Model: "arith", Policy: "mul", Seed: uint64(i)},
-			Run: func(ctx context.Context, _ Logf) (interface{}, error) {
-				time.Sleep(time.Duration((n-i)%4) * time.Millisecond)
-				if ran != nil {
-					ran.Add(1)
-				}
-				return i * i, nil
-			},
-		}
+// stubExecutor is a fake CellExecutor: it runs fn on each cell's spec in
+// place of training, prefixes errors with the cell key as the real
+// executors do, and tags results with a fake worker identity.
+type stubExecutor struct {
+	fn    func(ctx context.Context, sp *CellSpec) (*trainer.Result, error)
+	calls atomic.Int64
+}
+
+func (s *stubExecutor) Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error) {
+	s.calls.Add(1)
+	res, err := s.fn(ctx, cell.Spec)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		err = fmt.Errorf("cell %s: %w", cell.Spec.Key, err)
 	}
-	return cells
+	return CellResult{Key: cell.Spec.Key, Result: res, Attempts: 2, Worker: fmt.Sprintf("stub%d", slot)}, err
+}
+
+// keySpecs builds n specs that differ only in their key's seed.
+func keySpecs(n int, model string) []*CellSpec {
+	specs := make([]*CellSpec, n)
+	for i := range specs {
+		specs[i] = &CellSpec{Key: CellKey{Model: model, Policy: "mul", Seed: uint64(i)}}
+	}
+	return specs
+}
+
+// arithExecutor returns a stub whose result is a pure function of the
+// cell's seed, with a tiny seed-dependent sleep so completion order
+// differs from submission order under concurrency.
+func arithExecutor(n int) *stubExecutor {
+	return &stubExecutor{fn: func(ctx context.Context, sp *CellSpec) (*trainer.Result, error) {
+		i := int(sp.Key.Seed)
+		time.Sleep(time.Duration((n-i)%4) * time.Millisecond)
+		return &trainer.Result{Swaps: i * i}, nil
+	}}
 }
 
 func TestRunnerResultsInSubmissionOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		r := &Runner{Workers: workers}
-		out, err := r.Run(context.Background(), arithCells(20, nil))
+		r := &Runner{Workers: workers, Exec: arithExecutor(20)}
+		out, err := r.Run(context.Background(), keySpecs(20, "arith"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,14 +62,11 @@ func TestRunnerResultsInSubmissionOrder(t *testing.T) {
 			t.Fatalf("workers=%d: %d results", workers, len(out))
 		}
 		for i, v := range out {
-			if v.Value.(int) != i*i {
-				t.Fatalf("workers=%d: result[%d] = %v, want %d", workers, i, v.Value, i*i)
+			if v.Result.Swaps != i*i {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v.Result.Swaps, i*i)
 			}
 			if v.Key.Seed != uint64(i) {
 				t.Fatalf("workers=%d: result[%d] carries key %s, want seed %d", workers, i, v.Key, i)
-			}
-			if v.Attempts != 1 {
-				t.Fatalf("workers=%d: local execution took %d attempts, want 1", workers, v.Attempts)
 			}
 		}
 	}
@@ -58,14 +74,14 @@ func TestRunnerResultsInSubmissionOrder(t *testing.T) {
 
 func TestRunnerProgressCallback(t *testing.T) {
 	var lines atomic.Int64
-	r := &Runner{Workers: 4, Logf: func(format string, args ...interface{}) {
+	r := &Runner{Workers: 4, Exec: arithExecutor(10), Logf: func(format string, args ...interface{}) {
 		lines.Add(1)
 		msg := fmt.Sprintf(format, args...)
 		if !strings.Contains(msg, "/10") {
 			t.Errorf("progress line %q lacks the cell total", msg)
 		}
 	}}
-	if _, err := r.Run(context.Background(), arithCells(10, nil)); err != nil {
+	if _, err := r.Run(context.Background(), keySpecs(10, "arith")); err != nil {
 		t.Fatal(err)
 	}
 	if lines.Load() != 10 {
@@ -77,27 +93,21 @@ func TestRunnerErrorCancelsInFlightCells(t *testing.T) {
 	boom := errors.New("boom")
 	// Every cell except the failing one blocks until cancelled, so Run can
 	// only return if the failure cancels the shared context.
-	cells := make([]Cell, 8)
-	for i := range cells {
-		key := CellKey{Model: "block", Seed: uint64(i)}
-		run := func(ctx context.Context, _ Logf) (interface{}, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
+	specs := keySpecs(8, "block")
+	specs[3].Key.Model = "fail"
+	exec := &stubExecutor{fn: func(ctx context.Context, sp *CellSpec) (*trainer.Result, error) {
+		if sp.Key.Model == "fail" {
+			return nil, boom
 		}
-		if i == 3 {
-			key.Model = "fail"
-			run = func(ctx context.Context, _ Logf) (interface{}, error) {
-				return nil, boom
-			}
-		}
-		cells[i] = Cell{Key: key, Run: run}
-	}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
 	done := make(chan struct{})
 	var out []CellResult
 	var err error
 	go func() {
 		defer close(done)
-		out, err = (&Runner{Workers: 8}).Run(context.Background(), cells)
+		out, err = (&Runner{Workers: 8, Exec: exec}).Run(context.Background(), specs)
 	}()
 	select {
 	case <-done:
@@ -115,67 +125,52 @@ func TestRunnerErrorCancelsInFlightCells(t *testing.T) {
 	}
 }
 
+// TestRunnerPanicBecomesError runs real specs in-process: a zero crossbar
+// size panics inside training, and CellSpec.Execute must turn that into
+// an error naming the cell instead of killing the process.
 func TestRunnerPanicBecomesError(t *testing.T) {
-	cells := arithCells(4, nil)
-	cells[2].Run = func(ctx context.Context, _ Logf) (interface{}, error) {
-		panic("cell exploded")
-	}
-	_, err := (&Runner{Workers: 2}).Run(context.Background(), cells)
+	s := determinismScale()
+	s.TrainN, s.TestN, s.Epochs = 64, 32, 1
+	s.Seeds = []uint64{1}
+	s.CrossbarSize = 0
+	specs := fig6Specs(s, DefaultRegime(), []string{"none"})
+	_, err := (&Runner{Workers: 1}).Run(context.Background(), specs)
 	if err == nil {
 		t.Fatal("panicking cell must surface as an error")
 	}
-	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "cell exploded") {
-		t.Fatalf("panic error %q", err)
+	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), specs[0].Key.String()) {
+		t.Fatalf("panic error %q does not report a panic in %s", err, specs[0].Key)
 	}
 }
 
 func TestRunnerParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var ran atomic.Int64
-	cells := make([]Cell, 6)
-	for i := range cells {
-		cells[i] = Cell{
-			Key: CellKey{Model: "slow", Seed: uint64(i)},
-			Run: func(ctx context.Context, _ Logf) (interface{}, error) {
-				ran.Add(1)
-				if i == 0 {
-					cancel() // simulate SIGINT arriving mid-run
-				}
-				<-ctx.Done()
-				return nil, ctx.Err()
-			},
+	exec := &stubExecutor{fn: func(ctx context.Context, sp *CellSpec) (*trainer.Result, error) {
+		if sp.Key.Seed == 0 {
+			cancel() // simulate SIGINT arriving mid-run
 		}
-	}
-	_, err := (&Runner{Workers: 2}).Run(ctx, cells)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
+	specs := keySpecs(6, "slow")
+	_, err := (&Runner{Workers: 2, Exec: exec}).Run(ctx, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ran.Load() == int64(len(cells)) {
+	if exec.calls.Load() == int64(len(specs)) {
 		t.Fatal("cancellation should have prevented some queued cells from starting")
 	}
 }
 
-// stubExecutor routes every cell through a recorded executor instead of
-// the in-process default, tagging results with a fake worker identity.
-type stubExecutor struct {
-	calls atomic.Int64
-}
-
-func (s *stubExecutor) Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error) {
-	s.calls.Add(1)
-	v, err := cell.Run(ctx, logf)
-	return CellResult{Key: cell.Key, Value: v, Attempts: 2, Worker: fmt.Sprintf("stub%d", slot)}, err
-}
-
 func TestRunnerUsesConfiguredExecutor(t *testing.T) {
 	const workers = 3
-	stub := &stubExecutor{}
+	stub := arithExecutor(9)
 	var lines []string
 	r := &Runner{Workers: workers, Exec: stub, Logf: func(format string, args ...interface{}) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}}
-	out, err := r.Run(context.Background(), arithCells(9, nil))
+	out, err := r.Run(context.Background(), keySpecs(9, "arith"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +178,8 @@ func TestRunnerUsesConfiguredExecutor(t *testing.T) {
 		t.Fatalf("executor ran %d cells, want 9", stub.calls.Load())
 	}
 	for i, res := range out {
-		if res.Value.(int) != i*i {
-			t.Fatalf("result[%d] = %v, want %d", i, res.Value, i*i)
+		if res.Result.Swaps != i*i {
+			t.Fatalf("result[%d] = %d, want %d", i, res.Result.Swaps, i*i)
 		}
 		if !strings.HasPrefix(res.Worker, "stub") {
 			t.Fatalf("result[%d] worker %q did not come from the stub executor", i, res.Worker)

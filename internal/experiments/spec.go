@@ -4,30 +4,28 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"remapd/internal/arch"
 	"remapd/internal/checkpoint"
 	"remapd/internal/dataset"
-	"remapd/internal/det"
 	"remapd/internal/obs"
+	"remapd/internal/trainer"
 )
 
-// This file is the serializable half of the cell API. A Cell's closure can
-// only run in the process that built it; a CellSpec is the same work
-// expressed as pure coordinates — scalar parameters that JSON-round-trip
-// byte-identically — plus a registry that maps each spec kind back to the
-// run function the closures used to capture. The dist coordinator ships
-// specs to worker processes; the in-process path executes the identical
-// spec through Cell's thin adapter, so the two are byte-identical by
-// construction (both call the same registered function on the same
-// reconstructed inputs).
+// This file is the cell API. A CellSpec is one experiment cell expressed
+// as pure coordinates — scalar parameters that JSON-round-trip
+// byte-identically — and Execute is the only way to run one. The
+// in-process executor and the dist worker both call Execute on the same
+// spec, so their results are byte-identical by construction. What each
+// kind varies lives in spec_kinds.go.
 
-// ScaleSpec is the serializable subset of Scale: every knob a cell's
+// ScaleSpec is the serializable part of Scale: every knob a cell's
 // result depends on, none of the scheduling/observation machinery
 // (Workers, Progress, Checkpoints, Metrics, Prof, Exec stay behind on the
 // coordinator or are re-bound worker-side via Runtime). The field set
-// deliberately mirrors cellFingerprint: a Scale reconstructed from a spec
+// deliberately mirrors cellFingerprint: a Scale rebuilt from a spec
 // fingerprints identically to the original, so worker-written checkpoints
 // resume under the coordinator and vice versa.
 type ScaleSpec struct {
@@ -43,15 +41,6 @@ type ScaleSpec struct {
 	Geom         arch.Geometry `json:"geom"`
 }
 
-// Spec extracts the serializable coordinates of a Scale.
-func (s Scale) Spec() ScaleSpec {
-	return ScaleSpec{
-		Name: s.Name, ImgSize: s.ImgSize, TrainN: s.TrainN, TestN: s.TestN,
-		WidthScale: s.WidthScale, Epochs: s.Epochs, BatchSize: s.BatchSize,
-		LR: s.LR, CrossbarSize: s.CrossbarSize, Geom: s.Geom,
-	}
-}
-
 // Runtime carries the process-local facilities a cell needs at execution
 // time but that cannot travel in a spec: the checkpoint store and the
 // telemetry sink. The coordinator and its workers point these at shared
@@ -59,22 +48,6 @@ func (s Scale) Spec() ScaleSpec {
 type Runtime struct {
 	Checkpoints *checkpoint.Store
 	Metrics     *obs.Sink
-}
-
-// Runtime extracts the process-local facilities of a Scale.
-func (s Scale) Runtime() Runtime {
-	return Runtime{Checkpoints: s.Checkpoints, Metrics: s.Metrics}
-}
-
-// Scale reconstructs an executable Scale from spec coordinates plus the
-// executing process's runtime facilities.
-func (ss ScaleSpec) Scale(rt Runtime) Scale {
-	return Scale{
-		Name: ss.Name, ImgSize: ss.ImgSize, TrainN: ss.TrainN, TestN: ss.TestN,
-		WidthScale: ss.WidthScale, Epochs: ss.Epochs, BatchSize: ss.BatchSize,
-		LR: ss.LR, CrossbarSize: ss.CrossbarSize, Geom: ss.Geom,
-		Checkpoints: rt.Checkpoints, Metrics: rt.Metrics,
-	}
 }
 
 // DatasetSpec names a deterministic in-process dataset generator plus its
@@ -89,23 +62,19 @@ type DatasetSpec struct {
 	Seed  uint64 `json:"seed"`
 }
 
-// Build generates the dataset (uncached).
-func (d DatasetSpec) Build() (*dataset.Dataset, error) {
-	switch d.Name {
-	case "cifar10-like":
-		return dataset.CIFAR10Like(d.Train, d.Test, d.Img, d.Seed), nil
-	case "cifar100-like":
-		return dataset.CIFAR100Like(d.Train, d.Test, d.Img, d.Seed), nil
-	case "svhn-like":
-		return dataset.SVHNLike(d.Train, d.Test, d.Img, d.Seed), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown dataset spec %q", d.Name)
+// datasets maps each DatasetSpec name to its generator and class count.
+var datasets = map[string]struct {
+	gen     func(nTrain, nTest, size int, seed uint64) *dataset.Dataset
+	classes int
+}{
+	"cifar10-like":  {dataset.CIFAR10Like, 10},
+	"cifar100-like": {dataset.CIFAR100Like, 100},
+	"svhn-like":     {dataset.SVHNLike, 10},
 }
 
 // datasetCache memoizes generated datasets per process, so a grid of cells
-// sharing one dataset builds it once (matching the figure constructors,
-// which built one dataset for all their closures). Datasets are read-only
-// after construction, so sharing across concurrent cells is safe.
+// sharing one dataset builds it once. Datasets are read-only after
+// construction, so sharing across concurrent cells is safe.
 var datasetCache = struct {
 	sync.Mutex
 	m map[DatasetSpec]*dataset.Dataset
@@ -113,24 +82,25 @@ var datasetCache = struct {
 
 // dataset returns the (possibly cached) dataset for the spec.
 func (d DatasetSpec) dataset() (*dataset.Dataset, error) {
+	set, ok := datasets[d.Name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown dataset spec %q", d.Name)
+	}
 	datasetCache.Lock()
 	defer datasetCache.Unlock()
-	if ds, ok := datasetCache.m[d]; ok {
-		return ds, nil
+	ds, ok := datasetCache.m[d]
+	if !ok {
+		ds = set.gen(d.Train, d.Test, d.Img, d.Seed)
+		datasetCache.m[d] = ds
 	}
-	ds, err := d.Build()
-	if err != nil {
-		return nil, err
-	}
-	datasetCache.m[d] = ds
 	return ds, nil
 }
 
-// CellSpec is the serializable description of one experiment cell: which
-// registered run function to invoke (Kind) and every coordinate it needs.
-// The zero values of the kind-specific fields (Phase…UseBIST) are valid —
-// each kind reads only its own — and omitempty keeps the JSON minimal and
-// exactly re-encodable.
+// CellSpec is the description of one experiment cell: its kind (which
+// figure or ablation it belongs to, see spec_kinds.go) and every
+// coordinate it needs. The zero values of the kind-specific fields
+// (Phase…UseBIST) are valid — each kind reads only its own — and
+// omitempty keeps the JSON minimal and exactly re-encodable.
 type CellSpec struct {
 	Kind    string      `json:"kind"`
 	Key     CellKey     `json:"key"`
@@ -148,87 +118,29 @@ type CellSpec struct {
 	UseBIST        bool    `json:"use_bist,omitempty"`        // bist-sense
 }
 
-// RunFunc executes one cell kind from its spec. s is the reconstructed
-// Scale (spec coordinates + the executing process's Runtime); the returned
-// value must depend only on the spec, never on which process runs it.
-type RunFunc func(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error)
-
-// kindEntry pairs a kind's run function with its result prototype
-// constructor (what the dist layer decodes a worker's result into).
-type kindEntry struct {
-	newResult func() interface{}
-	run       RunFunc
-}
-
-var (
-	kindMu    sync.RWMutex
-	kindTable = map[string]kindEntry{}
-)
-
-// RegisterKind installs a cell kind. newResult returns a fresh zero value
-// of the kind's result type (a pointer, for JSON decoding); run executes
-// the cell. Registering a duplicate kind panics — kinds are package-level
-// constants wired at init time, so a collision is a programming error.
-func RegisterKind(kind string, newResult func() interface{}, run RunFunc) {
-	kindMu.Lock()
-	defer kindMu.Unlock()
-	if _, dup := kindTable[kind]; dup {
-		panic(fmt.Sprintf("experiments: duplicate cell kind %q", kind))
-	}
-	kindTable[kind] = kindEntry{newResult: newResult, run: run}
-}
-
-// KindNames lists the registered cell kinds in sorted order.
-func KindNames() []string {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	return det.SortedKeys(kindTable)
-}
-
-// NewResultFor returns a fresh result value for the kind, ready for JSON
-// decoding.
-func NewResultFor(kind string) (interface{}, error) {
-	kindMu.RLock()
-	e, ok := kindTable[kind]
-	kindMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown cell kind %q", kind)
-	}
-	return e.newResult(), nil
-}
-
-// Execute runs the spec in this process using the given runtime
-// facilities. This is the single execution path for both the in-process
-// adapter and the dist worker, which is what makes the two byte-identical.
-func (sp *CellSpec) Execute(ctx context.Context, rt Runtime, logf Logf) (interface{}, error) {
-	kindMu.RLock()
-	e, ok := kindTable[sp.Kind]
-	kindMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown cell kind %q", sp.Kind)
+// Execute runs the cell in this process with the given runtime
+// facilities. It is the single run path: the in-process executor and the
+// dist worker both call it, which is what makes the two byte-identical.
+// The result depends only on the spec, never on which process runs it. A
+// panic inside the cell becomes an error, so a bad cell kills the cell,
+// not the grid or the worker; callers prefix errors with the cell key.
+func (sp *CellSpec) Execute(ctx context.Context, rt Runtime, logf Logf) (res *trainer.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	return e.run(ctx, sp, sp.Scale.Scale(rt), logf)
+	return sp.run(ctx, rt, logf)
 }
 
-// Cell adapts the spec for in-process execution under the given Scale:
-// the figure constructors build specs and wrap them so existing runner
-// plumbing (and the tests over it) keep working unchanged.
-func (sp *CellSpec) Cell(s Scale) Cell {
-	rt := s.Runtime()
-	return Cell{
-		Key:  sp.Key,
-		Spec: sp,
-		Run: func(ctx context.Context, logf Logf) (interface{}, error) {
-			return sp.Execute(ctx, rt, logf)
-		},
-	}
-}
-
-// MarshalJSON round-trips are part of the spec contract; EncodeSpec and
-// DecodeSpec pin the canonical single-line form the dist protocol embeds.
+// EncodeSpec renders the canonical single-line JSON form the dist
+// protocol embeds; DecodeSpec of its output re-encodes to the same bytes.
 func EncodeSpec(sp *CellSpec) ([]byte, error) {
 	data, err := json.Marshal(sp)
 	if err != nil {
@@ -237,20 +149,60 @@ func EncodeSpec(sp *CellSpec) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeSpec parses a spec encoded by EncodeSpec.
+// DecodeSpec parses a spec encoded by EncodeSpec. Specs arrive from
+// outside the process, so it rejects unknown kind, dataset, policy, phase
+// and coding names, non-positive sizes, counts and geometry, images too
+// small for the models, and image sizes or class counts that disagree
+// with the dataset, each with a clean error instead of a panic deep
+// inside training.
 func DecodeSpec(data []byte) (*CellSpec, error) {
 	sp := &CellSpec{}
 	if err := json.Unmarshal(data, sp); err != nil {
 		return nil, fmt.Errorf("experiments: decode cell spec: %w", err)
 	}
+	if err := sp.validate(); err != nil {
+		return nil, fmt.Errorf("experiments: decode cell spec %s: %w", sp.Key, err)
+	}
 	return sp, nil
 }
 
-// specCells wraps each spec in its in-process adapter, preserving order.
-func specCells(specs []*CellSpec, s Scale) []Cell {
-	cells := make([]Cell, len(specs))
-	for i, sp := range specs {
-		cells[i] = sp.Cell(s)
+// minImgSize is the smallest image every model and dataset generator
+// handles: cnn-s pools its input twice, and CIFAR10Like needs at least 2.
+const minImgSize = 4
+
+// validate checks what DecodeSpec promises. The names are checked by
+// resolving them exactly as run does (trainConfig builds nothing heavy);
+// the sizes are checked here, before any tensor is allocated.
+func (sp *CellSpec) validate() error {
+	if _, _, err := sp.trainConfig(); err != nil {
+		return err
 	}
-	return cells
+	set, ok := datasets[sp.Dataset.Name]
+	if !ok {
+		return fmt.Errorf("unknown dataset %q", sp.Dataset.Name)
+	}
+	sc, g := sp.Scale, sp.Scale.Geom
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"scale.train_n", sc.TrainN}, {"scale.test_n", sc.TestN}, {"scale.epochs", sc.Epochs},
+		{"scale.batch_size", sc.BatchSize}, {"scale.crossbar_size", sc.CrossbarSize},
+		{"scale.geom.TilesX", g.TilesX}, {"scale.geom.TilesY", g.TilesY},
+		{"scale.geom.IMAsPerTile", g.IMAsPerTile}, {"scale.geom.XbarsPerIMA", g.XbarsPerIMA},
+		{"dataset.train", sp.Dataset.Train}, {"dataset.test", sp.Dataset.Test},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	switch {
+	case sc.ImgSize < minImgSize:
+		return fmt.Errorf("scale.img_size must be at least %d, got %d", minImgSize, sc.ImgSize)
+	case sp.Dataset.Img != sc.ImgSize:
+		return fmt.Errorf("dataset.img %d differs from scale.img_size %d", sp.Dataset.Img, sc.ImgSize)
+	case sp.Classes != set.classes:
+		return fmt.Errorf("classes %d differs from %s's %d", sp.Classes, sp.Dataset.Name, set.classes)
+	}
+	return nil
 }

@@ -5,125 +5,74 @@ import (
 	"fmt"
 
 	"remapd/internal/arch"
-	"remapd/internal/dataset"
 	"remapd/internal/remap"
 	"remapd/internal/reram"
 	"remapd/internal/trainer"
 )
 
-// This file registers the cell kinds behind every figure and ablation and
-// provides the spec builders the constructors enumerate cells with. Each
-// run function is the former closure body verbatim — the refactor moved
-// captured variables into spec fields, nothing else — so spec execution
-// reproduces the closures bit-for-bit.
+// This file defines the cell kinds and the spec builders the figure
+// functions enumerate cells with. Every kind is one training run built by
+// the same code (run); a kind only decides the few trainer knobs that
+// differ between figures (trainConfig):
+//
+//   - policy: Fig. 6/7/8, the named policy under the regime's faults;
+//   - phase: Fig. 5, faults injected into one phase's crossbars only;
+//   - threshold, receiver, bist-sense: Remap-D ablations overriding its
+//     trigger threshold, its receiver choice (with the flit-level NoC),
+//     or its density source;
+//   - coding: the named policy on a chip with the spec's coding scheme.
 
-func init() {
-	result := func() interface{} { return &trainer.Result{} }
-	RegisterKind("policy", result, runPolicySpec)
-	RegisterKind("phase", result, runPhaseSpec)
-	RegisterKind("threshold", result, runThresholdSpec)
-	RegisterKind("receiver", result, runReceiverSpec)
-	RegisterKind("coding", result, runCodingSpec)
-	RegisterKind("bist-sense", result, runBISTSenseSpec)
-}
-
-// specDataset resolves the spec's dataset through the per-process cache.
-func specDataset(sp *CellSpec) (*dataset.Dataset, error) {
-	return sp.Dataset.dataset()
-}
-
-// runPolicySpec is the Fig. 6/7/8 cell: one (model, policy, seed) training
-// run under the spec's regime via runOne.
-func runPolicySpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
-	if err != nil {
-		return nil, err
-	}
+// trainConfig resolves the spec's kind and names into the trainer config
+// and device parameters its cell trains with. It builds nothing heavy —
+// no dataset, model or chip — so DecodeSpec uses it as its name check.
+// The returned config wants a chip exactly when it has a policy or a
+// phase injection.
+func (sp *CellSpec) trainConfig() (trainer.Config, reram.DeviceParams, error) {
 	reg := sp.Regime
-	return runOne(ctx, sp.Key, s, reg, ds, sp.Classes, logf)
-}
-
-// runPhaseSpec is the Fig. 5 cell: ideal, forward-injected, or
-// backward-injected training at the regime's phase density.
-func runPhaseSpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
-	if err != nil {
-		return nil, err
-	}
-	reg := sp.Regime
-	net, err := buildModel(sp.Key.Model, s, sp.Key.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := baseTrainConfig(s, sp.Key.Seed)
-	cfg.Ctx = ctx
-	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, sp.Key, sp.Classes)
-	switch sp.Phase {
-	case "":
-		// ideal: no chip, no injection
-	case "forward", "backward":
-		ph := arch.Forward
-		if sp.Phase == "backward" {
-			ph = arch.Backward
+	cfg := trainer.DefaultConfig()
+	cfg.Epochs = sp.Scale.Epochs
+	cfg.BatchSize = sp.Scale.BatchSize
+	cfg.LR = sp.Scale.LR
+	cfg.Seed = sp.Key.Seed
+	p := reram.DefaultDeviceParams()
+	p.CrossbarSize = sp.Scale.CrossbarSize
+	var err error
+	switch sp.Kind {
+	case "policy", "coding":
+		cfg.Policy, cfg.TrackGradAbs, err = PolicyByName(sp.Key.Policy, reg)
+		if err == nil && sp.Kind == "coding" {
+			p.Coding, err = parseCoding(sp.Coding)
 		}
-		cfg.Chip = NewChip(s)
-		cfg.PhaseInject = &trainer.PhaseInjection{Phase: ph, Density: reg.PhaseDensity}
+	case "phase":
+		switch sp.Phase {
+		case "": // ideal: no chip, no injection
+		case "forward":
+			cfg.PhaseInject = &trainer.PhaseInjection{Phase: arch.Forward, Density: reg.PhaseDensity}
+		case "backward":
+			cfg.PhaseInject = &trainer.PhaseInjection{Phase: arch.Backward, Density: reg.PhaseDensity}
+		default:
+			err = fmt.Errorf("experiments: bad phase %q in cell spec", sp.Phase)
+		}
+	case "threshold", "receiver", "bist-sense":
+		rd := remap.NewRemapD()
+		rd.Threshold = reg.RemapThreshold
+		switch sp.Kind {
+		case "threshold":
+			rd.Threshold = sp.Threshold
+		case "receiver":
+			rd.RandomReceiver = sp.RandomReceiver
+			cfg.SimulateNoC = sp.SimulateNoC
+		case "bist-sense":
+			rd.UseBIST = sp.UseBIST
+		}
+		cfg.Policy = rd
 	default:
-		return nil, fmt.Errorf("experiments: bad phase %q in cell spec", sp.Phase)
+		err = fmt.Errorf("experiments: unknown cell kind %q", sp.Kind)
 	}
-	return s.train(sp.Key, net, ds, cfg)
-}
-
-// runThresholdSpec is the Remap-D trigger-threshold ablation cell.
-func runThresholdSpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != nil {
+		cfg.Pre, cfg.Post = &reg.Pre, &reg.Post
 	}
-	reg := sp.Regime
-	net, err := buildModel(sp.Key.Model, s, sp.Key.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rd := remap.NewRemapD()
-	rd.Threshold = sp.Threshold
-	cfg := baseTrainConfig(s, sp.Key.Seed)
-	cfg.Ctx = ctx
-	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, sp.Key, sp.Classes)
-	cfg.Chip = NewChip(s)
-	cfg.Policy = rd
-	cfg.Pre = &reg.Pre
-	cfg.Post = &reg.Post
-	return s.train(sp.Key, net, ds, cfg)
-}
-
-// runReceiverSpec is the receiver-selection ablation cell (flit-level NoC
-// enabled).
-func runReceiverSpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
-	if err != nil {
-		return nil, err
-	}
-	reg := sp.Regime
-	net, err := buildModel(sp.Key.Model, s, sp.Key.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rd := remap.NewRemapD()
-	rd.Threshold = reg.RemapThreshold
-	rd.RandomReceiver = sp.RandomReceiver
-	cfg := baseTrainConfig(s, sp.Key.Seed)
-	cfg.Ctx = ctx
-	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, sp.Key, sp.Classes)
-	cfg.Chip = NewChip(s)
-	cfg.Policy = rd
-	cfg.Pre = &reg.Pre
-	cfg.Post = &reg.Post
-	cfg.SimulateNoC = sp.SimulateNoC
-	return s.train(sp.Key, net, ds, cfg)
+	return cfg, p, err
 }
 
 // parseCoding maps the spec's coding name back to the scheme constant
@@ -138,72 +87,36 @@ func parseCoding(name string) (reram.CodingScheme, error) {
 	return 0, fmt.Errorf("experiments: unknown coding scheme %q in cell spec", name)
 }
 
-// runCodingSpec is the conductance-coding ablation cell.
-func runCodingSpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
+// run trains the cell: dataset (through the per-process cache), model,
+// chip and trainer config, all built once from the spec.
+func (sp *CellSpec) run(ctx context.Context, rt Runtime, logf Logf) (*trainer.Result, error) {
+	cfg, p, err := sp.trainConfig()
 	if err != nil {
 		return nil, err
 	}
-	coding, err := parseCoding(sp.Coding)
+	ds, err := sp.Dataset.dataset()
 	if err != nil {
 		return nil, err
 	}
-	reg := sp.Regime
-	net, err := buildModel(sp.Key.Model, s, sp.Key.Seed)
+	s := Scale{ScaleSpec: sp.Scale, Checkpoints: rt.Checkpoints, Metrics: rt.Metrics}
+	net, err := BuildModel(sp.Key.Model, s, sp.Key.Seed, sp.Classes)
 	if err != nil {
 		return nil, err
 	}
-	cfg := baseTrainConfig(s, sp.Key.Seed)
 	cfg.Ctx = ctx
 	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, sp.Key, sp.Classes)
-	if sp.Key.Policy != "ideal" {
-		pol, _, err := PolicyByName(sp.Key.Policy, reg)
-		if err != nil {
-			return nil, err
-		}
-		p := reram.DefaultDeviceParams()
-		p.CrossbarSize = s.CrossbarSize
-		p.Coding = coding
-		cfg.Chip = newChipWithParams(p, s)
-		cfg.Policy = pol
-		cfg.Pre = &reg.Pre
-		cfg.Post = &reg.Post
+	cfg.Checkpoint = s.cellCheckpoint(sp.Regime, sp.Key, sp.Classes)
+	if cfg.Policy != nil || cfg.PhaseInject != nil {
+		cfg.Chip = arch.NewChip(p, s.Geom)
 	}
-	return s.train(sp.Key, net, ds, cfg)
-}
-
-// runBISTSenseSpec is the BIST-estimate-vs-ground-truth ablation cell.
-func runBISTSenseSpec(ctx context.Context, sp *CellSpec, s Scale, logf Logf) (interface{}, error) {
-	ds, err := specDataset(sp)
-	if err != nil {
-		return nil, err
-	}
-	reg := sp.Regime
-	net, err := buildModel(sp.Key.Model, s, sp.Key.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rd := remap.NewRemapD()
-	rd.Threshold = reg.RemapThreshold
-	rd.UseBIST = sp.UseBIST
-	cfg := baseTrainConfig(s, sp.Key.Seed)
-	cfg.Ctx = ctx
-	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(reg, sp.Key, sp.Classes)
-	cfg.Chip = NewChip(s)
-	cfg.Policy = rd
-	cfg.Pre = &reg.Pre
-	cfg.Post = &reg.Post
 	return s.train(sp.Key, net, ds, cfg)
 }
 
 // ------------------------------------------------------------ spec builders
 //
 // Each builder enumerates one figure/ablation's cells in the exact order
-// the sequential loops (and hence the rows' aggregation indices) expect.
-// The figure functions wrap these in in-process adapters; the spec tests
-// round-trip them; a dist run ships them as-is.
+// the rows' aggregation indices expect. The figure functions hand them to
+// the runner; the spec tests round-trip them; a dist run ships them as-is.
 
 // cifar10Spec is the shared Fig. 5/6/7 and ablation dataset at the scale.
 func cifar10Spec(s Scale) DatasetSpec {
@@ -227,7 +140,7 @@ func fig5Specs(s Scale, reg FaultRegime) []*CellSpec {
 				specs = append(specs, &CellSpec{
 					Kind:    "phase",
 					Key:     CellKey{Model: model, Policy: v.name, Seed: seed},
-					Scale:   s.Spec(),
+					Scale:   s.ScaleSpec,
 					Regime:  reg,
 					Dataset: cifar10Spec(s),
 					Classes: 10,
@@ -248,7 +161,7 @@ func fig6Specs(s Scale, reg FaultRegime, policies []string) []*CellSpec {
 				specs = append(specs, &CellSpec{
 					Kind:    "policy",
 					Key:     CellKey{Model: model, Policy: policy, Seed: seed},
-					Scale:   s.Spec(),
+					Scale:   s.ScaleSpec,
 					Regime:  reg,
 					Dataset: cifar10Spec(s),
 					Classes: 10,
@@ -270,7 +183,7 @@ func fig7Specs(s Scale, reg FaultRegime, sweepModels []string, ms, ns []float64)
 			specs = append(specs, &CellSpec{
 				Kind:    "policy",
 				Key:     CellKey{Model: model, Policy: "ideal", Seed: seed},
-				Scale:   s.Spec(),
+				Scale:   s.ScaleSpec,
 				Regime:  reg,
 				Dataset: cifar10Spec(s),
 				Classes: 10,
@@ -286,7 +199,7 @@ func fig7Specs(s Scale, reg FaultRegime, sweepModels []string, ms, ns []float64)
 						Kind: "policy",
 						Key: CellKey{Model: model, Policy: "remap-d", Seed: seed,
 							Extra: fmt.Sprintf("m%g-n%g", m, n)},
-						Scale:   s.Spec(),
+						Scale:   s.ScaleSpec,
 						Regime:  r,
 						Dataset: cifar10Spec(s),
 						Classes: 10,
@@ -317,7 +230,7 @@ func fig8Specs(s Scale, reg FaultRegime) []*CellSpec {
 					specs = append(specs, &CellSpec{
 						Kind:    "policy",
 						Key:     CellKey{Model: model, Policy: policy, Seed: seed, Extra: set.name},
-						Scale:   s.Spec(),
+						Scale:   s.ScaleSpec,
 						Regime:  reg,
 						Dataset: set.ds,
 						Classes: set.classes,
@@ -338,7 +251,7 @@ func ablationThresholdSpecs(s Scale, reg FaultRegime, model string, thresholds [
 				Kind: "threshold",
 				Key: CellKey{Model: model, Policy: "remap-d", Seed: seed,
 					Extra: fmt.Sprintf("th%g", th)},
-				Scale:     s.Spec(),
+				Scale:     s.ScaleSpec,
 				Regime:    reg,
 				Dataset:   cifar10Spec(s),
 				Classes:   10,
@@ -361,7 +274,7 @@ func ablationReceiverSpecs(s Scale, reg FaultRegime, model string) []*CellSpec {
 			specs = append(specs, &CellSpec{
 				Kind:           "receiver",
 				Key:            CellKey{Model: model, Policy: "remap-d", Seed: seed, Extra: sel.name},
-				Scale:          s.Spec(),
+				Scale:          s.ScaleSpec,
 				Regime:         reg,
 				Dataset:        cifar10Spec(s),
 				Classes:        10,
@@ -384,7 +297,7 @@ func ablationCodingSpecs(s Scale, reg FaultRegime, model string) []*CellSpec {
 				specs = append(specs, &CellSpec{
 					Kind:    "coding",
 					Key:     CellKey{Model: model, Policy: policy, Seed: seed, Extra: coding.String()},
-					Scale:   s.Spec(),
+					Scale:   s.ScaleSpec,
 					Regime:  reg,
 					Dataset: cifar10Spec(s),
 					Classes: 10,
@@ -408,7 +321,7 @@ func ablationBISTSpecs(s Scale, reg FaultRegime, model string) []*CellSpec {
 			specs = append(specs, &CellSpec{
 				Kind:    "bist-sense",
 				Key:     CellKey{Model: model, Policy: "remap-d", Seed: seed, Extra: src.name},
-				Scale:   s.Spec(),
+				Scale:   s.ScaleSpec,
 				Regime:  reg,
 				Dataset: cifar10Spec(s),
 				Classes: 10,
