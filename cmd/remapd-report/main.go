@@ -2,18 +2,24 @@
 // evaluation at the chosen scale and prints them in EXPERIMENTS.md order.
 // This is the one-command reproduction entry point:
 //
-//	remapd-report -scale quick              # minutes
-//	remapd-report -scale standard           # the full six-model matrix (slow)
-//	remapd-report -scale quick -dist 4      # same bytes, four worker processes
-//	remapd-report -scale quick -listen :7433  # same bytes, elastic TCP fleet
+//	remapd-report -scale quick                        # minutes
+//	remapd-report -scale standard                     # the full six-model matrix (slow)
+//	remapd-report -scale quick -only fig6 -dist 4     # same bytes, four worker processes
+//	remapd-report -scale quick -only fig6 -listen :7433  # same bytes, elastic TCP fleet
 //
 // With -dist N the experiment cells fan out to N copies of this binary,
 // exec'd as -worker -connect workers of a loopback fleet; with -listen
-// they fan out to whatever workers dial in over TCP (-worker -connect
-// host:7433), which may join and leave mid-report. Either way the report is byte-identical to the
-// in-process run. -only restricts the report to named sections
-// (comma-separated keys: fig4 fig5 fig6 fig7 fig8 bist noc area
-// ablations).
+// they fan out to whatever workers dial in over TCP,
+//
+//	remapd-report -worker -connect host:7433 -slots 2 -checkpoint-dir /shared/ckpt
+//
+// which may join and leave mid-report: a dead or partitioned worker's
+// cells are requeued onto survivors, resuming from the shared checkpoint
+// directory. Either way the report is byte-identical to the in-process
+// run. -only restricts the report to named sections (comma-separated
+// keys: fig4 fig5 fig6 fig7 fig8 bist noc area ablations); an unknown key
+// is an error. -only fig6, the Fig. 6 policy grid, is the canonical
+// distributed workload the CI fleet jobs drive.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -69,12 +76,19 @@ func main() {
 		fmt.Printf("debug server on http://%s/debug/pprof/ and /debug/vars\n", addr)
 	}
 
+	// An unknown -only key is an error, not an empty report: a typo must
+	// not make two runs agree by both printing nothing.
+	sections := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "bist", "noc", "area", "ablations"}
 	wantAll := *only == ""
 	want := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			want[k] = true
+		if k = strings.TrimSpace(k); k == "" {
+			continue
 		}
+		if !slices.Contains(sections, k) {
+			log.Fatalf("unknown -only section %q (valid: %s)", k, strings.Join(sections, " "))
+		}
+		want[k] = true
 	}
 	sectionWanted := func(key string) bool { return wantAll || want[key] }
 

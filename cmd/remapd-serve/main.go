@@ -37,7 +37,6 @@ import (
 
 	"remapd/internal/checkpoint"
 	"remapd/internal/cli"
-	"remapd/internal/dataset"
 	"remapd/internal/experiments"
 	"remapd/internal/fault"
 	"remapd/internal/models"
@@ -96,18 +95,14 @@ func main() {
 	s.WidthScale = *width
 	s.TestN = *testN
 
-	var ds *dataset.Dataset
-	classes := 10
-	switch *dsName {
-	case "cifar10":
-		ds = dataset.CIFAR10Like(1, s.TestN, s.ImgSize, 77)
-	case "cifar100":
-		classes = 100
-		ds = dataset.CIFAR100Like(1, s.TestN, s.ImgSize, 88)
-	case "svhn":
-		ds = dataset.SVHNLike(1, s.TestN, s.ImgSize, 99)
-	default:
-		log.Fatalf("unknown dataset %q", *dsName)
+	dsSpec, classes, err := experiments.NamedDataset(*dsName, s.ScaleSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dsSpec.Train = 1 // serving draws traffic from the test split only
+	ds, err := dsSpec.Build()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Locate and decode the checkpoint: an explicit file wins, otherwise
@@ -117,7 +112,7 @@ func main() {
 	if *trainPol == "" {
 		*trainPol = *policy
 	}
-	key := fmt.Sprintf("%s/%s/seed%d/%s", *model, *trainPol, opts.Seed, *dsName)
+	key := experiments.CellKey{Model: *model, Policy: *trainPol, Seed: opts.Seed, Extra: *dsName}.String()
 	path := *ckptFile
 	if path == "" {
 		if opts.CheckpointDir == "" {
@@ -159,7 +154,7 @@ func main() {
 		}
 		// Keyed by the SERVING policy (the checkpoint key uses the
 		// trained-under policy, which may differ).
-		cell := fmt.Sprintf("%s/%s/seed%d/%s/serve", *model, *policy, opts.Seed, *dsName)
+		cell := experiments.CellKey{Model: *model, Policy: *policy, Seed: opts.Seed, Extra: *dsName + "/serve"}.String()
 		stream, err = sink.Stream(checkpoint.CellFileBase(cell), cell)
 		if err != nil {
 			log.Fatal(err)

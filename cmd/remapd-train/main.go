@@ -11,10 +11,16 @@
 //	remapd-train -model vgg11 -policy remap-d -noc   # with flit-level NoC
 //	remapd-train -worker -connect host:7433 -slots 2 # join a TCP fleet
 //
+// The flags name one experiment cell (experiments.CellSpec), run through
+// the same CellSpec.Execute as every cell of the figure grids: the key
+// model/policy/seedN/dataset names its checkpoint and telemetry files,
+// and the encoded spec is its checkpoint fingerprint, so changing any
+// flag that shapes the result invalidates an old snapshot.
+//
 // With -worker -connect the tool runs the dist protocol instead: it
-// dials a fleet coordinator (remapd-coordinator -listen, or any grid
-// tool with -listen) over TCP, runs the serialized experiment cells it
-// is sent, and writes their results back. The worker advertises -slots
+// dials a fleet coordinator (any grid tool with -listen, e.g.
+// remapd-report) over TCP, runs the serialized experiment cells it is
+// sent, and writes their results back. The worker advertises -slots
 // concurrent cells, answers heartbeats, redials with backoff if the
 // connection drops, and drains gracefully on Ctrl-C.
 package main
@@ -29,22 +35,18 @@ import (
 	"strings"
 	"syscall"
 
-	"remapd/internal/arch"
+	"remapd"
 	"remapd/internal/checkpoint"
 	"remapd/internal/cli"
-	"remapd/internal/dataset"
 	"remapd/internal/experiments"
-	"remapd/internal/fault"
-	"remapd/internal/models"
 	"remapd/internal/obs"
-	"remapd/internal/trainer"
 )
 
 func main() {
 	log.SetFlags(0)
 	var opts cli.Options
 	var (
-		model     = flag.String("model", "vgg11", "model: "+strings.Join(models.Names(), ", "))
+		model     = flag.String("model", "vgg11", "model: "+strings.Join(remapd.ModelNames(), ", "))
 		policy    = flag.String("policy", "remap-d", "policy: "+strings.Join(experiments.PolicyNames(), ", "))
 		dsName    = flag.String("dataset", "cifar10", "dataset: cifar10, cifar100, svhn")
 		phase     = flag.String("phase", "", "Fig. 5 targeted injection: forward or backward (overrides -policy)")
@@ -86,130 +88,68 @@ func main() {
 	s.Epochs = *epochs
 	s.TrainN, s.TestN = *trainN, *testN
 	s.WidthScale = *width
-	s.Seeds = []uint64{opts.Seed}
-
 	reg := experiments.DefaultRegime()
 	if *usePaper {
 		reg = experiments.PaperRegime()
 	}
-
-	var ds *dataset.Dataset
-	classes := 10
-	switch *dsName {
-	case "cifar10":
-		ds = dataset.CIFAR10Like(s.TrainN, s.TestN, s.ImgSize, 77)
-	case "cifar100":
-		classes = 100
-		ds = dataset.CIFAR100Like(s.TrainN*2, s.TestN, s.ImgSize, 88)
-	case "svhn":
-		ds = dataset.SVHNLike(s.TrainN, s.TestN, s.ImgSize, 99)
-	default:
-		log.Fatalf("unknown dataset %q", *dsName)
-	}
-	fmt.Println(ds)
-
-	net, err := models.Build(*model, models.Config{
-		InC: 3, InH: s.ImgSize, InW: s.ImgSize, Classes: classes,
-		WidthScale: s.WidthScale, BatchNorm: true, Seed: opts.Seed,
-	})
+	ds, classes, err := experiments.NamedDataset(*dsName, s.ScaleSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model %s: %d parameters, %d crossbar-mapped layers\n",
-		*model, net.ParamCount(), len(net.MVMLayers()))
-
-	cfg := trainer.DefaultConfig()
-	cfg.Epochs = s.Epochs
-	cfg.BatchSize = s.BatchSize
-	cfg.LR = s.LR
-	cfg.Seed = opts.Seed
-	cfg.Ctx = ctx
-	cfg.SimulateNoC = *simNoC
-	// The final summary below prints regardless of Logf, so -quiet can
-	// null the progress sink without losing the run's result lines.
-	if !opts.Quiet {
-		cfg.Logf = func(f string, a ...interface{}) { fmt.Printf(f+"\n", a...) }
+	sp := &experiments.CellSpec{
+		Kind:        "policy",
+		Key:         experiments.CellKey{Model: *model, Policy: *policy, Seed: opts.Seed, Extra: *dsName},
+		Scale:       s.ScaleSpec,
+		Regime:      reg,
+		Dataset:     ds,
+		Classes:     classes,
+		SimulateNoC: *simNoC,
 	}
-
 	switch {
 	case *phase != "":
-		ph := arch.Forward
-		if *phase == "backward" {
-			ph = arch.Backward
-		} else if *phase != "forward" {
+		if *phase != "forward" && *phase != "backward" {
 			log.Fatalf("-phase must be forward or backward, got %q", *phase)
 		}
-		cfg.Chip = experiments.NewChip(s)
-		cfg.PhaseInject = &trainer.PhaseInjection{Phase: ph, Density: reg.PhaseDensity}
-		fmt.Printf("targeted %s-phase injection at %.1f%% density\n", *phase, 100*reg.PhaseDensity)
-	case *policy == "ideal":
-		// no chip: ideal digital fabric
-	default:
-		pol, trackGrads, err := experiments.PolicyByName(*policy, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Chip = experiments.NewChip(s)
-		cfg.Policy = pol
-		cfg.Pre = &reg.Pre
-		if *endurance {
-			em := fault.NewEnduranceModel()
-			em.CharacteristicLife = 100 // compressed for few-epoch runs
-			cfg.Endurance = em
-		} else {
-			cfg.Post = &reg.Post
-		}
-		cfg.TrackGradAbs = trackGrads
+		sp.Kind, sp.Phase = "phase", *phase
+	case *endurance:
+		sp.Kind = "endurance"
+	}
+	fmt.Printf("cell %s (%s): %d train / %d test samples, %d classes\n",
+		sp.Key, sp.Kind, ds.Train, ds.Test, classes)
+	if sp.Phase != "" {
+		fmt.Printf("targeted %s-phase injection at %.1f%% density\n", sp.Phase, 100*reg.PhaseDensity)
 	}
 
-	// The key names the run for both the checkpoint store and the
-	// telemetry sink, so a cell's metrics files sit next to its snapshot.
-	key := fmt.Sprintf("%s/%s/seed%d/%s", *model, *policy, opts.Seed, *dsName)
+	// The final summary below prints regardless of logf, so -quiet can
+	// null the progress sink without losing the run's result lines.
+	var logf experiments.Logf
+	if !opts.Quiet {
+		logf = func(f string, a ...interface{}) { fmt.Printf(f+"\n", a...) }
+	}
+	// The cell key names both the checkpoint and the telemetry files, so
+	// a run's metrics sit next to its snapshot.
+	var rt experiments.Runtime
 	if opts.CheckpointDir != "" {
-		store, err := checkpoint.NewStore(opts.CheckpointDir, cfg.Logf)
-		if err != nil {
+		if rt.Checkpoints, err = checkpoint.NewStore(opts.CheckpointDir, logf); err != nil {
 			log.Fatal(err)
 		}
-		// The fingerprint binds the snapshot to every flag that shapes its
-		// results, so changing a flag quietly invalidates the old snapshot
-		// instead of misapplying it.
-		fingerprint := fmt.Sprintf("train1|m=%s p=%s ph=%s ds=%s e=%d tr=%d te=%d w=%g s=%d noc=%v paper=%v end=%v",
-			*model, *policy, *phase, *dsName, *epochs, *trainN, *testN, *width, opts.Seed, *simNoC, *usePaper, *endurance)
-		cfg.Checkpoint = store.Cell(key, fingerprint)
 	}
-
-	var sink *obs.Sink
-	var stream *obs.StreamTrace
 	if opts.MetricsDir != "" {
-		var err error
-		sink, err = obs.NewSink(opts.MetricsDir)
-		if err != nil {
+		if rt.Metrics, err = obs.NewSink(opts.MetricsDir); err != nil {
 			log.Fatal(err)
 		}
-		// Streaming trace: events flush to disk at every epoch boundary,
-		// so even a killed run leaves a truncated (not empty) event log.
-		stream, err = sink.Stream(checkpoint.CellFileBase(key), key)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Obs = stream
 	}
 
-	res, err := trainer.Train(net, ds, cfg)
-	if stream != nil {
-		// Flush before handling the training error: a failed run's
-		// partial trace is evidence, not garbage.
-		if werr := stream.Close(); werr != nil {
-			log.Print(werr)
-		} else {
-			fmt.Printf("telemetry written to %s\n", sink.Dir())
-		}
-	}
+	res, err := sp.Execute(ctx, rt, logf)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if rt.Metrics != nil {
+		fmt.Printf("telemetry written to %s\n", rt.Metrics.Dir())
+	}
 	fmt.Printf("\nfinal accuracy %.4f (best %.4f), policy=%s\n", res.FinalTestAcc, res.BestTestAcc, res.Policy)
-	if cfg.Chip != nil {
+	// The ideal fabric has no chip, so no faults or remap rounds to report.
+	if sp.Phase != "" || *policy != "ideal" {
 		fmt.Printf("faults injected: %d (final mean density %.4f%%)\n", res.FaultsInjected, 100*res.FinalMeanDensity)
 		fmt.Printf("remap: %d senders, %d swaps, %d unmatched; BIST %d cycles; NoC %d cycles\n",
 			res.Senders, res.Swaps, res.Unmatched, res.BISTCyclesTotal, res.NoCCyclesTotal)

@@ -3,7 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,7 +112,7 @@ func buildCfg(v variant, ckpt trainer.CheckpointHook) trainer.Config {
 // right after that epoch's progress line — the epoch-boundary checkpoint
 // of that epoch is still written, then the next epoch's first cancellation
 // check stops the run, exactly like a SIGINT between epochs.
-func runVariant(t *testing.T, v variant, ckpt trainer.CheckpointHook, cancelAfter int) (*trainer.Result, []string, error) {
+func runVariant(t testing.TB, v variant, ckpt trainer.CheckpointHook, cancelAfter int) (*trainer.Result, []string, error) {
 	t.Helper()
 	cfg := buildCfg(v, ckpt)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -459,6 +461,11 @@ func TestCorruptCheckpointFallsBackToFreshStart(t *testing.T) {
 	flip := append([]byte(nil), good...)
 	flip[len(flip)/3] ^= 0x40
 	corruptions["bit-flip"] = flip
+	// A valid checksum over a header claiming 1<<26 sections: rejected
+	// before anything is sized from the count.
+	huge := append([]byte(nil), good[:len(good)-8]...)
+	binary.LittleEndian.PutUint32(huge[8:12], 1<<26)
+	corruptions["huge-section-count"] = seal(huge)
 
 	for name, data := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -488,6 +495,46 @@ func TestCorruptCheckpointFallsBackToFreshStart(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seal appends the checksum trailer to a container body, so a mutated
+// body reaches the section parsers instead of failing the checksum.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), crc64.Checksum(body, crcTable))
+}
+
+// FuzzDecodeCheckpoint: checkpoint files are read from a directory shared
+// by every fleet worker, so Decode must survive any body with a valid
+// checksum — no panic, no unbounded allocation — and whatever it accepts
+// must be safe to restore into a network (an error is fine).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	store, err := NewStore(f.TempDir(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, v := range variants() {
+		cell := store.Cell(v.name, "fp-"+v.name)
+		if _, _, err := runVariant(f, v, cell, 2); err == nil {
+			f.Fatal("expected cancellation")
+		}
+		data, err := os.ReadFile(cell.Path())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[:len(data)-8])
+	}
+	// One network for every input keeps each execution at the cost of
+	// the decode; a failed restore may leave it half-overwritten, which
+	// only the next restore reads.
+	net := testModel(5)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		snap, err := Decode(seal(body))
+		if err != nil {
+			return
+		}
+		// Only a panic or a hang fails; mismatched weights are an error.
+		_ = snap.RestoreNetwork(net)
+	})
 }
 
 // TestStaleFingerprintIsSkipped: a checkpoint from a differently-configured

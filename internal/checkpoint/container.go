@@ -37,6 +37,9 @@ const (
 	// maxSectionName bounds name lengths so a corrupt count cannot drive
 	// a huge allocation before the length check against remaining input.
 	maxSectionName = 256
+	// minSectionLen is the smallest encoded section: name length, a
+	// one-byte name, payload length, empty payload.
+	minSectionLen = 4 + 1 + 8
 )
 
 // ErrCorrupt marks a checkpoint file that is truncated, bit-flipped, or
@@ -92,6 +95,12 @@ func unpackContainer(data []byte) (map[string][]byte, error) {
 	}
 	count := binary.LittleEndian.Uint32(body[8:12])
 	r := bytes.NewReader(body[12:])
+	// Bound the claimed count by what the body can hold before sizing
+	// anything from it: the checksum guards against accidents, not against
+	// a crafted file in a shared checkpoint directory.
+	if uint64(count)*minSectionLen > uint64(r.Len()) {
+		return nil, fmt.Errorf("%w: %d sections claimed, %d bytes remain", ErrCorrupt, count, r.Len())
+	}
 	out := make(map[string][]byte, count)
 	for i := uint32(0); i < count; i++ {
 		var nameLen uint32

@@ -24,8 +24,9 @@ func LoadFile(path string) (*Snapshot, error) {
 // RestoreNetwork installs only the snapshot's network weights into net —
 // trainable parameters plus BatchNorm running statistics, everything
 // eval-mode inference depends on. net must have the producing run's
-// architecture; nn.LoadWeights validates tensor names and volumes and
-// fails without partial mutation on mismatch.
+// architecture. nn.LoadWeights validates each tensor's name and volume
+// as it goes, so an error can leave the tensors before the bad one
+// already overwritten: callers must discard net on error.
 func (snap *Snapshot) RestoreNetwork(net *nn.Network) error {
 	if err := nn.LoadWeights(bytes.NewReader(snap.netBlob), net); err != nil {
 		return fmt.Errorf("checkpoint: restore network: %w", err)

@@ -5,7 +5,10 @@
 // help strings; the dist worker mode would have been a fourth copy. The
 // Options struct binds each flag group once and knows how to apply
 // itself to an experiments.Scale, start the debug server, build a dist
-// fleet, and serve the worker loop.
+// fleet, and serve the worker loop. The grid tools (remapd-report,
+// remapd-sweep) bind the grid, dist and worker groups, so either one
+// coordinates a fleet or joins one; remapd-train binds the run and worker
+// groups, remapd-serve the run and serve groups.
 package cli
 
 import (
@@ -157,9 +160,9 @@ func (o *Options) BindWorker(fs *flag.FlagSet) {
 
 // bindFleetTrace registers -fleet-trace exactly once. Both the dist and
 // worker groups want it (a coordinator traces membership, a worker its
-// connection lifecycle) and tools like remapd-coordinator bind both
-// groups on one FlagSet, so the second registration must be a no-op
-// rather than a flag redefinition panic.
+// connection lifecycle) and the grid tools (remapd-report, remapd-sweep)
+// bind both groups on one FlagSet, so the second registration must be a
+// no-op rather than a flag redefinition panic.
 func (o *Options) bindFleetTrace(fs *flag.FlagSet) {
 	if fs.Lookup("fleet-trace") != nil {
 		return

@@ -47,47 +47,26 @@ type Scale struct {
 	Checkpoints *checkpoint.Store
 	// Metrics, when non-nil, gives every cell its own telemetry trace and
 	// persists it (metrics.json + events.jsonl per cell) when the cell
-	// finishes. Like the other observation-only knobs it is excluded from
-	// cellFingerprint: recording cannot change results, so a checkpoint is
-	// equally valid with telemetry on or off. Note that a resumed cell's
-	// trace covers only the epochs it actually replayed.
+	// finishes. Like the other observation-only knobs it is not part of
+	// the cell's spec, so not of its checkpoint fingerprint: recording
+	// cannot change results, so a checkpoint is equally valid with
+	// telemetry on or off. Note that a resumed cell's trace covers only
+	// the epochs it actually replayed.
 	Metrics *obs.Sink
 	// Prof, when non-nil, collects harness-domain wall-time statistics
-	// (per-cell durations, per-phase costs). Also fingerprint-excluded.
+	// (per-cell durations, per-phase costs). Observation-only.
 	Prof *obs.Profile
 	// Exec, when non-nil, runs cells through an alternative executor
 	// (e.g. dist.Fleet ships them to worker processes). Scheduling
-	// only and fingerprint-excluded: results must be byte-identical to
-	// in-process execution.
+	// only: results must be byte-identical to in-process execution.
 	Exec CellExecutor
 	// Spans, when non-nil, records a lifecycle span per cell (queue /
-	// wire / run attribution — see obs.SpanRecorder). Observation-only
-	// and fingerprint-excluded, like Metrics and Prof.
+	// wire / run attribution — see obs.SpanRecorder). Observation-only,
+	// like Metrics and Prof.
 	Spans *obs.SpanRecorder
 	// Status, when non-nil, receives live grid-progress and span
 	// sections for the /status endpoint. Observation-only.
 	Status *obs.Status
-}
-
-// cellFingerprint renders every configuration knob a cell's result depends
-// on. It binds a checkpoint to its producing configuration: a stored
-// snapshot whose fingerprint differs from the resuming run's is stale and
-// ignored. Scheduling-only knobs (Workers, Progress, Checkpoints) are
-// deliberately excluded — they cannot change results.
-func cellFingerprint(s Scale, reg FaultRegime, key CellKey, classes int) string {
-	return fmt.Sprintf("ck1|%s|img%d-tr%d-te%d-w%g-e%d-b%d-lr%g-x%d-g%dx%dx%dx%d|pre%+v|post%+v|th%g-pd%g|c%d|%s",
-		s.Name, s.ImgSize, s.TrainN, s.TestN, s.WidthScale, s.Epochs, s.BatchSize, s.LR,
-		s.CrossbarSize, s.Geom.TilesX, s.Geom.TilesY, s.Geom.IMAsPerTile, s.Geom.XbarsPerIMA,
-		reg.Pre, reg.Post, reg.RemapThreshold, reg.PhaseDensity, classes, key)
-}
-
-// cellCheckpoint returns the checkpoint hook for one cell, or nil when
-// checkpointing is disabled.
-func (s Scale) cellCheckpoint(reg FaultRegime, key CellKey, classes int) trainer.CheckpointHook {
-	if s.Checkpoints == nil {
-		return nil
-	}
-	return s.Checkpoints.Cell(key.String(), cellFingerprint(s, reg, key, classes))
 }
 
 // QuickScale is the benchmark-sized configuration: two models, one seed,

@@ -99,42 +99,3 @@ func TestFig6GridInterruptAndResume(t *testing.T) {
 		t.Fatal("fully-checkpointed grid rows differ from baseline")
 	}
 }
-
-// TestCellFingerprintDistinguishesConfigs guards the staleness detector:
-// any knob that changes results must change the fingerprint, and
-// scheduling knobs must not.
-func TestCellFingerprintDistinguishesConfigs(t *testing.T) {
-	s := determinismScale()
-	reg := DefaultRegime()
-	key := CellKey{Model: "cnn-s", Policy: "remap-d", Seed: 1}
-	base := cellFingerprint(s, reg, key, 10)
-
-	s2 := s
-	s2.Epochs++
-	if cellFingerprint(s2, reg, key, 10) == base {
-		t.Fatal("epoch count not in fingerprint")
-	}
-	reg2 := reg
-	reg2.Post.CellFraction *= 2
-	if cellFingerprint(s, reg2, key, 10) == base {
-		t.Fatal("post-fault regime not in fingerprint")
-	}
-	key2 := key
-	key2.Extra = "th0.01"
-	if cellFingerprint(s, reg, key2, 10) == base {
-		t.Fatal("cell key Extra not in fingerprint")
-	}
-	if cellFingerprint(s, reg, key, 100) == base {
-		t.Fatal("class count not in fingerprint")
-	}
-
-	// Scheduling-only knobs must leave the fingerprint unchanged, or
-	// changing -j would orphan every checkpoint.
-	s3 := s
-	s3.Workers = 7
-	s3.Progress = func(string, ...interface{}) {}
-	s3.Exec = localExecutor{}
-	if cellFingerprint(s3, reg, key, 10) != base {
-		t.Fatal("scheduling knobs leaked into the fingerprint")
-	}
-}

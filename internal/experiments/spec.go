@@ -24,10 +24,7 @@ import (
 // ScaleSpec is the serializable part of Scale: every knob a cell's
 // result depends on, none of the scheduling/observation machinery
 // (Workers, Progress, Checkpoints, Metrics, Prof, Exec stay behind on the
-// coordinator or are re-bound worker-side via Runtime). The field set
-// deliberately mirrors cellFingerprint: a Scale rebuilt from a spec
-// fingerprints identically to the original, so worker-written checkpoints
-// resume under the coordinator and vice versa.
+// coordinator or are re-bound worker-side via Runtime).
 type ScaleSpec struct {
 	Name         string        `json:"name"`
 	ImgSize      int           `json:"img_size"`
@@ -62,14 +59,35 @@ type DatasetSpec struct {
 	Seed  uint64 `json:"seed"`
 }
 
-// datasets maps each DatasetSpec name to its generator and class count.
+// datasets maps each DatasetSpec name to its generator, class count, and
+// the seed and training-set multiple every figure and tool builds it
+// with. A tool's -dataset name is the spec name without "-like".
 var datasets = map[string]struct {
-	gen     func(nTrain, nTest, size int, seed uint64) *dataset.Dataset
-	classes int
+	gen      func(nTrain, nTest, size int, seed uint64) *dataset.Dataset
+	classes  int
+	seed     uint64
+	trainMul int // cifar100 trains on twice the samples
 }{
-	"cifar10-like":  {dataset.CIFAR10Like, 10},
-	"cifar100-like": {dataset.CIFAR100Like, 100},
-	"svhn-like":     {dataset.SVHNLike, 10},
+	"cifar10-like":  {dataset.CIFAR10Like, 10, 77, 1},
+	"cifar100-like": {dataset.CIFAR100Like, 100, 88, 2},
+	"svhn-like":     {dataset.SVHNLike, 10, 99, 1},
+}
+
+// datasetAt returns the spec of the named dataset (a datasets key) at the
+// scale.
+func datasetAt(name string, s ScaleSpec) DatasetSpec {
+	d := datasets[name]
+	return DatasetSpec{Name: name, Train: s.TrainN * d.trainMul, Test: s.TestN, Img: s.ImgSize, Seed: d.seed}
+}
+
+// NamedDataset returns the dataset a tool's -dataset name (cifar10,
+// cifar100, svhn) selects at the scale, and its class count.
+func NamedDataset(name string, s ScaleSpec) (DatasetSpec, int, error) {
+	set, ok := datasets[name+"-like"]
+	if !ok {
+		return DatasetSpec{}, 0, fmt.Errorf("experiments: unknown dataset %q (want cifar10, cifar100 or svhn)", name)
+	}
+	return datasetAt(name+"-like", s), set.classes, nil
 }
 
 // datasetCache memoizes generated datasets per process, so a grid of cells
@@ -80,8 +98,8 @@ var datasetCache = struct {
 	m map[DatasetSpec]*dataset.Dataset
 }{m: map[DatasetSpec]*dataset.Dataset{}}
 
-// dataset returns the (possibly cached) dataset for the spec.
-func (d DatasetSpec) dataset() (*dataset.Dataset, error) {
+// Build returns the (possibly cached) dataset for the spec.
+func (d DatasetSpec) Build() (*dataset.Dataset, error) {
 	set, ok := datasets[d.Name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown dataset spec %q", d.Name)
@@ -113,7 +131,7 @@ type CellSpec struct {
 	Phase          string  `json:"phase,omitempty"`           // phase: "", forward, backward
 	Threshold      float64 `json:"threshold,omitempty"`       // threshold: Remap-D trigger
 	RandomReceiver bool    `json:"random_receiver,omitempty"` // receiver
-	SimulateNoC    bool    `json:"simulate_noc,omitempty"`    // receiver
+	SimulateNoC    bool    `json:"simulate_noc,omitempty"`    // every kind: flit-level remap handshake
 	Coding         string  `json:"coding,omitempty"`          // coding: offset, differential
 	UseBIST        bool    `json:"use_bist,omitempty"`        // bist-sense
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"remapd/internal/arch"
+	"remapd/internal/fault"
 	"remapd/internal/remap"
 	"remapd/internal/reram"
 	"remapd/internal/trainer"
@@ -20,7 +21,11 @@ import (
 //   - threshold, receiver, bist-sense: Remap-D ablations overriding its
 //     trigger threshold, its receiver choice (with the flit-level NoC),
 //     or its density source;
-//   - coding: the named policy on a chip with the spec's coding scheme.
+//   - coding: the named policy on a chip with the spec's coding scheme;
+//   - endurance: the named policy with physical (Weibull) wear-out from
+//     write counts in place of the regime's post-deployment model.
+//
+// SimulateNoC applies to every kind.
 
 // trainConfig resolves the spec's kind and names into the trainer config
 // and device parameters its cell trains with. It builds nothing heavy —
@@ -34,6 +39,7 @@ func (sp *CellSpec) trainConfig() (trainer.Config, reram.DeviceParams, error) {
 	cfg.BatchSize = sp.Scale.BatchSize
 	cfg.LR = sp.Scale.LR
 	cfg.Seed = sp.Key.Seed
+	cfg.SimulateNoC = sp.SimulateNoC
 	p := reram.DefaultDeviceParams()
 	p.CrossbarSize = sp.Scale.CrossbarSize
 	var err error
@@ -61,16 +67,24 @@ func (sp *CellSpec) trainConfig() (trainer.Config, reram.DeviceParams, error) {
 			rd.Threshold = sp.Threshold
 		case "receiver":
 			rd.RandomReceiver = sp.RandomReceiver
-			cfg.SimulateNoC = sp.SimulateNoC
 		case "bist-sense":
 			rd.UseBIST = sp.UseBIST
 		}
 		cfg.Policy = rd
+	case "endurance":
+		cfg.Policy, cfg.TrackGradAbs, err = PolicyByName(sp.Key.Policy, reg)
+		if cfg.Policy != nil {
+			cfg.Endurance = fault.NewEnduranceModel()
+			cfg.Endurance.CharacteristicLife = 100 // compressed for few-epoch runs
+		}
 	default:
 		err = fmt.Errorf("experiments: unknown cell kind %q", sp.Kind)
 	}
 	if cfg.Policy != nil {
-		cfg.Pre, cfg.Post = &reg.Pre, &reg.Post
+		cfg.Pre = &reg.Pre
+		if cfg.Endurance == nil {
+			cfg.Post = &reg.Post
+		}
 	}
 	return cfg, p, err
 }
@@ -88,24 +102,33 @@ func parseCoding(name string) (reram.CodingScheme, error) {
 }
 
 // run trains the cell: dataset (through the per-process cache), model,
-// chip and trainer config, all built once from the spec.
+// chip and trainer config, all built once from the spec. The encoded spec
+// is the checkpoint fingerprint, so every coordinate that shapes the
+// result is in it by construction and nothing that cannot (scheduling,
+// observation) is: a snapshot resumes only under the spec that wrote it.
 func (sp *CellSpec) run(ctx context.Context, rt Runtime, logf Logf) (*trainer.Result, error) {
 	cfg, p, err := sp.trainConfig()
 	if err != nil {
 		return nil, err
 	}
-	ds, err := sp.Dataset.dataset()
+	ds, err := sp.Dataset.Build()
 	if err != nil {
 		return nil, err
 	}
-	s := Scale{ScaleSpec: sp.Scale, Checkpoints: rt.Checkpoints, Metrics: rt.Metrics}
+	s := Scale{ScaleSpec: sp.Scale, Metrics: rt.Metrics}
 	net, err := BuildModel(sp.Key.Model, s, sp.Key.Seed, sp.Classes)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Ctx = ctx
 	cfg.Logf = logf
-	cfg.Checkpoint = s.cellCheckpoint(sp.Regime, sp.Key, sp.Classes)
+	if rt.Checkpoints != nil {
+		fingerprint, err := EncodeSpec(sp)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Checkpoint = rt.Checkpoints.Cell(sp.Key.String(), string(fingerprint))
+	}
 	if cfg.Policy != nil || cfg.PhaseInject != nil {
 		cfg.Chip = arch.NewChip(p, s.Geom)
 	}
@@ -119,9 +142,7 @@ func (sp *CellSpec) run(ctx context.Context, rt Runtime, logf Logf) (*trainer.Re
 // the runner; the spec tests round-trip them; a dist run ships them as-is.
 
 // cifar10Spec is the shared Fig. 5/6/7 and ablation dataset at the scale.
-func cifar10Spec(s Scale) DatasetSpec {
-	return DatasetSpec{Name: "cifar10-like", Train: s.TrainN, Test: s.TestN, Img: s.ImgSize, Seed: 77}
-}
+func cifar10Spec(s Scale) DatasetSpec { return datasetAt("cifar10-like", s.ScaleSpec) }
 
 // fig5Specs enumerates the phase fault-tolerance grid.
 func fig5Specs(s Scale, reg FaultRegime) []*CellSpec {
@@ -174,8 +195,8 @@ func fig6Specs(s Scale, reg FaultRegime, policies []string) []*CellSpec {
 
 // fig7Specs enumerates the post-deployment (m, n) sweep: per model, the
 // ideal baseline cells followed by the Remap-D cells at each sweep point
-// (each carrying its modified regime, which also fingerprints its
-// checkpoints).
+// (each carrying its modified regime, which is part of its checkpoint
+// fingerprint like every other coordinate).
 func fig7Specs(s Scale, reg FaultRegime, sweepModels []string, ms, ns []float64) []*CellSpec {
 	var specs []*CellSpec
 	for _, model := range sweepModels {
@@ -213,27 +234,19 @@ func fig7Specs(s Scale, reg FaultRegime, sweepModels []string, ms, ns []float64)
 
 // fig8Specs enumerates the scalability grid over the harder datasets.
 func fig8Specs(s Scale, reg FaultRegime) []*CellSpec {
-	sets := []struct {
-		name    string
-		classes int
-		ds      DatasetSpec
-	}{
-		{"cifar100-like", 100, DatasetSpec{Name: "cifar100-like", Train: s.TrainN * 2, Test: s.TestN, Img: s.ImgSize, Seed: 88}},
-		{"svhn-like", 10, DatasetSpec{Name: "svhn-like", Train: s.TrainN, Test: s.TestN, Img: s.ImgSize, Seed: 99}},
-	}
 	policies := []string{"ideal", "none", "remap-d"}
 	var specs []*CellSpec
-	for _, set := range sets {
+	for _, set := range []string{"cifar100-like", "svhn-like"} {
 		for _, model := range s.Models {
 			for _, policy := range policies {
 				for _, seed := range s.Seeds {
 					specs = append(specs, &CellSpec{
 						Kind:    "policy",
-						Key:     CellKey{Model: model, Policy: policy, Seed: seed, Extra: set.name},
+						Key:     CellKey{Model: model, Policy: policy, Seed: seed, Extra: set},
 						Scale:   s.ScaleSpec,
 						Regime:  reg,
-						Dataset: set.ds,
-						Classes: set.classes,
+						Dataset: datasetAt(set, s.ScaleSpec),
+						Classes: datasets[set].classes,
 					})
 				}
 			}
