@@ -6,19 +6,16 @@
 //
 // The package provides both the genuine arithmetic code (Encode/Check/
 // Correct, exercised by the unit tests) and the fabric-level behavioural
-// model the training experiments use: a Corrector that repairs the
-// contribution of faulty ReRAM cells when (and only when) the fault is in
-// the last-refreshed correction table and its column's fault count is
-// within the code's correction capability. This captures the two weaknesses
-// the paper exploits: AN codes cannot correct columns with too many faults
-// (clustered/high-density crossbars), and newly appeared post-deployment
-// faults are invisible until the table is refreshed.
+// model the training experiments use: Correctable profiles the crossbars
+// into the cells whose faults the code repairs — faults present at the
+// profile whose column's fault count is within the code's correction
+// capability. This captures the two weaknesses the paper exploits: AN
+// codes cannot correct columns with too many faults (clustered/high-density
+// crossbars), and newly appeared post-deployment faults are invisible until
+// the next profile.
 package ancode
 
-import (
-	"remapd/internal/arch"
-	"remapd/internal/reram"
-)
+import "remapd/internal/reram"
 
 // Code is an AN arithmetic code with parameter A. A is typically chosen as
 // a prime close to a power of two (e.g. 251) so encoding is cheap and the
@@ -81,77 +78,29 @@ func (c Code) Correct(cw int64, maxErr int64) (int64, bool) {
 // [10]: 6.3%.
 const AreaOverhead = 0.063
 
-// Corrector is the fabric-level model: it decides, per faulty cell, whether
-// the peripheral ECC can restore that cell's contribution to the MVM.
-type Corrector struct {
-	Code Code
-	// known[xbarID] is the fault snapshot from the last table refresh:
-	// the set of flat cell indices known faulty and per-column counts.
-	knownCells map[int]map[int]bool
-	knownCols  map[int][]int
-}
-
-// NewCorrector returns a corrector with an empty (stale) table; call
-// RefreshTable before deployment, mirroring the offline profiling step the
-// AN-code method requires.
-func NewCorrector(code Code) *Corrector {
-	return &Corrector{
-		Code:       code,
-		knownCells: make(map[int]map[int]bool),
-		knownCols:  make(map[int][]int),
-	}
-}
-
-// RefreshTable re-profiles every crossbar and rebuilds the correction
-// table. The paper notes this must happen periodically to cover
-// post-deployment faults and costs extra test/update time.
-func (c *Corrector) RefreshTable(xbars []*reram.Crossbar) {
-	for _, x := range xbars {
-		cells := make(map[int]bool)
-		cols := make([]int, x.Size)
-		for r := 0; r < x.Size; r++ {
-			for col := 0; col < x.Size; col++ {
-				if x.State(r, col) != reram.Healthy {
-					cells[r*x.Size+col] = true
-					cols[col]++
-				}
-			}
-		}
-		c.knownCells[x.ID] = cells
-		c.knownCols[x.ID] = cols
-	}
-}
-
-// CorrectableCount reports how many cells in the current correction table
-// the code can actually repair: known faulty cells whose column's known
-// fault count is within the correction capability. The complement —
-// table entries in over-subscribed columns — is exactly the residue the
-// paper's Fig. 6 blames for the AN-code accuracy gap.
-func (c *Corrector) CorrectableCount() int {
-	n := 0
-	for id, cells := range c.knownCells {
-		cols := c.knownCols[id]
-		if len(cols) == 0 {
+// Correctable is the fabric-level model: it profiles the crossbars the
+// way a correction-table refresh does and returns, per crossbar (in xbars
+// order), the faulty cells the code can correct — those whose column's
+// fault count is within CorrectablePerColumn — as ascending flat indices.
+// The result is a snapshot: a fault that appears afterwards is invisible
+// until the next profile, and a crossbar's correctable cells stay
+// correctable whichever task it hosts.
+func (c Code) Correctable(xbars []*reram.Crossbar) [][]int {
+	out := make([][]int, len(xbars))
+	for xi, x := range xbars {
+		faults := x.FaultCells()
+		if len(faults) == 0 {
 			continue
 		}
-		for cell := range cells {
-			if cols[cell%len(cols)] <= c.Code.CorrectablePerColumn {
-				n++
+		cols := make([]int, x.Size)
+		for _, cell := range faults {
+			cols[cell%x.Size]++
+		}
+		for _, cell := range faults {
+			if cols[cell%x.Size] <= c.CorrectablePerColumn {
+				out[xi] = append(out[xi], cell)
 			}
 		}
 	}
-	return n
-}
-
-// CellCorrector returns the hook arch.Chip consults during effective-weight
-// materialisation: a faulty cell is corrected iff it is in the known table
-// and its column's known fault count is within the correction capability.
-func (c *Corrector) CellCorrector() func(t *arch.Task, x *reram.Crossbar, r, col int) bool {
-	return func(_ *arch.Task, x *reram.Crossbar, r, col int) bool {
-		cells, ok := c.knownCells[x.ID]
-		if !ok || !cells[r*x.Size+col] {
-			return false // unknown (new) fault: invisible to the table
-		}
-		return c.knownCols[x.ID][col] <= c.Code.CorrectablePerColumn
-	}
+	return out
 }

@@ -1,6 +1,7 @@
 package ancode
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,59 +71,52 @@ func TestSyndromeAndCorrect(t *testing.T) {
 	}
 }
 
-func newXbar(size int) *reram.Crossbar {
-	p := reram.DefaultDeviceParams()
-	p.CrossbarSize = size
-	return reram.NewCrossbar(0, p)
-}
-
-func TestCorrectorRequiresTable(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	x := newXbar(16)
-	x.InjectFault(2, 3, reram.SA1, rng)
-	cor := NewCorrector(NewCode())
-	hook := cor.CellCorrector()
-	if hook(nil, x, 2, 3) {
-		t.Fatal("fault must be uncorrectable before table refresh")
+// TestCorrectable pins the fabric-level model: a profile lists the faults
+// present when it runs, minus those in columns with more faults than the
+// code corrects; faults that appear later wait for the next profile.
+func TestCorrectable(t *testing.T) {
+	type cell struct{ r, c int }
+	const size = 16
+	cases := []struct {
+		name          string
+		before, after []cell // faults injected before / after the first profile
+		want, again   []int  // the first and the second profile's cells
+	}{
+		{name: "requires-table", before: []cell{{2, 3}},
+			want: []int{2*size + 3}, again: []int{2*size + 3}},
+		// Two faults in column 4 exceed single-error capability; the lone
+		// fault in column 7 corrects.
+		{name: "column-capacity", before: []cell{{0, 4}, {9, 4}, {3, 7}},
+			want: []int{3*size + 7}, again: []int{3*size + 7}},
+		{name: "blind-to-new-faults", after: []cell{{5, 5}},
+			want: nil, again: []int{5*size + 5}},
+		{name: "later-fault-overloads-column", before: []cell{{3, 7}}, after: []cell{{8, 7}},
+			want: []int{3*size + 7}, again: nil},
 	}
-	cor.RefreshTable([]*reram.Crossbar{x})
-	if !hook(nil, x, 2, 3) {
-		t.Fatal("single known column fault must correct")
-	}
-}
-
-func TestCorrectorColumnCapacity(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	x := newXbar(16)
-	// Two faults in column 4: beyond single-error capability.
-	x.InjectFault(0, 4, reram.SA0, rng)
-	x.InjectFault(9, 4, reram.SA1, rng)
-	// One fault in column 7: correctable.
-	x.InjectFault(3, 7, reram.SA0, rng)
-	cor := NewCorrector(NewCode())
-	cor.RefreshTable([]*reram.Crossbar{x})
-	hook := cor.CellCorrector()
-	if hook(nil, x, 0, 4) || hook(nil, x, 9, 4) {
-		t.Fatal("two-fault column must exceed AN-code capability")
-	}
-	if !hook(nil, x, 3, 7) {
-		t.Fatal("single-fault column must correct")
-	}
-}
-
-func TestCorrectorBlindToNewFaults(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	x := newXbar(16)
-	cor := NewCorrector(NewCode())
-	cor.RefreshTable([]*reram.Crossbar{x}) // table snapshot: clean
-	x.InjectFault(5, 5, reram.SA1, rng)    // post-deployment fault
-	hook := cor.CellCorrector()
-	if hook(nil, x, 5, 5) {
-		t.Fatal("new fault must be invisible until next refresh")
-	}
-	cor.RefreshTable([]*reram.Crossbar{x})
-	if !hook(nil, x, 5, 5) {
-		t.Fatal("fault must correct after refresh")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := tensor.NewRNG(1)
+			p := reram.DefaultDeviceParams()
+			p.CrossbarSize = size
+			xbars := []*reram.Crossbar{reram.NewCrossbar(0, p), reram.NewCrossbar(1, p)}
+			for _, f := range tc.before {
+				xbars[1].InjectFault(f.r, f.c, reram.SA1, rng)
+			}
+			code := NewCode()
+			first := code.Correctable(xbars)
+			for _, f := range tc.after {
+				xbars[1].InjectFault(f.r, f.c, reram.SA0, rng)
+			}
+			second := code.Correctable(xbars)
+			for _, got := range []struct {
+				profile [][]int
+				want    []int
+			}{{first, tc.want}, {second, tc.again}} {
+				if len(got.profile) != 2 || got.profile[0] != nil || !slices.Equal(got.profile[1], got.want) {
+					t.Fatalf("profile %v, want [[] %v]", got.profile, got.want)
+				}
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ package arch
 
 import (
 	"fmt"
+	"slices"
 
 	"remapd/internal/det"
 	"remapd/internal/nn"
@@ -95,19 +96,12 @@ type Chip struct {
 	// steps counts optimizer steps for endurance accounting.
 	steps uint64
 
-	// corrector, when non-nil, is consulted for every faulty cell while
-	// materialising effective weights: returning true means a peripheral
-	// mechanism (ECC, spare-column protection) restores the cell's ideal
-	// contribution. Baseline fault-tolerance schemes (AN code, Remap-WS,
-	// Remap-T-n%) install their models with SetCellCorrector.
-	corrector func(t *Task, x *reram.Crossbar, r, c int) bool
-	// correctsGradients controls whether the corrector's coverage extends
-	// to the on-crossbar gradient outer-product path. Relocation schemes
-	// (Remap-WS, Remap-T) physically move protected weights to fault-free
-	// cells, so the fault never applies anywhere (true). Arithmetic ECC (AN
-	// code) corrects codeword reads only: dW = δᵀ·a involves no encoded
-	// operand, so its faults are uncorrectable (false).
-	correctsGradients bool
+	// correctable[i] lists the cells of crossbar i whose faults the
+	// peripheral ECC (AN code) corrects on weight reads: they read back as
+	// the ideal quantised weight on the forward and backward weight paths.
+	// The gradient outer product dW = δᵀ·a has no encoded operand, so ECC
+	// cannot cover it. SetCorrectable installs the lists.
+	correctable [][]int
 
 	// Obs, when non-nil, counts physical events (task swaps, weight-write
 	// steps). The nil check is the only cost on the per-step write path, so
@@ -129,31 +123,32 @@ type mappedLayer struct {
 	// gradient can do.
 	quant    *reram.Quantizer
 	fwd, bwd *tensor.Tensor // effective (fault-clamped) weights, both in W's shape
-	dirty    bool           // fwd/bwd are stale
-	tasks    []*Task        // the layer's forward tasks, then its backward tasks
+	dirty    bool           // fwd/bwd are stale: the weights, mapping or coverage changed
+	// stamp is the sum of the task crossbars' state versions at the last
+	// refresh. Versions only grow, so any fault written since then moves
+	// the sum and makes the buffers stale without anyone saying so.
+	stamp uint64
+	tasks []*Task // the layer's forward tasks, then its backward tasks
+	// relocated marks the weight elements held on fault-free spare cells
+	// (Remap-T, Remap-WS), nil when none is. A relocated weight escapes
+	// its faults everywhere: both weight paths and the gradient path.
+	relocated []bool
 }
 
 // clipFactor is the headroom multiplier applied to a layer's initial
 // weight range to set its coding range.
 const clipFactor = 2
 
-// SetCellCorrector installs a correction hook. protectsGradients selects
-// whether the mechanism also covers the gradient-computation path.
-func (c *Chip) SetCellCorrector(hook func(t *Task, x *reram.Crossbar, r, col int) bool, protectsGradients bool) {
-	c.corrector = hook
-	c.correctsGradients = protectsGradients
-	c.InvalidateAll()
-}
-
 // NewChip builds a fault-free chip.
 func NewChip(p reram.DeviceParams, g Geometry) *Chip {
 	n := g.Crossbars()
 	c := &Chip{
-		Params:     p,
-		Geom:       g,
-		Xbars:      make([]*reram.Crossbar, n),
-		taskOfXbar: make([]int, n),
-		byName:     make(map[string]*mappedLayer),
+		Params:      p,
+		Geom:        g,
+		Xbars:       make([]*reram.Crossbar, n),
+		taskOfXbar:  make([]int, n),
+		byName:      make(map[string]*mappedLayer),
+		correctable: make([][]int, n),
 	}
 	for i := range c.Xbars {
 		c.Xbars[i] = reram.NewCrossbar(i, p)
@@ -374,7 +369,7 @@ func (c *Chip) RestoreMapping(xbarOfTask []int) error {
 		c.xbarOfTask[tid] = xi
 		c.taskOfXbar[xi] = tid
 	}
-	c.InvalidateAll()
+	c.invalidateAll()
 	return nil
 }
 
@@ -400,12 +395,95 @@ func (c *Chip) SwapTasks(xbarA, xbarB int) {
 	}
 }
 
-// InvalidateAll drops all cached effective weights; fault injection calls
-// this after mutating crossbar state.
-func (c *Chip) InvalidateAll() {
+// invalidateAll marks every layer's effective weights stale. Fault
+// writes need no call: refresh sees them through the crossbar versions.
+func (c *Chip) invalidateAll() {
 	for _, ml := range c.layers {
 		ml.dirty = true
 	}
+}
+
+// SetRelocated replaces the relocation coverage of Remap-T and Remap-WS:
+// rel maps a layer name to the flat indices of its weight elements held on
+// fault-free spare cells; layers absent from rel relocate nothing. It
+// returns how many of those elements were not relocated before — the
+// weights the change physically moves onto spares. An unknown layer or an
+// out-of-range element is an error that changes nothing.
+func (c *Chip) SetRelocated(rel map[string][]int) (int, error) {
+	for _, layer := range det.SortedKeys(rel) {
+		ml := c.byName[layer]
+		if ml == nil {
+			return 0, fmt.Errorf("arch: relocation names unmapped layer %q", layer)
+		}
+		for _, e := range rel[layer] {
+			if e < 0 || e >= len(ml.w.Data) {
+				return 0, fmt.Errorf("arch: layer %q relocates element %d of %d", layer, e, len(ml.w.Data))
+			}
+		}
+	}
+	added := 0
+	for _, ml := range c.layers {
+		elems := rel[ml.name]
+		if len(elems) == 0 {
+			ml.relocated = nil
+			continue
+		}
+		was := ml.relocated
+		ml.relocated = make([]bool, len(ml.w.Data))
+		for _, e := range elems {
+			if !ml.relocated[e] && (was == nil || !was[e]) {
+				added++
+			}
+			ml.relocated[e] = true
+		}
+	}
+	c.invalidateAll()
+	return added, nil
+}
+
+// Relocated returns the relocation coverage in SetRelocated's shape, each
+// layer's elements ascending; layers relocating nothing are omitted.
+func (c *Chip) Relocated() map[string][]int {
+	out := map[string][]int{}
+	for _, ml := range c.layers {
+		for e, ok := range ml.relocated {
+			if ok {
+				out[ml.name] = append(out[ml.name], e)
+			}
+		}
+	}
+	return out
+}
+
+// SetCorrectable replaces the ECC coverage: cells[i] lists the flat cell
+// indices of crossbar i whose faults the code corrects on weight reads.
+// cells must have one entry per crossbar; a wrong length or an
+// out-of-range cell is an error that changes nothing.
+func (c *Chip) SetCorrectable(cells [][]int) error {
+	if len(cells) != len(c.Xbars) {
+		return fmt.Errorf("arch: ECC coverage for %d of %d crossbars", len(cells), len(c.Xbars))
+	}
+	for xi, list := range cells {
+		for _, cell := range list {
+			if cell < 0 || cell >= c.Xbars[xi].Cells() {
+				return fmt.Errorf("arch: crossbar %d ECC cell %d outside %d cells", xi, cell, c.Xbars[xi].Cells())
+			}
+		}
+	}
+	for xi, list := range cells {
+		c.correctable[xi] = slices.Clone(list)
+	}
+	c.invalidateAll()
+	return nil
+}
+
+// Correctable returns a copy of the ECC coverage in SetCorrectable's shape.
+func (c *Chip) Correctable() [][]int {
+	out := make([][]int, len(c.correctable))
+	for xi, list := range c.correctable {
+		out[xi] = slices.Clone(list)
+	}
+	return out
 }
 
 // Layers returns the names of the layers mapped on the chip, in sorted
@@ -444,8 +522,8 @@ func (c *Chip) EffectiveBackward(layer string, w *tensor.Tensor) *tensor.Tensor 
 // TransformGradient models the backward phase's on-crossbar dW computation:
 // every stuck cell of the layer's backward-task crossbars hijacks its
 // gradient entry, reading as the stuck conductance's decode scaled to the
-// gradient's dynamic range (SA1 → +max|g|, SA0 → −max|g|). Cells covered by
-// the installed corrector keep their true gradient. This is the
+// gradient's dynamic range (SA1 → +max|g|, SA0 → −max|g|). Relocated
+// elements keep their true gradient. This is the
 // systematic, repeated-every-step error whose accumulation makes the
 // backward phase fault-critical (paper Section III.B.2 / Fig. 5).
 //
@@ -470,11 +548,10 @@ func (c *Chip) TransformGradient(layer string, grad *tensor.Tensor) {
 				if st == reram.Healthy {
 					continue
 				}
-				//lint:allow hotpath-alloc corrector hook is a user-installed func value; implementations are tiny coverage predicates
-				if c.corrector != nil && c.correctsGradients && c.corrector(t, x, r, col) {
+				elem := ml.elementOf(t, r, col)
+				if ml.relocated != nil && ml.relocated[elem] {
 					continue
 				}
-				elem := ml.elementOf(t, r, col)
 				cell := r*x.Size + col
 				grad.Data[elem] = float32(c.Params.StuckWeightAs(
 					st, x.FaultG(cell), x.FaultInPositive(cell), float64(grad.Data[elem]), scale))
@@ -502,16 +579,23 @@ func (c *Chip) WeightsWritten(layer string) {
 	}
 }
 
-// refresh recomputes a dirty layer's effective weights in place.
+// refresh recomputes a layer's effective weights in place when they are
+// stale: the layer is dirty, or a fault was written to one of its
+// crossbars since the last refresh.
 //
 //lint:hotpath
 func (c *Chip) refresh(ml *mappedLayer) {
-	if !ml.dirty {
+	var stamp uint64
+	for _, t := range ml.tasks {
+		stamp += c.Xbars[c.xbarOfTask[t.ID]].Version()
+	}
+	if !ml.dirty && stamp == ml.stamp {
 		return
 	}
 	w, q, cols := ml.w, ml.quant, ml.cols
 	for _, t := range ml.tasks {
-		x := c.Xbars[c.xbarOfTask[t.ID]]
+		xi := c.xbarOfTask[t.ID]
+		x := c.Xbars[xi]
 		// Fused deploy: clamp each crossbar row straight from the weight
 		// tensor into the effective tensor — no gather/scatter scratch pass.
 		// Forward blocks are contiguous W rows; backward blocks tile Wᵀ, so
@@ -530,36 +614,35 @@ func (c *Chip) refresh(ml *mappedLayer) {
 				x.ClampRowInto(q, eff.Data[off:end], w.Data[off:end], cols, cols, i, t.Cols)
 			}
 		}
-		// Peripheral correction: repair the cells the installed mechanism
-		// can cover (they read back as the ideal quantised weight).
-		if c.corrector == nil {
-			continue
-		}
-		for i := 0; i < t.Rows; i++ {
-			for j := 0; j < t.Cols; j++ {
-				if x.State(i, j) == reram.Healthy {
-					continue
-				}
-				//lint:allow hotpath-alloc corrector hook is a user-installed func value; implementations are tiny coverage predicates
-				if c.corrector(t, x, i, j) {
-					elem := ml.elementOf(t, i, j)
-					eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
+		// Covered faulty cells read back as the ideal quantised weight:
+		// relocated elements live on fault-free spares, and the ECC
+		// corrects its cells.
+		if ml.relocated != nil {
+			for i := 0; i < t.Rows; i++ {
+				for j := 0; j < t.Cols; j++ {
+					if x.State(i, j) == reram.Healthy {
+						continue
+					}
+					if elem := ml.elementOf(t, i, j); ml.relocated[elem] {
+						eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
+					}
 				}
 			}
 		}
+		for _, cell := range c.correctable[xi] {
+			i, j := cell/x.Size, cell%x.Size
+			if i >= t.Rows || j >= t.Cols || x.StateAt(cell) == reram.Healthy {
+				continue
+			}
+			elem := ml.elementOf(t, i, j)
+			eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
+		}
 	}
-	ml.dirty = false
+	ml.dirty, ml.stamp = false, stamp
 }
 
-// ElementOf maps block position (r, c) of a task to the flat index of the
-// corresponding element in the layer's weight tensor. Protection policies
-// (Remap-WS, Remap-T-n%) use it to translate per-weight importance into
-// per-cell coverage.
-//
-//lint:hotpath
-func (c *Chip) ElementOf(t *Task, r, col int) int { return c.layers[t.LayerID].elementOf(t, r, col) }
-
-// elementOf is ElementOf for a task of this layer.
+// elementOf maps block position (r, col) of task t, a task of this layer,
+// to the flat index of the corresponding element in the weight tensor.
 //
 //lint:hotpath
 func (ml *mappedLayer) elementOf(t *Task, r, col int) int {

@@ -1,7 +1,9 @@
 package arch
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -169,7 +171,6 @@ func TestForwardFaultAffectsOnlyForwardCopy(t *testing.T) {
 		t.Fatal("fc2 tasks not found")
 	}
 	c.Xbars[fwdXbar].InjectFaultPolar(1, 2, reram.SA1, true, rng)
-	c.InvalidateAll()
 
 	w := net.LayerWeight("fc2") // 4×12
 	fwd := c.EffectiveForward("fc2", w)
@@ -202,7 +203,6 @@ func TestBackwardFaultTransposedIndexing(t *testing.T) {
 	// Backward task tiles Wᵀ (12×4). Cell (r=3, c=1) of the block holds
 	// Wᵀ[3][1] = W[1][3]. Under offset coding SA0 reads back near −clip.
 	c.Xbars[bwdXbar].InjectFault(3, 1, reram.SA0, rng)
-	c.InvalidateAll()
 	w := net.LayerWeight("fc2")
 	bwd := c.EffectiveBackward("fc2", w)
 	clip := float64(w.AbsMax())
@@ -283,7 +283,6 @@ func TestSwapMovesFaultExposure(t *testing.T) {
 			c.Xbars[faulty].InjectFaultPolar(r, col, reram.SA1, true, rng)
 		}
 	}
-	c.InvalidateAll()
 	w := net.LayerWeight("fc2")
 	eff := c.EffectiveForward("fc2", w)
 	clip := float64(w.AbsMax())
@@ -384,7 +383,6 @@ func TestChipFabricEndToEndTraining(t *testing.T) {
 					}
 				}
 			}
-			c.InvalidateAll()
 		}
 		net.SetFabric(c)
 		bRNG := tensor.NewRNG(77)
@@ -435,9 +433,10 @@ func TestWeightsWrittenNilRecorderZeroAlloc(t *testing.T) {
 }
 
 // fabricStep maps one linear layer onto a chip with stuck cells on every
-// crossbar and an installed corrector, and returns one training step's
-// fabric sequence for that layer: the clamped forward and backward weights,
-// the gradient hijack, and the write notification that dirties the layer.
+// crossbar, every other weight relocated and one ECC-correctable cell per
+// crossbar, and returns one training step's fabric sequence for that
+// layer: the clamped forward and backward weights, the gradient hijack, and
+// the write notification that dirties the layer.
 func fabricStep(tb testing.TB) func() {
 	rng := tensor.NewRNG(10)
 	net := nn.NewNetwork(nn.NewLinear("fc", 96, 64, rng))
@@ -449,8 +448,21 @@ func fabricStep(tb testing.TB) func() {
 		c.Xbars[xi].InjectFault(1, 1, reram.SA1, rng)
 		c.Xbars[xi].InjectFault(5, 2, reram.SA0, rng)
 	}
-	c.SetCellCorrector(func(_ *Task, _ *reram.Crossbar, r, _ int) bool { return r%2 == 0 }, true)
 	w := net.LayerWeight("fc")
+	var even []int
+	for e := 0; e < w.Len(); e += 2 {
+		even = append(even, e)
+	}
+	if _, err := c.SetRelocated(map[string][]int{"fc": even}); err != nil {
+		tb.Fatal(err)
+	}
+	ecc := make([][]int, len(c.Xbars))
+	for xi := range ecc {
+		ecc[xi] = []int{1*c.Params.CrossbarSize + 1}
+	}
+	if err := c.SetCorrectable(ecc); err != nil {
+		tb.Fatal(err)
+	}
 	grad := tensor.New(w.Shape...)
 	grad.Fill(0.5)
 	return func() {
@@ -539,5 +551,198 @@ func TestMappingInstall(t *testing.T) {
 	}
 	if writes() != before+1 || c.XbarOf(0) != orig[0] || c.TaskOf(free) != nil {
 		t.Fatal("SetMapping must install the move and charge one write")
+	}
+}
+
+// TestCoverageSettersRejectMalformedInput: an unknown layer, an
+// out-of-range element, a short ECC list or an out-of-range ECC cell is an
+// error that leaves the coverage as it was.
+func TestCoverageSettersRejectMalformedInput(t *testing.T) {
+	c := smallChip(16, Geometry{TilesX: 2, TilesY: 2, IMAsPerTile: 2, XbarsPerIMA: 2})
+	if err := c.MapNetwork(buildNet(tensor.NewRNG(13))); err != nil {
+		t.Fatal(err)
+	}
+	rel := map[string][]int{"fc1": {0, 5}, "fc2": {47}}
+	ecc := make([][]int, len(c.Xbars))
+	ecc[3] = []int{0, 255}
+	if _, err := c.SetRelocated(rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetCorrectable(ecc); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]map[string][]int{
+		"unknown layer":    {"fc1": {1}, "ghost": {0}},
+		"element too big":  {"fc2": {48}},
+		"negative element": {"fc1": {-1}},
+	} {
+		if _, err := c.SetRelocated(bad); err == nil {
+			t.Errorf("SetRelocated accepted %s", name)
+		}
+	}
+	for name, bad := range map[string][][]int{
+		"short":        ecc[1:],
+		"cell too big": append([][]int{{256}}, ecc[1:]...),
+		"negative":     append([][]int{{-1}}, ecc[1:]...),
+	} {
+		if err := c.SetCorrectable(bad); err == nil {
+			t.Errorf("SetCorrectable accepted %s", name)
+		}
+	}
+	if !reflect.DeepEqual(c.Relocated(), rel) || !reflect.DeepEqual(c.Correctable(), ecc) {
+		t.Fatal("a rejected coverage changed the chip")
+	}
+}
+
+// TestEffectiveWeightsNeverStale drives a mapped chip through random
+// sequences of everything its effective weights depend on — fault writes,
+// heals, swaps, whole mappings, weight writes and both kinds of coverage —
+// and after every step compares the fabric outputs, bit for bit, with a
+// chip built fresh from the same weights, mapping, faults, write counts and
+// coverage. Nothing tells the chip its cache is stale: fault writes must
+// announce themselves through the crossbar versions.
+func TestEffectiveWeightsNeverStale(t *testing.T) {
+	const size, seed = 16, 21
+	geom := Geometry{TilesX: 2, TilesY: 2, IMAsPerTile: 2, XbarsPerIMA: 2}
+	for _, sigma := range []float64{0, 0.05} {
+		t.Run(fmt.Sprintf("sigma=%g", sigma), func(t *testing.T) {
+			newChip := func() (*Chip, *nn.Network) {
+				p := reram.DefaultDeviceParams()
+				p.CrossbarSize, p.ProgramSigma = size, sigma
+				c := NewChip(p, geom)
+				net := buildNet(tensor.NewRNG(seed)) // same initial weights → same coding ranges
+				if err := c.MapNetwork(net); err != nil {
+					t.Fatal(err)
+				}
+				return c, net
+			}
+			c, _ := newChip()
+			layers := c.Layers()
+			rng := tensor.NewRNG(99)
+
+			fresh := func() *Chip {
+				ref, _ := newChip()
+				for _, l := range layers {
+					copy(ref.Weight(l).Data, c.Weight(l).Data)
+				}
+				if err := ref.RestoreMapping(c.Mapping()); err != nil {
+					t.Fatal(err)
+				}
+				for xi, x := range c.Xbars {
+					for _, i := range x.FaultCells() {
+						ref.Xbars[xi].RestoreFault(i, x.StateAt(i), x.FaultG(i), x.FaultInPositive(i))
+					}
+					ref.Xbars[xi].RestoreWrites(x.Writes())
+				}
+				if _, err := ref.SetRelocated(c.Relocated()); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.SetCorrectable(c.Correctable()); err != nil {
+					t.Fatal(err)
+				}
+				return ref
+			}
+			same := func(a, b *tensor.Tensor) bool {
+				for i := range a.Data {
+					if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+						return false
+					}
+				}
+				return true
+			}
+			randomCells := func(n int) []int {
+				out := make([]int, n)
+				for i := range out {
+					out[i] = rng.Intn(size * size)
+				}
+				return out
+			}
+
+			steps := []struct {
+				name string
+				do   func()
+			}{
+				{"InjectFault", func() {
+					x := c.Xbars[rng.Intn(len(c.Xbars))]
+					x.InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(rng.Intn(3)), rng)
+				}},
+				{"RestoreFault", func() {
+					x := c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))]
+					x.RestoreFault(rng.Intn(size*size), reram.CellState(1+rng.Intn(2)), 1e-5*(1+rng.Float64()), rng.Intn(2) == 0)
+				}},
+				{"HealAll", func() { c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))].HealAll() }},
+				{"SwapTasks", func() {
+					used := c.MappedXbars()
+					a, b := used[rng.Intn(len(used))], used[rng.Intn(len(used))]
+					if a != b {
+						c.SwapTasks(a, b)
+					}
+				}},
+				{"RestoreMapping", func() {
+					perm := rng.Perm(len(c.Xbars))
+					if err := c.RestoreMapping(perm[:len(c.Tasks)]); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"WeightsWritten", func() {
+					l := layers[rng.Intn(len(layers))]
+					w := c.Weight(l)
+					w.Data[rng.Intn(w.Len())] = float32(rng.NormFloat64())
+					c.WeightsWritten(l)
+				}},
+				{"SetRelocated", func() {
+					rel := map[string][]int{}
+					for _, l := range layers {
+						if rng.Intn(2) == 0 {
+							for _, e := range randomCells(1 + rng.Intn(40)) {
+								rel[l] = append(rel[l], e%c.Weight(l).Len())
+							}
+						}
+					}
+					if _, err := c.SetRelocated(rel); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"SetCorrectable", func() {
+					ecc := make([][]int, len(c.Xbars))
+					for xi := range ecc {
+						if rng.Intn(2) == 0 {
+							ecc[xi] = randomCells(1 + rng.Intn(40))
+						}
+					}
+					if err := c.SetCorrectable(ecc); err != nil {
+						t.Fatal(err)
+					}
+				}},
+			}
+			// Start with enough faults that most steps touch a faulty cell.
+			for xi := range c.Xbars {
+				for f := 0; f < 30; f++ {
+					c.Xbars[xi].InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(1+rng.Intn(2)), rng)
+				}
+			}
+			for i := 0; i < 400; i++ {
+				step := steps[rng.Intn(len(steps))]
+				step.do()
+				ref := fresh()
+				for _, l := range layers {
+					w := c.Weight(l)
+					if !same(c.EffectiveForward(l, w), ref.EffectiveForward(l, ref.Weight(l))) {
+						t.Fatalf("step %d (%s): %s forward weights are stale", i, step.name, l)
+					}
+					if !same(c.EffectiveBackward(l, w), ref.EffectiveBackward(l, ref.Weight(l))) {
+						t.Fatalf("step %d (%s): %s backward weights are stale", i, step.name, l)
+					}
+					grad, refGrad := tensor.New(w.Shape...), tensor.New(w.Shape...)
+					rng.FillNormal(grad, 1)
+					copy(refGrad.Data, grad.Data)
+					c.TransformGradient(l, grad)
+					ref.TransformGradient(l, refGrad)
+					if !same(grad, refGrad) {
+						t.Fatalf("step %d (%s): %s gradient transform differs", i, step.name, l)
+					}
+				}
+			}
+		})
 	}
 }

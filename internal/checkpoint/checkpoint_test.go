@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"os"
@@ -12,8 +13,10 @@ import (
 	"strings"
 	"testing"
 
+	"remapd/internal/ancode"
 	"remapd/internal/arch"
 	"remapd/internal/dataset"
+	"remapd/internal/det"
 	"remapd/internal/fault"
 	"remapd/internal/models"
 	"remapd/internal/nn"
@@ -63,9 +66,11 @@ func variants() []variant {
 		{name: "ideal"},
 		// Dynamic remapping under pre+post faults: chip section.
 		{name: "remap-d", chip: true, policy: func() remap.Policy { return remap.NewRemapD() }, pre: true, post: true},
-		// Remap-T: policy section (protected sets) + GradAbs machinery.
+		// Remap-T: relocated weights re-ranked every epoch from GradAbs.
 		{name: "remap-t", chip: true, policy: func() remap.Policy { return remap.NewRemapT(0.05) }, pre: true, trackGrads: true},
-		// AN-code: chip-derived corrector reattachment, no policy blob.
+		// Remap-WS: relocated weights fixed at deployment.
+		{name: "remap-ws", chip: true, policy: func() remap.Policy { return remap.NewRemapWS() }, pre: true, post: true},
+		// AN-code: ECC-correctable cells, re-profiled every epoch.
 		{name: "an-code", chip: true, policy: func() remap.Policy { return remap.NewANCode() }, post: true},
 		// Physical wear-out: endurance section.
 		{name: "endurance", chip: true, policy: func() remap.Policy { return remap.NewRemapD() }, endurance: true},
@@ -288,17 +293,167 @@ func TestSnapshotComponentsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Component: policy-internal state (Remap-T protected sets).
-	stateA, err := cfgA.Policy.(remap.Resumable).PolicyState()
+	// Component: the policy's coverage (Remap-T relocated weights).
+	if len(chipA.Relocated()) == 0 {
+		t.Fatal("precondition: Remap-T relocated nothing")
+	}
+	if !reflect.DeepEqual(chipA.Relocated(), chipB.Relocated()) {
+		t.Error("relocated weights differ after restore")
+	}
+	if !reflect.DeepEqual(chipA.Correctable(), chipB.Correctable()) {
+		t.Error("ECC coverage differs after restore")
+	}
+}
+
+// TestMalformedCoverage: coverage the chip cannot hold is refused before
+// anything is restored. Structural defects in the chip section's
+// relocation list fail Decode as corruption; a snapshot that decodes but
+// names an unknown layer, an element past its layer or an ECC cell past
+// its crossbar fails Apply and leaves the live state untouched.
+func TestMalformedCoverage(t *testing.T) {
+	newState := func(seed uint64) *trainer.TrainState {
+		net := testModel(seed)
+		chip := testChip()
+		if err := chip.MapNetwork(net); err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(seed)
+		for _, x := range chip.Xbars[:8] {
+			for f := 0; f < 20; f++ {
+				x.InjectFault(rng.Intn(16), rng.Intn(16), reram.SA1, rng)
+			}
+		}
+		rel := map[string][]int{}
+		for _, layer := range chip.Layers() {
+			rel[layer] = []int{int(seed), int(seed) + 3}
+		}
+		if _, err := chip.SetRelocated(rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := chip.SetCorrectable(ancode.NewCode().Correctable(chip.Xbars)); err != nil {
+			t.Fatal(err)
+		}
+		return &trainer.TrainState{
+			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9, 0),
+			TrainRNG: tensor.NewRNG(1), FaultRNG: tensor.NewRNG(2),
+			Chip: chip, Policy: remap.None{}, Result: &trainer.Result{},
+		}
+	}
+	src := newState(3)
+	data, err := EncodeState(src, "fp", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateB, err := cfgB.Policy.(remap.Resumable).PolicyState()
+	// Several relocated layers: the encoding must not depend on map order.
+	for i := 0; i < 5; i++ {
+		if again, err := EncodeState(src, "fp", 0); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding the same state gave different bytes (err %v)", err)
+		}
+	}
+	layer := src.Chip.Layers()[0]
+	size := src.Chip.Weight(layer).Len()
+
+	type entry struct {
+		layer string
+		elems []int
+	}
+	relocation := func(entries ...entry) func(w *writer) {
+		return func(w *writer) {
+			w.u32(uint32(len(entries)))
+			for _, e := range entries {
+				w.str(e.layer)
+				w.ints(e.elems)
+			}
+		}
+	}
+	// withRelocation replaces the relocation list, the chip section's last
+	// field, with tail and reseals the file.
+	withRelocation := func(tail func(w *writer)) []byte {
+		secs, err := unpackContainer(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved []entry
+		rel := src.Chip.Relocated()
+		for _, l := range det.SortedKeys(rel) {
+			saved = append(saved, entry{l, rel[l]})
+		}
+		old := &writer{}
+		relocation(saved...)(old)
+		chip := secs[secChip]
+		if !bytes.HasSuffix(chip, old.bytes()) {
+			t.Fatal("chip section does not end with the relocation list")
+		}
+		w := &writer{}
+		w.buf.Write(chip[:len(chip)-len(old.bytes())])
+		tail(w)
+		secs[secChip] = w.bytes()
+		var out []section
+		for _, name := range []string{secMeta, secNet, secOpt, secRNG, secChip, secResult} {
+			out = append(out, section{name, secs[name]})
+		}
+		return packContainer(out)
+	}
+	if _, err := Decode(withRelocation(relocation(entry{layer, []int{3, 6}}))); err != nil {
+		t.Fatalf("rewritten valid relocation rejected: %v", err)
+	}
+
+	for name, file := range map[string][]byte{
+		"layer count past input":    withRelocation(func(w *writer) { w.u32(1 << 20) }),
+		"element count past input":  withRelocation(func(w *writer) { w.u32(1); w.str(layer); w.u32(1 << 20) }),
+		"layer listed twice":        withRelocation(relocation(entry{layer, []int{1}}, entry{layer, []int{2}})),
+		"trailing bytes after list": withRelocation(func(w *writer) { relocation(entry{layer, []int{1}})(w); w.u8(0) }),
+	} {
+		if _, err := Decode(file); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode of %s: %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// The ECC cells sit mid-section, so that row edits the decoded
+	// snapshot instead of the bytes.
+	eccPastCells, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stateA, stateB) {
-		t.Error("policy state differs after restore")
+	ecc0 := &eccPastCells.chip.correctable[0]
+	*ecc0 = append(*ecc0, src.Chip.Xbars[0].Cells())
+	decode := func(file []byte) *Snapshot {
+		snap, err := Decode(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	for _, row := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"unknown layer", decode(withRelocation(relocation(entry{"ghost", []int{0}})))},
+		{"element past layer", decode(withRelocation(relocation(entry{layer, []int{0, size}})))},
+		{"ECC cell past cells", eccPastCells},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			snap := row.snap
+			dst := newState(4)
+			var before bytes.Buffer
+			if err := nn.SaveWeights(&before, dst.Net); err != nil {
+				t.Fatal(err)
+			}
+			rel, ecc, mapping := dst.Chip.Relocated(), dst.Chip.Correctable(), dst.Chip.Mapping()
+			faults := dst.Chip.Xbars[0].FaultCells()
+			if err := snap.Apply(dst); err == nil {
+				t.Fatal("Apply accepted malformed coverage")
+			}
+			var after bytes.Buffer
+			if err := nn.SaveWeights(&after, dst.Net); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) || !reflect.DeepEqual(dst.Chip.Relocated(), rel) ||
+				!reflect.DeepEqual(dst.Chip.Correctable(), ecc) || !reflect.DeepEqual(dst.Chip.Mapping(), mapping) ||
+				!reflect.DeepEqual(dst.Chip.Xbars[0].FaultCells(), faults) {
+				t.Fatal("a rejected snapshot changed the live state")
+			}
+		})
 	}
 }
 
@@ -466,6 +621,11 @@ func TestCorruptCheckpointFallsBackToFreshStart(t *testing.T) {
 	huge := append([]byte(nil), good[:len(good)-8]...)
 	binary.LittleEndian.PutUint32(huge[8:12], 1<<26)
 	corruptions["huge-section-count"] = seal(huge)
+	// A file stamped with the old container version restarts the cell
+	// like any other unreadable checkpoint.
+	v1 := append([]byte(nil), good[:len(good)-8]...)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	corruptions["version-1"] = seal(v1)
 
 	for name, data := range corruptions {
 		t.Run(name, func(t *testing.T) {

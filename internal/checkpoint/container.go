@@ -1,9 +1,10 @@
 // Package checkpoint provides crash-safe per-epoch snapshots of training
 // cells. A checkpoint file captures everything the remainder of a run
 // depends on — network weights and BN statistics, SGD momentum, both RNG
-// streams, per-crossbar fault masks and endurance write counters, policy
-// state, and the partial result — so an interrupted experiment resumes
-// bit-identically to an uninterrupted one.
+// streams, the chip (task mapping, per-crossbar fault masks and endurance
+// write counters, and the fault coverage the policy installed), and the
+// partial result — so an interrupted experiment resumes bit-identically to
+// an uninterrupted one.
 //
 // File container:
 //
@@ -33,7 +34,7 @@ import (
 
 const (
 	containerMagic   = "RMCK"
-	containerVersion = 1
+	containerVersion = 2 // v2: fault coverage in the chip section, no policy section
 	// maxSectionName bounds name lengths so a corrupt count cannot drive
 	// a huge allocation before the length check against remaining input.
 	maxSectionName = 256
@@ -198,6 +199,12 @@ func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf.WriteString(s)
 }
+func (w *writer) ints(v []int) {
+	w.u32(uint32(len(v)))
+	for _, x := range v {
+		w.u32(uint32(x))
+	}
+}
 func (w *writer) bytes() []byte { return w.buf.Bytes() }
 
 // reader is a sticky-error little-endian decoder; after the first failure
@@ -283,22 +290,17 @@ func (r *reader) str() string {
 	return string(b)
 }
 
-// blob reads a u64-length-prefixed byte slice.
-func (r *reader) blob() []byte {
-	n := r.u64()
-	if r.e != nil {
+// ints reads a u32-count-prefixed list of u32 values (nil when empty).
+func (r *reader) ints(what string) []int {
+	n := r.u32()
+	if n == 0 || !r.checkCount(what, n, 4) {
 		return nil
 	}
-	if n > uint64(r.r.Len()) {
-		r.fail("blob", fmt.Errorf("length %d exceeds %d remaining bytes", n, r.r.Len()))
-		return nil
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(r.u32())
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail("blob", err)
-		return nil
-	}
-	return b
+	return out
 }
 
 // remaining guards count-driven loops: a claimed element count that cannot

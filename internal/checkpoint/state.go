@@ -6,14 +6,13 @@ import (
 
 	"remapd/internal/det"
 	"remapd/internal/nn"
-	"remapd/internal/remap"
 	"remapd/internal/reram"
 	"remapd/internal/tensor"
 	"remapd/internal/trainer"
 )
 
 // Section names inside the container. meta/net/opt/rng/result are always
-// present; chip, endurance, and policy appear only when the run uses them.
+// present; chip and endurance appear only when the run uses them.
 const (
 	secMeta      = "meta"
 	secNet       = "net"
@@ -21,7 +20,6 @@ const (
 	secRNG       = "rng"
 	secChip      = "chip"
 	secEndurance = "endurance"
-	secPolicy    = "policy"
 	secResult    = "result"
 )
 
@@ -45,15 +43,15 @@ type Snapshot struct {
 	chip      *chipSnap
 	endurance []enduranceEntry // nil ⇔ section absent
 	hasEnd    bool
-	policy    []byte // nil ⇔ section absent
-	hasPolicy bool
 	result    resultSnap
 }
 
 type chipSnap struct {
-	steps   uint64
-	mapping []int
-	xbars   []xbarSnap
+	steps       uint64
+	mapping     []int
+	xbars       []xbarSnap
+	correctable [][]int          // arch.Chip.Correctable
+	relocated   map[string][]int // arch.Chip.Relocated
 }
 
 type xbarSnap struct {
@@ -127,7 +125,9 @@ func EncodeState(st *trainer.TrainState, fingerprint string, epochsDone int) ([]
 	}
 	sections = append(sections, section{secRNG, rw.bytes()})
 
-	// chip: step counter, task mapping, per-crossbar writes + sparse faults.
+	// chip: step counter, task mapping, per-crossbar writes + sparse
+	// faults + ECC-correctable cells, then the relocated weights. With the
+	// faults, the coverage is everything any policy decided.
 	if st.Chip != nil {
 		cw := &writer{}
 		cw.u64(st.Chip.Steps())
@@ -137,7 +137,8 @@ func EncodeState(st *trainer.TrainState, fingerprint string, epochsDone int) ([]
 			cw.u32(uint32(xi))
 		}
 		cw.u32(uint32(len(st.Chip.Xbars)))
-		for _, x := range st.Chip.Xbars {
+		correctable := st.Chip.Correctable()
+		for xi, x := range st.Chip.Xbars {
 			cw.u64(x.Writes())
 			cells := x.FaultCells()
 			cw.u32(uint32(len(cells)))
@@ -147,6 +148,14 @@ func EncodeState(st *trainer.TrainState, fingerprint string, epochsDone int) ([]
 				cw.f64(x.FaultG(i))
 				cw.boolByte(x.FaultInPositive(i))
 			}
+			cw.ints(correctable[xi])
+		}
+		relocated := st.Chip.Relocated()
+		layers := det.SortedKeys(relocated)
+		cw.u32(uint32(len(layers)))
+		for _, layer := range layers {
+			cw.str(layer)
+			cw.ints(relocated[layer])
 		}
 		sections = append(sections, section{secChip, cw.bytes()})
 	}
@@ -162,18 +171,6 @@ func EncodeState(st *trainer.TrainState, fingerprint string, epochsDone int) ([]
 			ew.u64(applied[id])
 		}
 		sections = append(sections, section{secEndurance, ew.bytes()})
-	}
-
-	// policy: opaque blob from policies with internal state.
-	if res, ok := st.Policy.(remap.Resumable); ok {
-		blob, err := res.PolicyState()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: encode policy %s: %w", st.Policy.Name(), err)
-		}
-		pw := &writer{}
-		pw.u64(uint64(len(blob)))
-		pw.buf.Write(blob)
-		sections = append(sections, section{secPolicy, pw.bytes()})
 	}
 
 	// result: the partial run summary.
@@ -268,8 +265,9 @@ func Decode(data []byte) (*Snapshot, error) {
 			}
 		}
 		nXbars := cr.u32()
-		if cr.checkCount("crossbars", nXbars, 12) {
+		if cr.checkCount("crossbars", nXbars, 16) {
 			cs.xbars = make([]xbarSnap, nXbars)
+			cs.correctable = make([][]int, nXbars)
 			for xi := range cs.xbars {
 				cs.xbars[xi].writes = cr.u64()
 				nFaults := cr.u32()
@@ -284,6 +282,18 @@ func Decode(data []byte) (*Snapshot, error) {
 					f.g = cr.f64()
 					f.inPositive = cr.boolByte()
 				}
+				cs.correctable[xi] = cr.ints("correctable cells")
+			}
+		}
+		nLayers := cr.u32()
+		if cr.checkCount("relocated layers", nLayers, 8) {
+			cs.relocated = make(map[string][]int, nLayers)
+			for l := uint32(0); l < nLayers && cr.err() == nil; l++ {
+				name := cr.str()
+				if _, dup := cs.relocated[name]; dup {
+					cr.fail("relocated layers", fmt.Errorf("layer %q listed twice", name))
+				}
+				cs.relocated[name] = cr.ints("relocated elements")
 			}
 		}
 		cr.done()
@@ -308,16 +318,6 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 		snap.hasEnd = true
-	}
-
-	if pp, ok := secs[secPolicy]; ok {
-		pr := newReader(secPolicy, pp)
-		snap.policy = pr.blob()
-		pr.done()
-		if err := pr.err(); err != nil {
-			return nil, err
-		}
-		snap.hasPolicy = true
 	}
 
 	sp, err := need(secResult)
@@ -372,10 +372,6 @@ func (snap *Snapshot) Apply(st *trainer.TrainState) error {
 	if snap.hasEnd != (st.Endurance != nil) {
 		return fmt.Errorf("checkpoint: endurance section present=%v but run has endurance=%v", snap.hasEnd, st.Endurance != nil)
 	}
-	resumable, wantsPolicy := st.Policy.(remap.Resumable)
-	if snap.hasPolicy != wantsPolicy {
-		return fmt.Errorf("checkpoint: policy section present=%v but policy %s resumable=%v", snap.hasPolicy, st.Policy.Name(), wantsPolicy)
-	}
 	if snap.PolicyName != st.Policy.Name() {
 		return fmt.Errorf("checkpoint: saved under policy %q, resuming under %q", snap.PolicyName, st.Policy.Name())
 	}
@@ -397,12 +393,29 @@ func (snap *Snapshot) Apply(st *trainer.TrainState) error {
 					return fmt.Errorf("checkpoint: crossbar %d cell %d has invalid state %d", xi, f.idx, f.state)
 				}
 			}
+			for _, cell := range snap.chip.correctable[xi] {
+				if cell >= cells {
+					return fmt.Errorf("checkpoint: crossbar %d ECC cell %d outside %d cells", xi, cell, cells)
+				}
+			}
+		}
+		for _, layer := range det.SortedKeys(snap.chip.relocated) {
+			w := st.Chip.Weight(layer)
+			if w == nil {
+				return fmt.Errorf("checkpoint: relocation names unmapped layer %q", layer)
+			}
+			for _, e := range snap.chip.relocated[layer] {
+				if e >= w.Len() {
+					return fmt.Errorf("checkpoint: layer %q relocates element %d of %d", layer, e, w.Len())
+				}
+			}
 		}
 	}
 
-	// Phase 2: apply. RestoreMapping validates before mutating; the blob
-	// loads below parse fully before assigning, so the earliest failure
-	// still aborts the run before training resumes on partial state.
+	// Phase 2: apply. RestoreMapping and the coverage setters validate
+	// before mutating; the blob loads below parse fully before assigning,
+	// so the earliest failure still aborts the run before training resumes
+	// on partial state.
 	if err := nn.LoadWeights(bytes.NewReader(snap.netBlob), st.Net); err != nil {
 		return fmt.Errorf("checkpoint: restore network: %w", err)
 	}
@@ -424,7 +437,12 @@ func (snap *Snapshot) Apply(st *trainer.TrainState) error {
 			}
 			x.RestoreWrites(xs.writes)
 		}
-		st.Chip.InvalidateAll()
+		if err := st.Chip.SetCorrectable(snap.chip.correctable); err != nil {
+			return fmt.Errorf("checkpoint: restore ECC coverage: %w", err)
+		}
+		if _, err := st.Chip.SetRelocated(snap.chip.relocated); err != nil {
+			return fmt.Errorf("checkpoint: restore relocation: %w", err)
+		}
 	}
 	if snap.hasEnd {
 		applied := make(map[int]uint64, len(snap.endurance))
@@ -432,11 +450,6 @@ func (snap *Snapshot) Apply(st *trainer.TrainState) error {
 			applied[e.id] = e.writes
 		}
 		st.Endurance.RestoreAppliedWrites(applied)
-	}
-	if snap.hasPolicy {
-		if err := resumable.RestorePolicyState(snap.policy); err != nil {
-			return fmt.Errorf("checkpoint: restore policy %s: %w", st.Policy.Name(), err)
-		}
 	}
 	r := st.Result
 	r.Policy = snap.result.policy

@@ -37,7 +37,6 @@ func faultyChip(t *testing.T, model string, seed uint64) (*nn.Network, *arch.Chi
 		t.Fatal(err)
 	}
 	DefaultRegime().Pre.Inject(chip.Xbars, tensor.NewRNG(seed))
-	chip.InvalidateAll()
 	net.SetFabric(chip)
 	return net, chip
 }
@@ -93,7 +92,6 @@ func TestPoliciesKeepMappingBijective(t *testing.T) {
 				checkBijection(t, chip, when)
 				for _, trig := range []remap.Trigger{remap.TriggerEpoch, remap.TriggerServing} {
 					reg.Post.InjectEpoch(chip.Xbars, rng)
-					chip.InvalidateAll()
 					ctx.Trigger, ctx.GradAbs = trig, nil
 					if trackGrads && trig == remap.TriggerEpoch {
 						ctx.GradAbs = map[string]*tensor.Tensor{}
@@ -194,7 +192,6 @@ func TestRemapDSwapsMoveCriticalTasksToCleanerCrossbars(t *testing.T) {
 				for round := 0; round < 3; round++ {
 					ctx.Epoch = round
 					reg.Post.InjectEpoch(chip.Xbars, rng)
-					chip.InvalidateAll()
 					rd.Maintain(ctx)
 				}
 			}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -190,8 +191,9 @@ func EncodeEvents(w io.Writer, events []Event) error {
 }
 
 // DecodeEvents reads a JSONL event stream back into typed events. An
-// unknown kind or malformed line is an error — the schema is closed, so
-// silence would hide producer/consumer drift.
+// unknown kind, an unknown field in the envelope or the event, trailing
+// bytes after either, or a malformed line is an error — the schema is
+// closed, so silence would hide producer/consumer drift.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -204,7 +206,7 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 			continue
 		}
 		var env envelope
-		if err := json.Unmarshal(line, &env); err != nil {
+		if err := decodeStrict(line, &env); err != nil {
 			return nil, fmt.Errorf("obs: events line %d: %w", lineNo, err)
 		}
 		mk := eventFactories[env.Kind]
@@ -212,7 +214,7 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 			return nil, fmt.Errorf("obs: events line %d: unknown event kind %q", lineNo, env.Kind)
 		}
 		ev := mk()
-		if err := json.Unmarshal(env.Data, ev); err != nil {
+		if err := decodeStrict(env.Data, ev); err != nil {
 			return nil, fmt.Errorf("obs: events line %d (%s): %w", lineNo, env.Kind, err)
 		}
 		out = append(out, ev)
@@ -221,4 +223,18 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("obs: scan events: %w", err)
 	}
 	return out, nil
+}
+
+// decodeStrict unmarshals one JSON value into v, rejecting unknown fields
+// and anything after the value.
+func decodeStrict(data []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON value")
+	}
+	return nil
 }

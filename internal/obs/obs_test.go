@@ -56,16 +56,59 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsUnknownKind checks the schema is closed: a kind this
-// build does not know is an error, not a skipped line.
+// TestDecodeRejectsUnknownKind checks the schema is closed: a kind, a
+// field or trailing bytes this build does not know are an error, not a
+// skipped line or a dropped value.
 func TestDecodeRejectsUnknownKind(t *testing.T) {
-	in := `{"kind":"mystery","data":{}}` + "\n"
-	if _, err := DecodeEvents(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown kind decoded without error")
+	for name, line := range map[string]string{
+		"unknown kind":           `{"kind":"mystery","data":{}}`,
+		"malformed line":         `not json`,
+		"unknown data field":     `{"kind":"swap","data":{"bogus":1}}`,
+		"unknown envelope field": `{"kind":"swap","data":{},"extra":true}`,
+		"trailing bytes":         `{"kind":"swap","data":{}} {}`,
+		"trailing brace":         `{"kind":"swap","data":{}}}`,
+		"missing data":           `{"kind":"swap"}`,
+	} {
+		if _, err := DecodeEvents(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s: %s decoded without error", name, line)
+		}
 	}
-	if _, err := DecodeEvents(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("malformed line decoded without error")
+}
+
+// FuzzDecodeEvents: traces are read back from disk, so DecodeEvents must
+// survive any input — no panic — and whatever it accepts must reach a
+// fixed point: re-encoding and decoding again gives the same bytes.
+func FuzzDecodeEvents(f *testing.F) {
+	var all bytes.Buffer
+	for _, ev := range allEventKinds() {
+		line, err := EncodeEvent(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+		all.Write(line)
 	}
+	f.Add(all.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		events, err := DecodeEvents(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := EncodeEvents(&first, events); err != nil {
+			t.Fatalf("encode accepted events: %v", err)
+		}
+		again, err := DecodeEvents(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", first.Bytes(), err)
+		}
+		if err := EncodeEvents(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // TestHistogramBucketBoundaries pins the inclusive-≤ semantics: an

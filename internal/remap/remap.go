@@ -11,6 +11,12 @@
 // boundary (the paper's remap trigger point, with TriggerEpoch);
 // internal/serve invokes it online, under live inference traffic, on a
 // request-count / BIST-failure trigger.
+//
+// A policy keeps only its configuration. Everything it decides lives on the
+// chip — the task mapping (Remap-D, Static), the weights relocated onto
+// spares (Remap-T, Remap-WS) and the ECC-correctable cells (AN code) — so a
+// checkpoint of the chip resumes every policy, with no policy state of its
+// own to save or reinstall.
 package remap
 
 import (
@@ -22,7 +28,6 @@ import (
 	"remapd/internal/det"
 	"remapd/internal/noc"
 	"remapd/internal/obs"
-	"remapd/internal/reram"
 	"remapd/internal/tensor"
 )
 
@@ -108,6 +113,22 @@ type Report struct {
 	MeanDensity float64
 }
 
+// Event is the report as the trace event of maintenance round epoch under
+// the named policy.
+func (r Report) Event(epoch int, policy string) *obs.ReportEvent {
+	return &obs.ReportEvent{
+		Epoch:       epoch,
+		Policy:      policy,
+		Senders:     r.Senders,
+		Swaps:       r.Swaps,
+		Unmatched:   r.Unmatched,
+		BISTCycles:  r.BISTCycles,
+		NoCCycles:   r.NoCCycles,
+		Protected:   r.Protected,
+		MeanDensity: r.MeanDensity,
+	}
+}
+
 // Policy is a fault-tolerance scheme.
 type Policy interface {
 	Name() string
@@ -116,26 +137,6 @@ type Policy interface {
 	// re-protect or re-place tasks, and report what was done. It must be
 	// safe to call from any phase described by ctx.Trigger.
 	Maintain(ctx *Context) Report
-}
-
-// Resumable is implemented by policies carrying internal mutable state that
-// cannot be reconstructed from the chip alone — e.g. Remap-T's
-// gradient-ranked protection set, which derives from an epoch of gradients
-// a resumed process never saw. PolicyState must be deterministic (a
-// checkpoint of the same state is byte-identical) and RestorePolicyState
-// must reject malformed input rather than install partial state.
-type Resumable interface {
-	PolicyState() ([]byte, error)
-	RestorePolicyState(data []byte) error
-}
-
-// Reattacher is implemented by policies that must rebind to a restored
-// chip when a checkpointed run resumes: reinstall cell correctors, rebuild
-// tables derivable from the (already restored) crossbar fault state. The
-// trainer calls Reattach instead of Deploy on the resume path — Deploy
-// would redo the t=0 placement against the wrong densities.
-type Reattacher interface {
-	Reattach(ctx *Context)
 }
 
 // ---------------------------------------------------------------- None --
@@ -395,11 +396,11 @@ func dedupTiles(chip *arch.Chip, xbars []int) []int {
 // accumulated gradient magnitude are preemptively remapped to spare
 // fault-free crossbars — i.e. those weights are immune to faults — at the
 // cost of n% extra hardware. At deploy time (no gradients yet) the ranking
-// falls back to weight magnitude.
+// falls back to weight magnitude. The relocated set lives on the chip
+// (arch.Chip.SetRelocated).
 type RemapT struct {
 	// Fraction is n/100 (0.05 and 0.10 in the paper's Fig. 6).
-	Fraction  float64
-	protected map[string]map[int]bool
+	Fraction float64
 }
 
 // NewRemapT returns a Remap-T policy protecting the given fraction.
@@ -419,32 +420,29 @@ func (r *RemapT) Name() string {
 	return "remap-t"
 }
 
-// Deploy protects the initially largest weights and installs the corrector.
+// Deploy relocates the initially largest weights.
 func (r *RemapT) Deploy(ctx *Context) {
-	r.rebuild(ctx, weightMagnitudes(ctx.Chip))
-	installProtection(ctx.Chip, &r.protected)
+	relocate(ctx.Chip, topElements(r.Fraction, weightMagnitudes(ctx.Chip)))
 }
 
-// Maintain re-ranks by the epoch's accumulated |grad| and rebuilds the
-// protection set. The report counts the re-rank's churn: Swaps is the
+// Maintain re-ranks by the epoch's accumulated |grad| and relocates the
+// new top set. The report counts the re-rank's churn: Swaps is the
 // number of weights newly relocated onto spares this step (the scheme's
 // per-epoch remapping work), Protected the resulting set size. With no
 // accumulated gradients (e.g. under serving traffic) the existing
-// protection set is kept as-is.
+// relocation is kept as-is.
 func (r *RemapT) Maintain(ctx *Context) Report {
 	rep := Report{MeanDensity: meanMappedDensity(ctx.Chip)}
 	if len(ctx.GradAbs) > 0 {
-		prev := r.protected
-		r.rebuild(ctx, ctx.GradAbs)
-		ctx.Chip.InvalidateAll()
-		rep.Swaps = relocations(r.protected, prev)
+		rep.Swaps = relocate(ctx.Chip, topElements(r.Fraction, ctx.GradAbs))
 	}
-	rep.Protected = protectedCount(r.protected)
+	rep.Protected = relocatedCount(ctx.Chip)
 	return rep
 }
 
-// rebuild selects the global top-Fraction elements by importance.
-func (r *RemapT) rebuild(ctx *Context, importance map[string]*tensor.Tensor) {
+// topElements selects the global top-fraction elements by importance,
+// as layer → element indices.
+func topElements(fraction float64, importance map[string]*tensor.Tensor) map[string][]int {
 	type scored struct {
 		layer string
 		idx   int
@@ -459,22 +457,16 @@ func (r *RemapT) rebuild(ctx *Context, importance map[string]*tensor.Tensor) {
 			all = append(all, scored{layer, i, v})
 		}
 	}
-	k := int(r.Fraction * float64(len(all)))
+	top := map[string][]int{}
+	k := int(fraction * float64(len(all)))
 	if k <= 0 {
-		r.protected = map[string]map[int]bool{}
-		return
+		return top
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].v > all[b].v })
-	prot := map[string]map[int]bool{}
 	for _, s := range all[:k] {
-		m := prot[s.layer]
-		if m == nil {
-			m = map[int]bool{}
-			prot[s.layer] = m
-		}
-		m[s.idx] = true
+		top[s.layer] = append(top[s.layer], s.idx)
 	}
-	r.protected = prot
+	return top
 }
 
 // -------------------------------------------------------------- RemapWS --
@@ -486,8 +478,7 @@ func (r *RemapT) rebuild(ctx *Context, importance map[string]*tensor.Tensor) {
 // is meaningless and 95% of faults go unaddressed, which is exactly the
 // failure mode Fig. 6 shows.
 type RemapWS struct {
-	Fraction  float64
-	protected map[string]map[int]bool
+	Fraction float64
 }
 
 // NewRemapWS returns the 5% configuration of [12].
@@ -496,12 +487,9 @@ func NewRemapWS() *RemapWS { return &RemapWS{Fraction: 0.05} }
 // Name implements Policy.
 func (r *RemapWS) Name() string { return "remap-ws" }
 
-// Deploy ranks by |w| at t=0 and installs a permanent protection mask.
+// Deploy ranks by |w| at t=0 and relocates the top set for good.
 func (r *RemapWS) Deploy(ctx *Context) {
-	rt := &RemapT{Fraction: r.Fraction}
-	rt.rebuild(ctx, weightMagnitudes(ctx.Chip))
-	r.protected = rt.protected
-	installProtection(ctx.Chip, &r.protected)
+	relocate(ctx.Chip, topElements(r.Fraction, weightMagnitudes(ctx.Chip)))
 }
 
 // Maintain changes nothing — the significance snapshot is never updated —
@@ -509,7 +497,7 @@ func (r *RemapWS) Deploy(ctx *Context) {
 // current density so traces show what the scheme is failing to track.
 func (r *RemapWS) Maintain(ctx *Context) Report {
 	return Report{
-		Protected:   protectedCount(r.protected),
+		Protected:   relocatedCount(ctx.Chip),
 		MeanDensity: meanMappedDensity(ctx.Chip),
 	}
 }
@@ -519,35 +507,44 @@ func (r *RemapWS) Maintain(ctx *Context) Report {
 // ANCode wraps the arithmetic-code ECC baseline: the correction table is
 // profiled at deployment and re-profiled at each epoch boundary, so faults
 // that appear during an epoch are uncorrected until the next refresh, and
-// columns with more faults than the code can absorb stay faulty.
+// columns with more faults than the code can absorb stay faulty. The
+// profiled table lives on the chip (arch.Chip.SetCorrectable).
 type ANCode struct {
-	corrector *ancode.Corrector
+	Code ancode.Code
 }
 
 // NewANCode returns the baseline with the standard single-error code.
-func NewANCode() *ANCode { return &ANCode{corrector: ancode.NewCorrector(ancode.NewCode())} }
+func NewANCode() *ANCode { return &ANCode{Code: ancode.NewCode()} }
 
 // Name implements Policy.
 func (a *ANCode) Name() string { return "an-code" }
 
-// Deploy profiles the chip and installs the correction hook. The AN code
-// corrects stored-codeword reads (forward and transpose weight paths) but
-// cannot cover the gradient outer-product path, whose operands are not
-// encoded.
-func (a *ANCode) Deploy(ctx *Context) {
-	a.corrector.RefreshTable(ctx.Chip.Xbars)
-	ctx.Chip.SetCellCorrector(a.corrector.CellCorrector(), false)
-}
+// Deploy profiles the chip. The AN code corrects stored-codeword reads
+// (forward and transpose weight paths) but cannot cover the gradient
+// outer-product path, whose operands are not encoded.
+func (a *ANCode) Deploy(ctx *Context) { a.profile(ctx.Chip) }
 
 // Maintain re-profiles the correction table. Protected reports how many
 // of the profiled faulty cells the refreshed code can actually correct.
 func (a *ANCode) Maintain(ctx *Context) Report {
-	a.corrector.RefreshTable(ctx.Chip.Xbars)
-	ctx.Chip.InvalidateAll()
 	return Report{
-		Protected:   a.corrector.CorrectableCount(),
+		Protected:   a.profile(ctx.Chip),
 		MeanDensity: meanMappedDensity(ctx.Chip),
 	}
+}
+
+// profile installs the code's correctable cells of the chip's current
+// faults and returns how many there are.
+func (a *ANCode) profile(chip *arch.Chip) int {
+	cells := a.Code.Correctable(chip.Xbars)
+	if err := chip.SetCorrectable(cells); err != nil {
+		panic("remap: AN-code profile failed: " + err.Error())
+	}
+	n := 0
+	for _, c := range cells {
+		n += len(c)
+	}
+	return n
 }
 
 // ------------------------------------------------------------- helpers --
@@ -571,41 +568,23 @@ func weightMagnitudes(chip *arch.Chip) map[string]*tensor.Tensor {
 	return imp
 }
 
-// installProtection installs the relocation corrector of Remap-T and
-// Remap-WS: a cell is covered when it holds a weight of the protection set
-// *prot, read at every call so a rebuilt set takes effect at once.
-// Relocation covers every path, gradients included (the weight physically
-// lives on a fault-free spare cell).
-func installProtection(chip *arch.Chip, prot *protectedSet) {
-	chip.SetCellCorrector(func(t *arch.Task, _ *reram.Crossbar, row, col int) bool {
-		m := (*prot)[t.Layer]
-		if m == nil {
-			return false
-		}
-		return m[chip.ElementOf(t, row, col)]
-	}, true)
-}
-
-// protectedCount sizes a layer→elements protection set.
-func protectedCount(prot map[string]map[int]bool) int {
-	n := 0
-	for _, m := range prot {
-		n += len(m)
+// relocate installs rel as the chip's relocation coverage (Remap-T,
+// Remap-WS) and returns how many weights it newly moved onto spares.
+// Relocation covers every path, gradients included: the weight physically
+// lives on a fault-free spare cell.
+func relocate(chip *arch.Chip, rel map[string][]int) int {
+	moved, err := chip.SetRelocated(rel)
+	if err != nil {
+		panic("remap: relocation failed: " + err.Error())
 	}
-	return n
+	return moved
 }
 
-// relocations counts elements protected now but not previously — the
-// weights a re-rank physically moves onto spares.
-func relocations(now, prev map[string]map[int]bool) int {
+// relocatedCount is the number of weights the chip holds on spares.
+func relocatedCount(chip *arch.Chip) int {
 	n := 0
-	for layer, m := range now {
-		pm := prev[layer]
-		for idx := range m {
-			if !pm[idx] {
-				n++
-			}
-		}
+	for _, elems := range chip.Relocated() {
+		n += len(elems)
 	}
 	return n
 }

@@ -2,6 +2,8 @@ package remap
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"remapd/internal/arch"
@@ -63,7 +65,6 @@ func (r *testRig) backwardXbars() []int {
 
 func injectN(chip *arch.Chip, xbar, n int, rng *tensor.RNG) {
 	fault.InjectMixed(chip.Xbars[xbar], n, 0.1, 0.5, 3, rng)
-	chip.InvalidateAll()
 }
 
 func TestNonePolicyIsInert(t *testing.T) {
@@ -262,7 +263,23 @@ func TestRemapTProtectsTopGradients(t *testing.T) {
 	ga["fc2"].Data[0] = 100    // clearly most important
 	ga["fc2"].Data[2*16+3] = 0 // element (2,3): least important
 	r.ctx.GradAbs = ga
-	pol.Maintain(r.ctx)
+	prev := r.chip.Relocated()
+	rep := pol.Maintain(r.ctx)
+
+	// Swaps counts the weights newly moved onto spares, Protected the
+	// whole relocated set.
+	moved, total := 0, 0
+	for layer, elems := range r.chip.Relocated() {
+		total += len(elems)
+		for _, e := range elems {
+			if !slices.Contains(prev[layer], e) {
+				moved++
+			}
+		}
+	}
+	if rep.Swaps != moved || rep.Protected != total || moved == 0 {
+		t.Fatalf("report swaps=%d protected=%d, want %d newly relocated of %d", rep.Swaps, rep.Protected, moved, total)
+	}
 
 	// Fault the cell holding fc2 element 0 on the forward copy.
 	var fwdTask *arch.Task
@@ -275,7 +292,6 @@ func TestRemapTProtectsTopGradients(t *testing.T) {
 	xb.InjectFaultPolar(0, 0, reram.SA1, true, r.ctx.RNG)
 	// A second faulted cell holding a zero-importance element.
 	xb.InjectFaultPolar(2, 3, reram.SA1, true, r.ctx.RNG)
-	r.chip.InvalidateAll()
 
 	w := r.chip.Weight("fc2")
 	eff := r.chip.EffectiveForward("fc2", w)
@@ -296,17 +312,20 @@ func TestRemapWSMaskIsStatic(t *testing.T) {
 	pol := NewRemapWS()
 	pol.Deploy(r.ctx)
 
-	if pol.protected["fc1"] == nil || !pol.protected["fc1"][0] {
-		t.Fatal("largest initial weight must be protected")
+	snapshot := r.chip.Relocated()
+	if fc1 := snapshot["fc1"]; len(fc1) == 0 || fc1[0] != 0 {
+		t.Fatal("largest initial weight must be relocated")
 	}
-	snapshot := len(pol.protected["fc1"])
 	// Gradients later shift importance elsewhere — Remap-WS must ignore it.
 	ga := map[string]*tensor.Tensor{"fc2": tensor.New(r.chip.Weight("fc2").Shape...)}
 	ga["fc2"].Data[5] = 1e6
 	r.ctx.GradAbs = ga
-	pol.Maintain(r.ctx)
-	if len(pol.protected["fc1"]) != snapshot || pol.protected["fc2"] != nil && pol.protected["fc2"][5] {
+	rep := pol.Maintain(r.ctx)
+	if !reflect.DeepEqual(r.chip.Relocated(), snapshot) {
 		t.Fatal("Remap-WS mask must never update after deployment")
+	}
+	if want := len(snapshot["fc1"]) + len(snapshot["fc2"]); rep.Protected != want {
+		t.Fatalf("Protected = %d, want the %d relocated weights", rep.Protected, want)
 	}
 }
 
@@ -324,7 +343,6 @@ func TestANCodePolicyCorrectsAndLags(t *testing.T) {
 	}
 	xb := r.chip.Xbars[r.chip.XbarOf(fwdTask.ID)]
 	xb.InjectFaultPolar(1, 1, reram.SA1, true, r.ctx.RNG)
-	r.chip.InvalidateAll()
 	pol.Deploy(r.ctx)
 
 	w := r.chip.Weight("fc2")
@@ -336,7 +354,6 @@ func TestANCodePolicyCorrectsAndLags(t *testing.T) {
 
 	// New (post-deployment) fault: uncorrected until the next table refresh.
 	xb.InjectFaultPolar(2, 2, reram.SA1, true, r.ctx.RNG)
-	r.chip.InvalidateAll()
 	eff = r.chip.EffectiveForward("fc2", w)
 	if float64(eff.At(2, 2)) < 0.99*clip {
 		t.Fatalf("new fault must be uncorrected before refresh, got %v", eff.At(2, 2))
@@ -350,7 +367,6 @@ func TestANCodePolicyCorrectsAndLags(t *testing.T) {
 	// Overload one column beyond capability: both faults stay.
 	xb.InjectFaultPolar(3, 4, reram.SA1, true, r.ctx.RNG)
 	xb.InjectFaultPolar(5, 4, reram.SA1, true, r.ctx.RNG)
-	r.chip.InvalidateAll()
 	pol.Maintain(r.ctx)
 	eff = r.chip.EffectiveForward("fc2", w)
 	if float64(eff.At(3, 4)) < 0.99*clip || float64(eff.At(5, 4)) < 0.99*clip {

@@ -30,6 +30,10 @@ type Crossbar struct {
 	// only writer of state, keeps them current, so the fault counts and
 	// the density are O(1) reads.
 	nSA0, nSA1 int
+	// version counts cell-state changes: setState and HealAll bump it, so
+	// a reader that cached something derived from the cell states can
+	// tell that it is stale. Write accounting does not bump it.
+	version uint64
 }
 
 // NewCrossbar returns a fault-free crossbar.
@@ -103,6 +107,7 @@ func (x *Crossbar) setState(i int, s CellState) {
 	x.count(x.state[i], -1)
 	x.count(s, +1)
 	x.state[i] = s
+	x.version++
 }
 
 // count adds d to the count of stuck state s (a no-op for Healthy).
@@ -114,6 +119,12 @@ func (x *Crossbar) count(s CellState, d int) {
 		x.nSA1 += d
 	}
 }
+
+// Version returns the cell-state version: it grows with every state
+// write and never decreases.
+//
+//lint:hotpath
+func (x *Crossbar) Version() uint64 { return x.version }
 
 // FaultCount returns the number of stuck cells.
 func (x *Crossbar) FaultCount() int { return x.nSA0 + x.nSA1 }
@@ -278,6 +289,7 @@ func (x *Crossbar) HealAll() {
 		x.gFault[i] = 0
 	}
 	x.nSA0, x.nSA1 = 0, 0
+	x.version++
 }
 
 // FaultCells returns the flat indices of all stuck cells in ascending

@@ -385,7 +385,6 @@ func (s *Server) scanLocked(rep *Replica) {
 		rep.endurance.SimEpoch = rep.round
 		injected := rep.endurance.Apply(rep.chip.Xbars, rep.faultRNG)
 		if injected > 0 {
-			rep.chip.InvalidateAll()
 			s.stats.WearFaults += int64(injected)
 			if s.cfg.Obs != nil {
 				s.cfg.Obs.Add("serve.wear.faults", int64(injected))
@@ -430,17 +429,7 @@ func (s *Server) scanLocked(rep *Replica) {
 		s.cfg.Obs.Add("serve.remap.swaps", int64(repOut.Swaps))
 		s.cfg.Obs.Add("serve.remap.senders", int64(repOut.Senders))
 		s.cfg.Obs.Add("serve.remap.unmatched", int64(repOut.Unmatched))
-		s.cfg.Obs.Emit(&obs.ReportEvent{
-			Epoch:       rep.round,
-			Policy:      rep.policy.Name(),
-			Senders:     repOut.Senders,
-			Swaps:       repOut.Swaps,
-			Unmatched:   repOut.Unmatched,
-			BISTCycles:  repOut.BISTCycles,
-			NoCCycles:   repOut.NoCCycles,
-			Protected:   repOut.Protected,
-			MeanDensity: repOut.MeanDensity,
-		})
+		s.cfg.Obs.Emit(repOut.Event(rep.round, rep.policy.Name()))
 	}
 }
 

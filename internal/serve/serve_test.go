@@ -184,7 +184,6 @@ func TestBISTFailureTriggersMaintainAndRecovers(t *testing.T) {
 	if hit == 0 {
 		t.Fatal("no forward-task crossbars to fault")
 	}
-	chip.InvalidateAll()
 
 	// One more batch brings sinceScan to BISTEvery: the scan runs after
 	// it executes, sees the burst, and must trigger online maintenance.

@@ -121,17 +121,7 @@ func (o *epochObserver) recordReport(epoch int, policy string, rep remap.Report)
 	if o == nil {
 		return
 	}
-	o.rec.Emit(&obs.ReportEvent{
-		Epoch:       epoch,
-		Policy:      policy,
-		Senders:     rep.Senders,
-		Swaps:       rep.Swaps,
-		Unmatched:   rep.Unmatched,
-		BISTCycles:  rep.BISTCycles,
-		NoCCycles:   rep.NoCCycles,
-		Protected:   rep.Protected,
-		MeanDensity: rep.MeanDensity,
-	})
+	o.rec.Emit(rep.Event(epoch, policy))
 	o.rec.Add("remap.senders", int64(rep.Senders))
 	o.rec.Add("remap.swaps", int64(rep.Swaps))
 	o.rec.Add("remap.unmatched", int64(rep.Unmatched))

@@ -29,8 +29,7 @@ type TrainState struct {
 	// Endurance is nil unless physical wear-out is configured.
 	Endurance *fault.EnduranceModel
 	// Policy is the active fault-tolerance policy (never nil; remap.None
-	// when unset). Policies implementing remap.Resumable contribute an
-	// opaque state blob.
+	// when unset). Only its name is saved: what it decided lives on Chip.
 	Policy remap.Policy
 	// Result accumulates the partial run summary; restored on resume so
 	// per-epoch curves span the whole run.

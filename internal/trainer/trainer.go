@@ -158,7 +158,8 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	// Everything above is a pure function of the configuration — mapping,
 	// seeding, and optimizer construction consume no random draws. A
 	// checkpoint therefore only has to restore the *mutable* state on top:
-	// weights, optimizer, RNG streams, chip faults/wear, policy state.
+	// weights, optimizer, RNG streams, and the chip (faults, wear, mapping
+	// and the policy's coverage).
 	startEpoch, resumed := 0, false
 	var ckptState *TrainState
 	if cfg.Checkpoint != nil {
@@ -182,14 +183,8 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 		startEpoch, resumed = ep, ok
 	}
 	if resumed {
-		if cfg.Chip != nil {
-			// Faults, mapping, and write counters were restored directly;
-			// the policy only needs to reinstall its runtime hooks.
-			if ra, okRA := pol.(remap.Reattacher); okRA {
-				ra.Reattach(ctx)
-			}
-			cfg.Chip.InvalidateAll()
-		}
+		// The chip — faults, mapping, write counters and the policy's
+		// coverage — was restored whole; there is nothing to redeploy.
 		logf("resumed from checkpoint: %d/%d epochs done", startEpoch, cfg.Epochs)
 	} else if cfg.Chip != nil {
 		// Fresh deployment. The order (pre-profile, targeted phase
@@ -197,7 +192,6 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 		// every fresh run of a configuration is bit-identical.
 		if cfg.Pre != nil {
 			res.FaultsInjected += cfg.Pre.Inject(cfg.Chip.Xbars, faultRNG)
-			cfg.Chip.InvalidateAll()
 		}
 		if cfg.PhaseInject != nil {
 			res.FaultsInjected += injectPhase(cfg.Chip, cfg.PhaseInject, faultRNG)
@@ -260,11 +254,9 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 		// Endurance wear-out from this epoch's writes.
 		if cfg.Chip != nil && cfg.Post != nil {
 			res.FaultsInjected += cfg.Post.InjectEpoch(cfg.Chip.Xbars, faultRNG)
-			cfg.Chip.InvalidateAll()
 		}
 		if cfg.Chip != nil && cfg.Endurance != nil {
 			res.FaultsInjected += cfg.Endurance.Apply(cfg.Chip.Xbars, faultRNG)
-			cfg.Chip.InvalidateAll()
 		}
 		acc := Evaluate(net, ds, cfg.BatchSize)
 		// Epoch-boundary BIST + policy action, after evaluation and before
@@ -376,7 +368,6 @@ func injectPhase(chip *arch.Chip, pi *PhaseInjection, rng *tensor.RNG) int {
 		}
 		total += fault.InjectMixedRegion(x, n, 0.1, 0.5, 3, t.Rows, t.Cols, rng)
 	}
-	chip.InvalidateAll()
 	return total
 }
 
