@@ -1,8 +1,8 @@
 // Command remapd-metrics summarises a telemetry directory written by
 // remapd-train or remapd-report (-metrics-dir): per-policy remap activity,
 // the remap hop-distance histogram, the BIST density-drift curve, and —
-// when the directory also holds a harness.json profile — the slowest
-// experiment cells and costliest report phases.
+// when the directory also holds them — the costliest report phases from
+// harness.json and the slowest experiment cells from spans.json.
 //
 // Two operational modes look at a live or finished fleet run instead:
 // -fleet summarises a structured fleet event trace (-fleet-trace JSONL)
@@ -87,8 +87,13 @@ func main() {
 		log.Fatal(err)
 	}
 	if prof != nil {
-		printProfile(prof, *top)
+		printPhases(prof, *top)
 	}
+	spans, err := obs.ReadSpans(*dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	printSlowest(spans, *top)
 }
 
 // printHops merges every policy's hop histogram and renders the combined
@@ -155,29 +160,37 @@ func printServe(cells []*obs.CellMetrics) {
 	}
 }
 
-// printProfile renders the harness profile: costliest phases in recorded
-// order, then the slowest cells (Data() pre-sorts them slowest-first).
-func printProfile(prof *obs.ProfileData, top int) {
-	if len(prof.Phases) > 0 {
-		fmt.Printf("\n==== harness phases (wall time, allocations) ====\n\n")
-		fmt.Printf("%-55s %9s %10s\n", "phase", "seconds", "alloc-mb")
-		n := len(prof.Phases)
-		if n > top {
-			n = top
-		}
-		for _, ph := range prof.Phases[:n] {
-			fmt.Printf("%-55s %9.2f %10.1f\n", ph.Name, ph.Seconds, float64(ph.AllocBytes)/(1<<20))
-		}
+// printPhases renders the harness profile's costliest phases in
+// recorded order.
+func printPhases(prof *obs.ProfileData, top int) {
+	if len(prof.Phases) == 0 {
+		return
 	}
-	if len(prof.Cells) > 0 {
-		fmt.Printf("\n==== slowest cells ====\n\n")
-		fmt.Printf("%-55s %9s\n", "cell", "seconds")
-		n := len(prof.Cells)
-		if n > top {
-			n = top
+	fmt.Printf("\n==== harness phases (wall time, allocations) ====\n\n")
+	fmt.Printf("%-55s %9s %10s\n", "phase", "seconds", "alloc-mb")
+	n := len(prof.Phases)
+	if n > top {
+		n = top
+	}
+	for _, ph := range prof.Phases[:n] {
+		fmt.Printf("%-55s %9.2f %10.1f\n", ph.Name, ph.Seconds, float64(ph.AllocBytes)/(1<<20))
+	}
+}
+
+// printSlowest renders the cells that held a runner slot longest, from
+// their lifecycle spans: seconds is the slot time (total less queue),
+// run the worker-reported execution time summed over attempts.
+func printSlowest(spans []obs.CellSpanData, top int) {
+	if len(spans) == 0 {
+		return
+	}
+	fmt.Printf("\n==== slowest cells ====\n\n")
+	fmt.Printf("%-55s %9s %9s %9s %8s\n", "cell", "seconds", "queue", "run", "attempts")
+	for _, sp := range obs.SlowestSpans(spans, top) {
+		var run float64
+		for _, a := range sp.Attempts {
+			run += a.RunSeconds
 		}
-		for _, c := range prof.Cells[:n] {
-			fmt.Printf("%-55s %9.2f\n", c.Cell, c.Seconds)
-		}
+		fmt.Printf("%-55s %9.2f %9.2f %9.2f %8d\n", sp.Cell, sp.SlotSeconds(), sp.QueueSeconds, run, len(sp.Attempts))
 	}
 }

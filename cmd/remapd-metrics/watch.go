@@ -118,7 +118,7 @@ func renderStatus(doc *statusDoc) {
 		if len(s.Slowest) > 0 {
 			fmt.Printf("\nslowest cells:\n")
 			for _, sp := range s.Slowest {
-				fmt.Printf("  %-45s %6.1fs (%d attempt(s))\n", sp.Cell, sp.TotalSeconds, len(sp.Attempts))
+				fmt.Printf("  %-45s %6.1fs (%d attempt(s))\n", sp.Cell, sp.SlotSeconds(), len(sp.Attempts))
 			}
 		}
 	}

@@ -85,10 +85,9 @@ func main() {
 	defer stop()
 
 	cli.SetGOMAXPROCS(opts.Workers)
-	if addr, err := opts.StartDebug(); err != nil {
+	status, err := opts.StartStatus(log.Printf)
+	if err != nil {
 		log.Fatal(err)
-	} else if addr != "" {
-		fmt.Printf("debug server on http://%s/debug/pprof/ and /debug/vars\n", addr)
 	}
 
 	s := experiments.StandardScale()
@@ -202,15 +201,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if opts.StatusAddr != "" {
-		status := obs.NewStatus()
-		status.Register("serve", srv.StatusSection)
-		addr, err := obs.StartStatusServer(opts.StatusAddr, status)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("status server on http://%s/status\n", addr)
-	}
+	status.Register("serve", srv.StatusSection)
 
 	if *requests > 0 {
 		tr := serve.NewTraffic(ds, opts.TrafficSeed, *jitter)

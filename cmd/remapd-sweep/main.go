@@ -53,10 +53,8 @@ func main() {
 		return
 	}
 
-	if addr, err := opts.StartDebug(); err != nil {
+	if _, err := opts.StartStatus(log.Printf); err != nil {
 		log.Fatal(err)
-	} else if addr != "" {
-		fmt.Printf("debug server on http://%s/debug/pprof/ and /debug/vars\n", addr)
 	}
 
 	s := experiments.StandardScale()

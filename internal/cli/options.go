@@ -1,11 +1,12 @@
 // Package cli factors out the flag surface the remapd command-line tools
 // share. Before it existed, remapd-train, remapd-report and remapd-sweep
 // each declared their own copies of the scheduling/observation flags
-// (workers, checkpoint-dir, metrics-dir, debug-addr, …) with drifting
+// (workers, checkpoint-dir, metrics-dir, status-addr, …) with drifting
 // help strings; the dist worker mode would have been a fourth copy. The
 // Options struct binds each flag group once and knows how to apply
-// itself to an experiments.Scale, start the debug server, build a dist
-// fleet, and serve the worker loop. The grid tools (remapd-report,
+// itself to an experiments.Scale, start the status server (the one
+// harness HTTP surface: /status, pprof, expvar), build a dist fleet, and
+// serve the worker loop. The grid tools (remapd-report,
 // remapd-sweep) bind the grid, dist and worker groups, so either one
 // coordinates a fleet or joins one; remapd-train binds the run and worker
 // groups, remapd-serve the run and serve groups.
@@ -38,8 +39,6 @@ type Options struct {
 	CheckpointDir string
 	// MetricsDir enables per-cell simulation telemetry (-metrics-dir).
 	MetricsDir string
-	// DebugAddr serves pprof/expvar when non-empty (-debug-addr).
-	DebugAddr string
 	// Seed is the single-run training seed (-seed).
 	Seed uint64
 	// Quiet suppresses per-epoch progress lines (-quiet).
@@ -65,11 +64,9 @@ type Options struct {
 	Slots int
 	// ChaosSever arms the fault injector on a fleet worker's connection:
 	// sever it mid-cell once this many frames have passed (-chaos-sever-after).
-	// ChaosSeed seeds the injector's deterministic schedule (-chaos-seed).
 	ChaosSever int
-	ChaosSeed  uint64
-	// StatusAddr serves the live /status JSON endpoint (plus the debug
-	// surface) when non-empty (-status-addr).
+	// StatusAddr serves the live /status JSON endpoint, pprof and expvar
+	// when non-empty (-status-addr).
 	StatusAddr string
 	// FleetTrace appends the structured fleet event trace (JSONL) to
 	// this file (-fleet-trace): coordinator membership/scheduling events
@@ -90,18 +87,19 @@ type Options struct {
 	// TrafficSeed seeds the deterministic traffic generator (-traffic-seed).
 	TrafficSeed uint64
 
-	// status is the registry Apply builds for -status-addr; sections are
-	// registered by the runner and the fleet as they come up.
+	// status is the registry StartStatus serves on -status-addr; Apply
+	// hands it to the runner and the fleet, which register their
+	// sections as they come up. Nil without -status-addr.
 	status *obs.Status
 }
 
 // Bind registers the base observation/scheduling group every tool
-// shares: -j, -checkpoint-dir, -metrics-dir, -debug-addr.
+// shares: -j, -checkpoint-dir, -metrics-dir, -status-addr.
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "j", 0, "parallelism cap: experiment cells for grid tools, GOMAXPROCS for single runs and workers (0 = all cores)")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", "", "persist per-epoch checkpoints here; an interrupted run resumes bit-identically")
 	fs.StringVar(&o.MetricsDir, "metrics-dir", "", "record simulation telemetry (metrics.json + events.jsonl) into this directory")
-	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve pprof and expvar on this address (e.g. localhost:6060)")
+	fs.StringVar(&o.StatusAddr, "status-addr", "", "serve live run status as JSON on this address (GET /status: grid progress, per-worker fleet table, span aggregates, serving stats), plus pprof under /debug/pprof/ and expvar at /debug/vars")
 }
 
 // BindRun registers the single-run group: -seed, -quiet.
@@ -110,30 +108,19 @@ func (o *Options) BindRun(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Quiet, "quiet", false, "suppress per-epoch progress lines (the final summary still prints)")
 }
 
-// BindGrid registers the grid group: -progress, -status-addr.
+// BindGrid registers the grid group: -progress.
 func (o *Options) BindGrid(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Progress, "progress", false, "log one line per completed experiment cell")
-	o.bindStatusAddr(fs)
 }
 
 // BindServe registers the inference-serving group: -serve-addr,
-// -batch-max, -batch-wait, -bist-every, -traffic-seed, -status-addr.
+// -batch-max, -batch-wait, -bist-every, -traffic-seed.
 func (o *Options) BindServe(fs *flag.FlagSet) {
 	fs.StringVar(&o.ServeAddr, "serve-addr", "", "serve the HTTP classification endpoint (POST /classify) on this address; empty = driver mode only")
 	fs.IntVar(&o.BatchMax, "batch-max", 8, "close a serving batch when this many requests are queued")
 	fs.IntVar(&o.BatchWait, "batch-wait", 16, "close a partial serving batch once its oldest request has waited this many simulated ticks")
 	fs.IntVar(&o.BISTEvery, "bist-every", 256, "run the online BIST scan (and, on failure, the policy's maintenance step) every this many served requests per chip (0 = off)")
 	fs.Uint64Var(&o.TrafficSeed, "traffic-seed", 1, "seed for the deterministic traffic generator driving -requests")
-	o.bindStatusAddr(fs)
-}
-
-// bindStatusAddr registers -status-addr exactly once; the grid and serve
-// groups both want it and a tool may bind both on one FlagSet.
-func (o *Options) bindStatusAddr(fs *flag.FlagSet) {
-	if fs.Lookup("status-addr") != nil {
-		return
-	}
-	fs.StringVar(&o.StatusAddr, "status-addr", "", "serve live run status as JSON on this address (GET /status: grid progress, per-worker fleet table, span aggregates; also pprof+expvar)")
 }
 
 // BindDist registers the coordinator side of distribution: -dist for a
@@ -147,14 +134,13 @@ func (o *Options) BindDist(fs *flag.FlagSet) {
 }
 
 // BindWorker registers the worker side of distribution: -worker for the
-// mode switch, -connect/-slots for dialing a fleet, -chaos-* for the
-// deterministic fault injector.
+// mode switch, -connect/-slots for dialing a fleet, -chaos-sever-after
+// for the deterministic fault injector.
 func (o *Options) BindWorker(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Worker, "worker", false, "run as a dist worker: run the experiment cells of the fleet coordinator given by -connect (-dist coordinators spawn their workers this way)")
 	fs.StringVar(&o.Connect, "connect", "", "with -worker: dial this fleet coordinator (host:port); redials with backoff if the connection drops")
 	fs.IntVar(&o.Slots, "slots", 1, "with -connect: concurrent experiment cells this worker advertises")
 	fs.IntVar(&o.ChaosSever, "chaos-sever-after", 0, "with -connect: sever the connection mid-cell once this many protocol frames have passed (fault-injection testing; 0 = off)")
-	fs.Uint64Var(&o.ChaosSeed, "chaos-seed", 0, "with -chaos-sever-after: seed for the injector's deterministic fault schedule")
 	o.bindFleetTrace(fs)
 }
 
@@ -217,19 +203,31 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// StartDebug starts the pprof/expvar server when -debug-addr is set,
-// returning the bound address ("" when disabled) for the tool to print.
-func (o *Options) StartDebug() (string, error) {
-	if o.DebugAddr == "" {
-		return "", nil
+// StartStatus serves /status, pprof and expvar on -status-addr and
+// returns the registry behind /status, into which Apply and the tools
+// register their sections. Without -status-addr it serves nothing and
+// returns nil, on which Register is a no-op. logf (stderr; never the
+// tools' stdout, which carries their tables) receives the bound address.
+func (o *Options) StartStatus(logf experiments.Logf) (*obs.Status, error) {
+	if o.StatusAddr == "" {
+		return nil, nil
 	}
-	return obs.StartDebugServer(o.DebugAddr)
+	o.status = obs.NewStatus()
+	addr, err := obs.StartStatusServer(o.StatusAddr, o.status)
+	if err != nil {
+		return nil, err
+	}
+	if logf != nil {
+		logf("status server on http://%s/status (pprof at /debug/pprof/, expvar at /debug/vars)", addr)
+	}
+	return o.status, nil
 }
 
 // Apply wires the options into a grid Scale: worker bound, progress
 // sink, checkpoint store, metrics sink + harness profile, telemetry
-// (spans, /status, fleet trace), and (with -dist/-listen) the remote
-// executor. It returns the profile (nil without -metrics-dir) and a
+// (spans, the /status sections StartStatus serves, fleet trace), and
+// (with -dist/-listen) the remote executor. Tools call StartStatus
+// first, so the runner and the fleet find its registry. It returns the profile (nil without -metrics-dir) and a
 // cleanup that must run before exit — it shuts worker processes down
 // gracefully and flushes the telemetry files. logf receives store
 // warnings and progress lines.
@@ -261,12 +259,11 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 		}
 		s.Metrics = sink
 		prof = obs.NewProfile()
-		s.Prof = prof
 	}
 	// Spans are recorded whenever anyone can see them: the /status
 	// endpoint serves live aggregates, the metrics dir persists
 	// spans.json. Observation-only either way.
-	if o.StatusAddr != "" || o.MetricsDir != "" {
+	if o.status != nil || o.MetricsDir != "" {
 		spans := obs.NewSpanRecorder()
 		s.Spans = spans
 		if o.MetricsDir != "" {
@@ -278,17 +275,7 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 			})
 		}
 	}
-	if o.StatusAddr != "" {
-		o.status = obs.NewStatus()
-		s.Status = o.status
-		addr, err := obs.StartStatusServer(o.StatusAddr, o.status)
-		if err != nil {
-			return nil, cleanup, err
-		}
-		if logf != nil {
-			logf("status server on http://%s/status", addr)
-		}
-	}
+	s.Status = o.status
 	var trace *obs.FleetTrace
 	if o.FleetTrace != "" {
 		var err error
@@ -400,12 +387,16 @@ func workerProcs(n int) int {
 }
 
 // ServeWorker runs the dist worker loop against the -connect fleet
-// coordinator, with the options' checkpoint/metrics directories and -j
-// GOMAXPROCS cap. logf receives checkpoint-store warnings and connection
-// lifecycle notices on stderr.
+// coordinator, with the options' checkpoint/metrics directories, -j
+// GOMAXPROCS cap and -status-addr (pprof and expvar on the worker).
+// logf receives checkpoint-store warnings and connection lifecycle
+// notices on stderr.
 func (o *Options) ServeWorker(ctx context.Context, logf experiments.Logf) error {
 	if o.Workers > 0 {
 		runtime.GOMAXPROCS(o.Workers)
+	}
+	if _, err := o.StartStatus(logf); err != nil {
+		return err
 	}
 	var opts dist.WorkerOptions
 	if o.CheckpointDir != "" {
@@ -436,7 +427,7 @@ func (o *Options) ServeWorker(ctx context.Context, logf experiments.Logf) error 
 		dial.Trace = trace
 	}
 	if o.ChaosSever > 0 {
-		chaos := dist.NewChaos(dist.ChaosConfig{Seed: o.ChaosSeed, SeverAfter: o.ChaosSever}, logf)
+		chaos := dist.NewChaos(dist.ChaosConfig{SeverAfter: o.ChaosSever}, logf)
 		chaos.SetTrace(dial.Trace)
 		if logf != nil {
 			logf("fault injection armed: %s", chaos)

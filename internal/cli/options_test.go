@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 )
@@ -42,5 +44,38 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want an error naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFlagSurface binds every flag group on one FlagSet, as no tool does
+// but any could: the groups must not collide (a second registration of
+// -status-addr would panic), -status-addr is the one HTTP surface, and
+// the retired -debug-addr and -chaos-seed are unknown.
+func TestFlagSurface(t *testing.T) {
+	bind := func() (*Options, *flag.FlagSet) {
+		var o Options
+		fs := flag.NewFlagSet("all", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o.Bind(fs)
+		o.BindRun(fs)
+		o.BindGrid(fs)
+		o.BindServe(fs)
+		o.BindDist(fs)
+		o.BindWorker(fs)
+		return &o, fs
+	}
+	o, fs := bind()
+	if err := fs.Parse([]string{"-status-addr", "127.0.0.1:0"}); err != nil {
+		t.Fatalf("parse -status-addr: %v", err)
+	}
+	if o.StatusAddr != "127.0.0.1:0" {
+		t.Fatalf("StatusAddr = %q, want the parsed address", o.StatusAddr)
+	}
+	for _, retired := range []string{"-debug-addr", "-chaos-seed"} {
+		_, fs := bind()
+		err := fs.Parse([]string{retired, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parse %s = %v, want an unknown-flag error", retired, err)
+		}
 	}
 }

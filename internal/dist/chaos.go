@@ -7,20 +7,18 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"remapd/internal/experiments"
 	"remapd/internal/obs"
-	"remapd/internal/tensor"
 )
 
 // Chaos is a deterministic network-fault injector for the TCP transport.
 // A worker wraps its dialed connection (DialOptions.Chaos) and every
 // outbound frame — hello, log, result, heartbeat — passes through the
-// injector, which may delay it, drop it, garble it, truncate it, or
-// sever the connection mid-stream. All decisions come from the frame
-// counter and a seeded tensor.RNG, never the wall clock, so a chaos run
-// is reproducible: same seed, same faults, same transcript.
+// injector, which may sever the connection mid-cell or garble one frame.
+// Both faults are one-shot and decided by the frame counter alone, never
+// the wall clock, so a chaos run is reproducible: same config, same
+// faults, same transcript.
 //
 // The point of the harness is the byte-identity pin: because severed and
 // garbled cells requeue onto (re)connected workers and resume from
@@ -28,9 +26,6 @@ import (
 // byte-identical to a fault-free run. The fleet tests and the
 // chaos-smoke CI job assert exactly that.
 type ChaosConfig struct {
-	// Seed feeds the injector's private RNG stream (garble positions).
-	Seed uint64
-
 	// SeverAfter, when > 0, arms a one-shot connection cut once that
 	// many frames have been written. The cut lands on the next log frame
 	// whose request already produced an earlier log frame — i.e. strictly
@@ -41,35 +36,14 @@ type ChaosConfig struct {
 	// connection runs clean, which is what lets the grid finish.
 	SeverAfter int
 
-	// DropEvery, when > 0, swallows every Nth log frame (reported as
-	// written, never sent). Only log frames are droppable — they are
-	// cosmetic by contract; dropping a result would stall the cell until
-	// the coordinator's timeout instead of exercising the lossy path.
-	DropEvery int
-
-	// GarbleEvery, when > 0, corrupts one byte of every Nth frame. The
-	// coordinator treats an unparseable line as a protocol failure and
-	// drops the worker, so garbling exercises the full
-	// drop-requeue-redial cycle.
-	GarbleEvery int
-
 	// GarbleAfter, when > 0, arms a one-shot garble: the first frame at
 	// or past this count is corrupted, and every frame after it passes
-	// clean. One shot, like SeverAfter — the redialed connection's retry
-	// is guaranteed to run unfaulted, independent of how many frames an
+	// clean. The coordinator treats an unparseable line as a protocol
+	// failure and drops the worker, so garbling exercises the full
+	// drop-requeue-redial cycle; the redialed connection's retry is
+	// guaranteed to run unfaulted, independent of how many frames an
 	// attempt writes.
 	GarbleAfter int
-
-	// TruncateEvery, when > 0, writes only the first half of every Nth
-	// frame and then severs the connection — a mid-frame crash. One shot,
-	// like SeverAfter.
-	TruncateEvery int
-
-	// Delay, when > 0, stalls every DelayEvery'th frame by this long
-	// before writing it (slow-network simulation; exercises the liveness
-	// reset on late frames without tripping the deadline).
-	Delay      time.Duration
-	DelayEvery int
 }
 
 // Chaos carries the injector's mutable state across every connection it
@@ -77,7 +51,6 @@ type ChaosConfig struct {
 // severed worker's second connection is not severed again.
 type Chaos struct {
 	cfg   ChaosConfig
-	rng   *tensor.RNG
 	logf  experiments.Logf
 	trace *obs.FleetTrace
 
@@ -97,7 +70,6 @@ func (c *Chaos) SetTrace(t *obs.FleetTrace) { c.trace = t }
 func NewChaos(cfg ChaosConfig, logf experiments.Logf) *Chaos {
 	return &Chaos{
 		cfg:     cfg,
-		rng:     tensor.NewRNG(cfg.Seed),
 		logf:    logf,
 		logSeen: map[int64]int{},
 	}
@@ -149,38 +121,16 @@ func (c *Chaos) write(conn net.Conn, p []byte) (int, error) {
 		_ = conn.Close()
 		return 0, errors.New("chaos: connection severed")
 	}
-	if c.cfg.TruncateEvery > 0 && !c.severed && frame%c.cfg.TruncateEvery == 0 {
-		c.severed = true
-		c.say("chaos: truncating frame %d and severing", frame)
-		c.trace.Emit(obs.FleetEvent{Kind: obs.FleetSever, Cause: fmt.Sprintf("chaos truncate at frame %d", frame)})
-		_, _ = conn.Write(p[:len(p)/2])
-		_ = conn.Close()
-		return 0, errors.New("chaos: connection severed mid-frame")
-	}
-	if isLog && c.cfg.DropEvery > 0 && frame%c.cfg.DropEvery == 0 {
-		c.say("chaos: dropped log frame %d (request %d)", frame, rep.ID)
-		return len(p), nil
-	}
-	if c.cfg.Delay > 0 && c.cfg.DelayEvery > 0 && frame%c.cfg.DelayEvery == 0 {
-		time.Sleep(c.cfg.Delay)
-	}
-	garble := c.cfg.GarbleEvery > 0 && frame%c.cfg.GarbleEvery == 0
 	if c.cfg.GarbleAfter > 0 && !c.garbled && frame >= c.cfg.GarbleAfter {
 		c.garbled = true
-		garble = true
-	}
-	if garble && len(p) > 1 {
 		q := append([]byte(nil), p...)
 		// Corrupt one byte of the JSON body (never the trailing
 		// newline — framing stays line-delimited, the line just stops
 		// parsing). Flip the colon after the type key: a structural
 		// byte, so the line is guaranteed unparseable rather than a
-		// string value that happens to survive corruption.
-		if i := bytes.IndexByte(q, ':'); i >= 0 {
-			q[i] ^= 0xFF
-		} else {
-			q[c.rng.Intn(len(q)-1)] ^= 0xFF
-		}
+		// string value that happens to survive corruption. Every frame
+		// is an encoded Reply, so the colon is always there.
+		q[bytes.IndexByte(q, ':')] ^= 0xFF
 		c.say("chaos: garbled frame %d", frame)
 		return conn.Write(q)
 	}
@@ -189,6 +139,5 @@ func (c *Chaos) write(conn net.Conn, p []byte) (int, error) {
 
 // String summarises the armed fault schedule for startup logs.
 func (c *Chaos) String() string {
-	return fmt.Sprintf("chaos(seed=%d sever-after=%d drop=1/%d garble=1/%d garble-after=%d truncate=1/%d delay=%s/%d)",
-		c.cfg.Seed, c.cfg.SeverAfter, c.cfg.DropEvery, c.cfg.GarbleEvery, c.cfg.GarbleAfter, c.cfg.TruncateEvery, c.cfg.Delay, c.cfg.DelayEvery)
+	return fmt.Sprintf("chaos(sever-after=%d garble-after=%d)", c.cfg.SeverAfter, c.cfg.GarbleAfter)
 }

@@ -47,7 +47,7 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos := dist.NewChaos(dist.ChaosConfig{Seed: 7, SeverAfter: 3}, capture.logf)
+	chaos := dist.NewChaos(dist.ChaosConfig{SeverAfter: 3}, capture.logf)
 	fleet := newTestFleet(t, dist.FleetOptions{Logf: capture.logf, Trace: trace})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

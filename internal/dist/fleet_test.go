@@ -141,7 +141,7 @@ func TestFleetChaosSeverRequeuesAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos := dist.NewChaos(dist.ChaosConfig{Seed: 7, SeverAfter: 3}, capture.logf)
+	chaos := dist.NewChaos(dist.ChaosConfig{SeverAfter: 3}, capture.logf)
 	fleet := newTestFleet(t, dist.FleetOptions{Logf: capture.logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -268,7 +268,7 @@ func TestFleetChaosGarbledReplyRequeues(t *testing.T) {
 	// One-shot garble of the 2nd frame (the first cell's first log
 	// line); everything after passes clean, so attempt 2 on the redialed
 	// connection wins regardless of how many frames an attempt writes.
-	chaos := dist.NewChaos(dist.ChaosConfig{Seed: 11, GarbleAfter: 2}, capture.logf)
+	chaos := dist.NewChaos(dist.ChaosConfig{GarbleAfter: 2}, capture.logf)
 	fleet := newTestFleet(t, dist.FleetOptions{Logf: capture.logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

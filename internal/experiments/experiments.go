@@ -53,16 +53,13 @@ type Scale struct {
 	// telemetry on or off. Note that a resumed cell's trace covers only
 	// the epochs it actually replayed.
 	Metrics *obs.Sink
-	// Prof, when non-nil, collects harness-domain wall-time statistics
-	// (per-cell durations, per-phase costs). Observation-only.
-	Prof *obs.Profile
 	// Exec, when non-nil, runs cells through an alternative executor
 	// (e.g. dist.Fleet ships them to worker processes). Scheduling
 	// only: results must be byte-identical to in-process execution.
 	Exec CellExecutor
 	// Spans, when non-nil, records a lifecycle span per cell (queue /
 	// wire / run attribution — see obs.SpanRecorder). Observation-only,
-	// like Metrics and Prof.
+	// like Metrics.
 	Spans *obs.SpanRecorder
 	// Status, when non-nil, receives live grid-progress and span
 	// sections for the /status endpoint. Observation-only.

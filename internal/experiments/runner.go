@@ -132,9 +132,6 @@ type Runner struct {
 	// until it finishes (ok or error) and then flushed as one contiguous
 	// block under a mutex, so concurrent cells never interleave output.
 	Logf func(format string, args ...interface{})
-	// Prof, when non-nil, records each cell's wall-clock duration
-	// (harness domain; never feeds back into results).
-	Prof *obs.Profile
 	// Exec, when non-nil, runs cells somewhere other than in-process
 	// (e.g. dist.Fleet fans them out to worker processes). Scheduling
 	// only: results must be identical to the in-process executor, which
@@ -214,15 +211,8 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 			defer wg.Done()
 			for i := range jobs {
 				logf, transcript := r.cellLogf(cells[i].Spec.Key)
-				var stopCell func()
-				if r.Prof != nil {
-					stopCell = r.Prof.StartCell(cells[i].Spec.Key.String())
-				}
 				cells[i].Span.Schedule()
 				res, err := exec.Execute(runCtx, slot, cells[i], logf)
-				if stopCell != nil {
-					stopCell()
-				}
 				switch {
 				case err == nil:
 					cells[i].Span.Finish("ok")
@@ -329,5 +319,5 @@ func newRunner(s Scale) *Runner {
 	if exec == nil {
 		exec = localExecutor{rt: Runtime{Checkpoints: s.Checkpoints, Metrics: s.Metrics}}
 	}
-	return &Runner{Workers: s.Workers, Logf: s.Progress, Prof: s.Prof, Exec: exec, Spans: s.Spans, Status: s.Status}
+	return &Runner{Workers: s.Workers, Logf: s.Progress, Exec: exec, Spans: s.Spans, Status: s.Status}
 }

@@ -23,7 +23,7 @@ import (
 
 // ScaleSpec is the serializable part of Scale: every knob a cell's
 // result depends on, none of the scheduling/observation machinery
-// (Workers, Progress, Checkpoints, Metrics, Prof, Exec stay behind on the
+// (Workers, Progress, Checkpoints, Metrics, Exec stay behind on the
 // coordinator or are re-bound worker-side via Runtime).
 type ScaleSpec struct {
 	Name         string        `json:"name"`

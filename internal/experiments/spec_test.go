@@ -250,7 +250,6 @@ func TestCellFingerprintCoversEveryCoordinate(t *testing.T) {
 	o.Metrics = sink
 	o.Spans = obs.NewSpanRecorder()
 	o.Status = obs.NewStatus()
-	o.Prof = obs.NewProfile()
 	if got := fingerprint(fig6Specs(o, reg, []string{"remap-d"})[0]); got != want {
 		t.Fatalf("observation-only scale fields changed the fingerprint:\n  %s\n  %s", got, want)
 	}

@@ -16,7 +16,10 @@ import (
 // v2 added the operational telemetry surface: cell lifecycle spans
 // (spans.json), the fleet event trace (fleet JSONL), and the /status
 // document types.
-const SchemaVersion = 2
+//
+// v3 dropped the per-cell entries from harness.json (ProfileData.Cells):
+// a cell's wall time is its span.
+const SchemaVersion = 3
 
 // Event is one structured trace record. Every event is keyed by simulated
 // coordinates only (epoch, crossbar id, tile id — never wall-clock

@@ -173,8 +173,9 @@ func (t *FleetTrace) Close() error {
 }
 
 // DecodeFleetEvents parses a JSONL fleet trace. Strict, like
-// DecodeEvents: an unknown kind or malformed line is an error, not a
-// skip — schema drift must be loud.
+// DecodeEvents: an unknown kind or field, a malformed line, or anything
+// after a line's JSON value is an error, not a skip — schema drift must
+// be loud.
 func DecodeFleetEvents(r io.Reader) ([]FleetEvent, error) {
 	var out []FleetEvent
 	sc := bufio.NewScanner(r)
@@ -187,9 +188,7 @@ func DecodeFleetEvents(r io.Reader) ([]FleetEvent, error) {
 			continue
 		}
 		var ev FleetEvent
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
+		if err := decodeStrict(raw, &ev); err != nil {
 			return nil, fmt.Errorf("obs: fleet trace line %d: %w", line, err)
 		}
 		if !fleetKinds[ev.Kind] {

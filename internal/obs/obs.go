@@ -11,10 +11,11 @@
 // so the disabled path costs nothing (zero allocations on the matmul hot
 // path, see BenchmarkWeightsWrittenNilRecorder).
 //
-// The *harness domain* (Profile, StartDebugServer) belongs to the runner
-// and the cmd tools: it measures wall time and allocations of the harness
-// itself — per experiment cell and per report phase — behind explicit
-// //lint:allow no-wall-clock directives, and serves net/http/pprof +
+// The *harness domain* (Profile, the cell spans, StartStatusServer)
+// belongs to the runner and the cmd tools: it measures wall time and
+// allocations of the harness itself — per report phase in the Profile,
+// per experiment cell in its span — behind explicit //lint:allow
+// no-wall-clock directives, and serves /status, net/http/pprof and
 // expvar for live inspection. Nothing in the harness domain feeds back
 // into simulation state.
 //

@@ -281,19 +281,15 @@ func TestSinkReadDirRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileRoundTrip covers the harness-domain profile: phase/cell
-// recording, slowest-first cell ordering, and harness.json persistence.
+// TestProfileRoundTrip covers the harness-domain profile: phase
+// recording and harness.json persistence.
 func TestProfileRoundTrip(t *testing.T) {
 	p := NewProfile()
 	p.StartPhase("fig6")()
-	p.StartCell("slow-cell")()
-	p.StartCell("fast-cell")()
+	p.StartPhase("fig7")()
 	d := p.Data()
-	if len(d.Phases) != 1 || d.Phases[0].Name != "fig6" {
-		t.Fatalf("phases = %+v, want one fig6 entry", d.Phases)
-	}
-	if len(d.Cells) != 2 {
-		t.Fatalf("cells = %+v, want 2 entries", d.Cells)
+	if len(d.Phases) != 2 || d.Phases[0].Name != "fig6" || d.Phases[1].Name != "fig7" {
+		t.Fatalf("phases = %+v, want fig6 then fig7", d.Phases)
 	}
 
 	dir := t.TempDir()
@@ -304,8 +300,8 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadProfile: %v", err)
 	}
-	if back == nil || len(back.Phases) != 1 || len(back.Cells) != 2 {
-		t.Fatalf("ReadProfile = %+v, want 1 phase and 2 cells", back)
+	if back == nil || len(back.Phases) != 2 || back.Phases[1].Name != "fig7" {
+		t.Fatalf("ReadProfile = %+v, want the 2 recorded phases", back)
 	}
 	missing, err := ReadProfile(t.TempDir())
 	if err != nil || missing != nil {

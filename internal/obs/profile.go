@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
 
 // This file is the HARNESS domain: it profiles the experiment harness
-// itself — wall time and allocation volume per report phase and per
-// experiment cell. Wall clock here is the point, not a leak: these
-// numbers describe the machine, never the simulation, and nothing in
-// this file feeds back into cell results. Every clock read carries a
+// itself — wall time and allocation volume per report phase. A cell's
+// wall time is its lifecycle span (span.go). Wall clock here is the
+// point, not a leak: these numbers describe the machine, never the
+// simulation, and nothing in this file feeds back into cell results. Every clock read carries a
 // verified //lint:allow so the no-wall-clock rule still guards the
 // simulation domain above.
 
@@ -25,26 +24,17 @@ type PhaseStat struct {
 	AllocBytes uint64  `json:"alloc_bytes"`
 }
 
-// CellStat is one experiment cell's harness cost.
-type CellStat struct {
-	Cell    string  `json:"cell"`
-	Seconds float64 `json:"seconds"`
-}
-
 // ProfileData is the serialisable form of a Profile (harness.json).
 type ProfileData struct {
 	Phases []PhaseStat `json:"phases"`
-	Cells  []CellStat  `json:"cells"`
 }
 
 // Profile collects harness wall-time/alloc statistics. It is shared by
-// concurrent workers, so it is mutex-guarded; completion order (and
-// therefore slice order) is scheduling-dependent, which is fine in this
-// domain — consumers sort.
+// concurrent workers, so it is mutex-guarded; phases keep completion
+// order.
 type Profile struct {
 	mu     sync.Mutex
 	phases []PhaseStat
-	cells  []CellStat
 }
 
 // NewProfile returns an empty profile.
@@ -69,36 +59,11 @@ func (p *Profile) StartPhase(name string) func() {
 	}
 }
 
-// StartCell begins timing one experiment cell and returns the stop
-// function that records it.
-func (p *Profile) StartCell(cell string) func() {
-	//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
-	start := time.Now()
-	return func() {
-		//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
-		secs := time.Since(start).Seconds()
-		p.mu.Lock()
-		p.cells = append(p.cells, CellStat{Cell: cell, Seconds: secs})
-		p.mu.Unlock()
-	}
-}
-
-// Data snapshots the profile with cells sorted slowest-first and phases
-// in completion order.
+// Data snapshots the profile, phases in completion order.
 func (p *Profile) Data() *ProfileData {
 	p.mu.Lock()
-	d := &ProfileData{
-		Phases: append([]PhaseStat(nil), p.phases...),
-		Cells:  append([]CellStat(nil), p.cells...),
-	}
-	p.mu.Unlock()
-	sort.Slice(d.Cells, func(i, j int) bool {
-		if d.Cells[i].Seconds != d.Cells[j].Seconds { //lint:allow float-eq tie-break ordering only; equal values fall through to the name comparison
-			return d.Cells[i].Seconds > d.Cells[j].Seconds
-		}
-		return d.Cells[i].Cell < d.Cells[j].Cell
-	})
-	return d
+	defer p.mu.Unlock()
+	return &ProfileData{Phases: append([]PhaseStat(nil), p.phases...)}
 }
 
 // harnessFile names the profile payload inside a metrics directory.

@@ -219,8 +219,8 @@ func (r *SpanRecorder) Spans() []CellSpanData {
 	return out
 }
 
-// SpanAggregate is the roll-up the /status endpoint and remapd-metrics
-// serve: where the grid's wall time went, and which cells took longest.
+// SpanAggregate is the roll-up the /status endpoint serves: where the
+// grid's wall time went, and which cells held a slot longest.
 type SpanAggregate struct {
 	Cells            int            `json:"cells"`
 	Attempts         int            `json:"attempts"`
@@ -243,12 +243,7 @@ func (r *SpanRecorder) Aggregate() SpanAggregate {
 	if r == nil {
 		return SpanAggregate{}
 	}
-	return AggregateSpans(r.Spans())
-}
-
-// AggregateSpans rolls up an arbitrary span set (remapd-metrics uses it
-// on spans loaded back from disk).
-func AggregateSpans(spans []CellSpanData) SpanAggregate {
+	spans := r.Spans()
 	agg := SpanAggregate{Cells: len(spans)}
 	for _, sp := range spans {
 		agg.QueueSeconds += sp.QueueSeconds
@@ -266,18 +261,29 @@ func AggregateSpans(spans []CellSpanData) SpanAggregate {
 		agg.MeanQueueSeconds = agg.QueueSeconds / float64(agg.Cells)
 		agg.MeanRunSeconds = agg.RunSeconds / float64(agg.Cells)
 	}
+	agg.Slowest = SlowestSpans(spans, slowestSpans)
+	return agg
+}
+
+// SlotSeconds is the wall time the cell held a runner slot: from leaving
+// the queue to its outcome, every attempt and requeue included.
+func (d CellSpanData) SlotSeconds() float64 { return d.TotalSeconds - d.QueueSeconds }
+
+// SlowestSpans returns up to n spans ranked by SlotSeconds, slowest
+// first, ties broken by cell key.
+func SlowestSpans(spans []CellSpanData, n int) []CellSpanData {
 	slowest := append([]CellSpanData(nil), spans...)
 	sort.Slice(slowest, func(i, j int) bool {
-		if slowest[i].TotalSeconds != slowest[j].TotalSeconds { //lint:allow float-eq tie-break ordering only; equal values fall through to the name comparison
-			return slowest[i].TotalSeconds > slowest[j].TotalSeconds
+		si, sj := slowest[i].SlotSeconds(), slowest[j].SlotSeconds()
+		if si != sj { //lint:allow float-eq tie-break ordering only; equal values fall through to the name comparison
+			return si > sj
 		}
 		return slowest[i].Cell < slowest[j].Cell
 	})
-	if len(slowest) > slowestSpans {
-		slowest = slowest[:slowestSpans]
+	if len(slowest) > n {
+		slowest = slowest[:n]
 	}
-	agg.Slowest = slowest
-	return agg
+	return slowest
 }
 
 // spansFile names the span payload inside a metrics directory.
@@ -302,8 +308,14 @@ func ReadSpans(dir string) ([]CellSpanData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: read spans: %w", err)
 	}
+	return decodeSpans(data)
+}
+
+// decodeSpans parses a spans.json payload strictly: an unknown field or
+// anything after the array is an error.
+func decodeSpans(data []byte) ([]CellSpanData, error) {
 	var spans []CellSpanData
-	if err := json.Unmarshal(data, &spans); err != nil {
+	if err := decodeStrict(data, &spans); err != nil {
 		return nil, fmt.Errorf("obs: parse spans: %w", err)
 	}
 	return spans, nil

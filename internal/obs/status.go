@@ -3,7 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 
 	"remapd/internal/det"
@@ -89,14 +92,33 @@ func (s *Status) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 // which create exactly one.
 var publishExpvar sync.Once
 
-// StartStatusServer serves /status for st plus the standard debug
-// surface (pprof, expvar) on addr, returning the bound address. Like
-// StartDebugServer it is best-effort and runs for the process lifetime.
+// StartStatusServer is the harness domain's one HTTP surface: it serves
+// /status for st, net/http/pprof (CPU/heap/goroutine profiles) and
+// expvar (cmdline, memstats and the status document) on addr, and
+// returns the bound address. It is best-effort and runs for the process
+// lifetime; nothing it serves touches simulation state, so leaving it on
+// cannot perturb results.
 func StartStatusServer(addr string, st *Status) (string, error) {
 	publishExpvar.Do(func() {
 		expvar.Publish("remapd", expvar.Func(func() interface{} { return st.Snapshot() }))
 	})
-	return serveDebugMux(addr, func(mux *http.ServeMux) {
-		mux.Handle("/status", st)
-	})
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("obs: status server listen: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/status", st)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
+	srv := &http.Server{Handler: mux}
+	go func() {
+		// Serve returns when the listener dies at process exit; the
+		// server is best-effort and must never take the run down with it.
+		_ = srv.Serve(ln)
+	}()
+	return ln.Addr().String(), nil
 }

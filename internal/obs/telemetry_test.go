@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -58,17 +59,125 @@ func TestFleetTraceRoundTrip(t *testing.T) {
 }
 
 // TestFleetTraceStrictDecode: unknown kinds and unknown fields are schema
-// drift and must fail loudly.
+// drift, and bytes after a line's JSON value are corruption; each is an
+// error, not a skipped line or a silently dropped event.
 func TestFleetTraceStrictDecode(t *testing.T) {
-	if _, err := DecodeFleetEvents(strings.NewReader(`{"seq":1,"elapsed_seconds":0,"kind":"teleport"}` + "\n")); err == nil || !strings.Contains(err.Error(), "unknown event kind") {
-		t.Errorf("unknown kind err = %v, want unknown-kind error", err)
+	const join = `{"seq":1,"elapsed_seconds":0,"kind":"join"}`
+	for _, tc := range []struct {
+		name, line, want string // want: substring of the error
+	}{
+		{"unknown kind", `{"seq":1,"elapsed_seconds":0,"kind":"teleport"}`, "unknown event kind"},
+		{"unknown field", `{"seq":1,"elapsed_seconds":0,"kind":"join","surprise":true}`, "unknown field"},
+		{"malformed line", `not json`, "invalid character"},
+		{"trailing garbage", join + ` garbage`, "trailing data"},
+		{"two values on one line", join + `{"seq":2,"elapsed_seconds":0,"kind":"leave"}`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := DecodeFleetEvents(strings.NewReader(tc.line + "\n"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("DecodeFleetEvents(%s) = (%+v, %v), want an error containing %q", tc.line, events, err, tc.want)
+			}
+		})
 	}
-	if _, err := DecodeFleetEvents(strings.NewReader(`{"seq":1,"elapsed_seconds":0,"kind":"join","surprise":true}` + "\n")); err == nil {
-		t.Error("unknown field slipped through the strict decoder")
+}
+
+// encodeFleetEvents renders events as the JSONL a FleetTrace file holds.
+func encodeFleetEvents(t *testing.T, events []FleetEvent) []byte {
+	t.Helper()
+	var out []byte
+	for _, ev := range events {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatalf("encode accepted event: %v", err)
+		}
+		out = append(append(out, line...), '\n')
 	}
-	if _, err := DecodeFleetEvents(strings.NewReader("not json\n")); err == nil {
-		t.Error("malformed line slipped through")
+	return out
+}
+
+// FuzzDecodeFleetEvents: fleet traces are read back from disk, so
+// DecodeFleetEvents must survive any input — no panic — and whatever it
+// accepts must reach a fixed point: re-encoding and decoding again gives
+// the same bytes.
+func FuzzDecodeFleetEvents(f *testing.F) {
+	f.Add([]byte(`{"seq":1,"elapsed_seconds":0.5,"kind":"join","worker":"fw1/pid9","addr":"127.0.0.1:1","proto":3,"slots":2,"workers":1}` + "\n" +
+		`{"seq":2,"elapsed_seconds":1.25,"kind":"requeue","worker":"fw1/pid9","cell":"cnn-s/remap-d/seed1","attempt":1,"cause":"died"}` + "\n"))
+	f.Add([]byte(`{"seq":3,"elapsed_seconds":2,"kind":"cell-done","cell":"c","attempt":2,"seconds":1.5}` + "\n\n"))
+	f.Add([]byte(`{"seq":1,"elapsed_seconds":0,"kind":"join"} garbage`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		events, err := DecodeFleetEvents(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		first := encodeFleetEvents(t, events)
+		again, err := DecodeFleetEvents(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", first, err)
+		}
+		if second := encodeFleetEvents(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
+		}
+	})
+}
+
+// TestReadSpansStrict: spans.json is read back by remapd-metrics, so an
+// unknown field or trailing bytes are an error, not a silent skip.
+func TestReadSpansStrict(t *testing.T) {
+	for name, payload := range map[string]string{
+		"unknown span field":    `[{"cell":"a","outcome":"ok","queue_seconds":0,"total_seconds":1,"attempts":[],"extra":1}]`,
+		"unknown attempt field": `[{"cell":"a","outcome":"ok","queue_seconds":0,"total_seconds":1,"attempts":[{"attempt":1,"bogus":true}]}]`,
+		"trailing value":        `[] []`,
+		"trailing garbage":      `[{"cell":"a"}] garbage`,
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, spansFile), []byte(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if spans, err := ReadSpans(dir); err == nil {
+			t.Errorf("%s: ReadSpans accepted %s as %+v", name, payload, spans)
+		}
 	}
+}
+
+// FuzzReadSpans: the bytes ReadSpans decodes must never panic it, and
+// whatever it accepts must reach a re-encode fixed point.
+func FuzzReadSpans(f *testing.F) {
+	rec := NewSpanRecorder()
+	span := rec.Begin("cnn-s/remap-d/seed1")
+	span.Dispatch("fw1/pid9")
+	span.EndAttempt(true)
+	span.Dispatch("fw2/pid10")
+	span.RunSegment(0.25, false)
+	span.EndAttempt(false)
+	span.Finish("ok")
+	seed, err := json.MarshalIndent(rec.Spans(), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`[{"cell":"a","outcome":"failed","queue_seconds":1e-3,"total_seconds":2,"attempts":null}]`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		spans, err := decodeSpans(in)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(spans)
+		if err != nil {
+			t.Fatalf("encode accepted spans: %v", err)
+		}
+		again, err := decodeSpans(first)
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", first, err)
+		}
+		second, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
+		}
+	})
 }
 
 // TestFleetTraceNilSafe: a nil trace must absorb every call.
@@ -145,6 +254,25 @@ func TestSpanAccounting(t *testing.T) {
 	}
 }
 
+// TestSlowestSpans: cells rank by the time they held a slot (total less
+// queue), so a cell that merely waited long for a worker does not top
+// the table; ties fall back to the cell key.
+func TestSlowestSpans(t *testing.T) {
+	spans := []CellSpanData{
+		{Cell: "queued", QueueSeconds: 4, TotalSeconds: 5},
+		{Cell: "slow", QueueSeconds: 0, TotalSeconds: 3},
+		{Cell: "tie-b", QueueSeconds: 1, TotalSeconds: 3},
+		{Cell: "tie-a", QueueSeconds: 0, TotalSeconds: 2},
+	}
+	var got []string
+	for _, sp := range SlowestSpans(spans, 3) {
+		got = append(got, sp.Cell)
+	}
+	if want := "slow tie-a tie-b"; strings.Join(got, " ") != want {
+		t.Fatalf("SlowestSpans = %v, want %s", got, want)
+	}
+}
+
 // TestSpanNilSafe: a nil recorder yields nil spans whose methods all
 // no-op — the guarantee that lets executors mark edges unconditionally.
 func TestSpanNilSafe(t *testing.T) {
@@ -213,6 +341,18 @@ func TestStatusServer(t *testing.T) {
 	}
 	if doc.Grid == nil || doc.Grid.Total != 6 || doc.Grid.Done != 2 {
 		t.Fatalf("status document mangled: %+v", doc.Grid)
+	}
+	// The same address is the process's one harness HTTP surface: pprof
+	// and expvar answer beside /status.
+	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+		resp, err := client.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
 	}
 
 	// Re-registration replaces; nil registry absorbs.
