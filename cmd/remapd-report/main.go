@@ -43,10 +43,9 @@ func main() {
 	log.SetFlags(0)
 	var opts cli.Options
 	var (
-		scale     = flag.String("scale", "quick", "quick or standard")
-		ablations = flag.Bool("ablations", true, "include the design-choice ablations")
-		csvDir    = flag.String("csv", "", "also write each figure's rows as CSV into this directory")
-		only      = flag.String("only", "", "run only these comma-separated sections (fig4 fig5 fig6 fig7 fig8 bist noc area ablations); empty = all")
+		scale  = flag.String("scale", "quick", "quick or standard")
+		csvDir = flag.String("csv", "", "also write each figure's rows as CSV into this directory")
+		only   = flag.String("only", "", "run only these comma-separated sections (fig4 fig5 fig6 fig7 fig8 bist noc area ablations); empty = all")
 	)
 	opts.Bind(flag.CommandLine)
 	opts.BindGrid(flag.CommandLine)
@@ -209,7 +208,7 @@ func main() {
 		writeCSV("area", rowsArea)
 	}
 
-	if *ablations && sectionWanted("ablations") {
+	if sectionWanted("ablations") {
 		model := s.Models[len(s.Models)-1]
 		section("Ablation — Remap-D trigger threshold (" + model + ")")
 		rt, err := experiments.AblationThreshold(ctx, s, reg, model, []float64{0.004, 0.01, 0.02, 0.05})

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -353,7 +352,7 @@ func TestChipFabricEndToEndTraining(t *testing.T) {
 		}
 		return x, labels
 	}
-	opt := nn.NewSGD(netClean, 0.1, 0.9, 0)
+	opt := nn.NewSGD(netClean, 0.1, 0.9)
 	for it := 0; it < 150; it++ {
 		x, l := sample(32)
 		logits := netClean.Forward(x, true)
@@ -600,149 +599,150 @@ func TestCoverageSettersRejectMalformedInput(t *testing.T) {
 // and after every step compares the fabric outputs, bit for bit, with a
 // chip built fresh from the same weights, mapping, faults, write counts and
 // coverage. Nothing tells the chip its cache is stale: fault writes must
-// announce themselves through the crossbar versions.
+// announce themselves through the crossbar versions. Cells program exactly
+// (programming noise sigma = 0).
 func TestEffectiveWeightsNeverStale(t *testing.T) {
+	t.Run("sigma=0", effectiveWeightsNeverStale)
+}
+
+func effectiveWeightsNeverStale(t *testing.T) {
 	const size, seed = 16, 21
 	geom := Geometry{TilesX: 2, TilesY: 2, IMAsPerTile: 2, XbarsPerIMA: 2}
-	for _, sigma := range []float64{0, 0.05} {
-		t.Run(fmt.Sprintf("sigma=%g", sigma), func(t *testing.T) {
-			newChip := func() (*Chip, *nn.Network) {
-				p := reram.DefaultDeviceParams()
-				p.CrossbarSize, p.ProgramSigma = size, sigma
-				c := NewChip(p, geom)
-				net := buildNet(tensor.NewRNG(seed)) // same initial weights → same coding ranges
-				if err := c.MapNetwork(net); err != nil {
-					t.Fatal(err)
-				}
-				return c, net
-			}
-			c, _ := newChip()
-			layers := c.Layers()
-			rng := tensor.NewRNG(99)
+	newChip := func() (*Chip, *nn.Network) {
+		p := reram.DefaultDeviceParams()
+		p.CrossbarSize = size
+		c := NewChip(p, geom)
+		net := buildNet(tensor.NewRNG(seed)) // same initial weights → same coding ranges
+		if err := c.MapNetwork(net); err != nil {
+			t.Fatal(err)
+		}
+		return c, net
+	}
+	c, _ := newChip()
+	layers := c.Layers()
+	rng := tensor.NewRNG(99)
 
-			fresh := func() *Chip {
-				ref, _ := newChip()
-				for _, l := range layers {
-					copy(ref.Weight(l).Data, c.Weight(l).Data)
-				}
-				if err := ref.RestoreMapping(c.Mapping()); err != nil {
-					t.Fatal(err)
-				}
-				for xi, x := range c.Xbars {
-					for _, i := range x.FaultCells() {
-						ref.Xbars[xi].RestoreFault(i, x.StateAt(i), x.FaultG(i), x.FaultInPositive(i))
-					}
-					ref.Xbars[xi].RestoreWrites(x.Writes())
-				}
-				if _, err := ref.SetRelocated(c.Relocated()); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.SetCorrectable(c.Correctable()); err != nil {
-					t.Fatal(err)
-				}
-				return ref
+	fresh := func() *Chip {
+		ref, _ := newChip()
+		for _, l := range layers {
+			copy(ref.Weight(l).Data, c.Weight(l).Data)
+		}
+		if err := ref.RestoreMapping(c.Mapping()); err != nil {
+			t.Fatal(err)
+		}
+		for xi, x := range c.Xbars {
+			for _, i := range x.FaultCells() {
+				ref.Xbars[xi].RestoreFault(i, x.StateAt(i), x.FaultG(i), x.FaultInPositive(i))
 			}
-			same := func(a, b *tensor.Tensor) bool {
-				for i := range a.Data {
-					if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-						return false
-					}
-				}
-				return true
+			ref.Xbars[xi].RestoreWrites(x.Writes())
+		}
+		if _, err := ref.SetRelocated(c.Relocated()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetCorrectable(c.Correctable()); err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	same := func(a, b *tensor.Tensor) bool {
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				return false
 			}
-			randomCells := func(n int) []int {
-				out := make([]int, n)
-				for i := range out {
-					out[i] = rng.Intn(size * size)
-				}
-				return out
-			}
+		}
+		return true
+	}
+	randomCells := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = rng.Intn(size * size)
+		}
+		return out
+	}
 
-			steps := []struct {
-				name string
-				do   func()
-			}{
-				{"InjectFault", func() {
-					x := c.Xbars[rng.Intn(len(c.Xbars))]
-					x.InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(rng.Intn(3)), rng)
-				}},
-				{"RestoreFault", func() {
-					x := c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))]
-					x.RestoreFault(rng.Intn(size*size), reram.CellState(1+rng.Intn(2)), 1e-5*(1+rng.Float64()), rng.Intn(2) == 0)
-				}},
-				{"HealAll", func() { c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))].HealAll() }},
-				{"SwapTasks", func() {
-					used := c.MappedXbars()
-					a, b := used[rng.Intn(len(used))], used[rng.Intn(len(used))]
-					if a != b {
-						c.SwapTasks(a, b)
-					}
-				}},
-				{"RestoreMapping", func() {
-					perm := rng.Perm(len(c.Xbars))
-					if err := c.RestoreMapping(perm[:len(c.Tasks)]); err != nil {
-						t.Fatal(err)
-					}
-				}},
-				{"WeightsWritten", func() {
-					l := layers[rng.Intn(len(layers))]
-					w := c.Weight(l)
-					w.Data[rng.Intn(w.Len())] = float32(rng.NormFloat64())
-					c.WeightsWritten(l)
-				}},
-				{"SetRelocated", func() {
-					rel := map[string][]int{}
-					for _, l := range layers {
-						if rng.Intn(2) == 0 {
-							for _, e := range randomCells(1 + rng.Intn(40)) {
-								rel[l] = append(rel[l], e%c.Weight(l).Len())
-							}
-						}
-					}
-					if _, err := c.SetRelocated(rel); err != nil {
-						t.Fatal(err)
-					}
-				}},
-				{"SetCorrectable", func() {
-					ecc := make([][]int, len(c.Xbars))
-					for xi := range ecc {
-						if rng.Intn(2) == 0 {
-							ecc[xi] = randomCells(1 + rng.Intn(40))
-						}
-					}
-					if err := c.SetCorrectable(ecc); err != nil {
-						t.Fatal(err)
-					}
-				}},
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"InjectFault", func() {
+			x := c.Xbars[rng.Intn(len(c.Xbars))]
+			x.InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(rng.Intn(3)), rng)
+		}},
+		{"RestoreFault", func() {
+			x := c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))]
+			x.RestoreFault(rng.Intn(size*size), reram.CellState(1+rng.Intn(2)), 1e-5*(1+rng.Float64()), rng.Intn(2) == 0)
+		}},
+		{"HealAll", func() { c.Xbars[c.XbarOf(rng.Intn(len(c.Tasks)))].HealAll() }},
+		{"SwapTasks", func() {
+			used := c.MappedXbars()
+			a, b := used[rng.Intn(len(used))], used[rng.Intn(len(used))]
+			if a != b {
+				c.SwapTasks(a, b)
 			}
-			// Start with enough faults that most steps touch a faulty cell.
-			for xi := range c.Xbars {
-				for f := 0; f < 30; f++ {
-					c.Xbars[xi].InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(1+rng.Intn(2)), rng)
-				}
+		}},
+		{"RestoreMapping", func() {
+			perm := rng.Perm(len(c.Xbars))
+			if err := c.RestoreMapping(perm[:len(c.Tasks)]); err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 400; i++ {
-				step := steps[rng.Intn(len(steps))]
-				step.do()
-				ref := fresh()
-				for _, l := range layers {
-					w := c.Weight(l)
-					if !same(c.EffectiveForward(l, w), ref.EffectiveForward(l, ref.Weight(l))) {
-						t.Fatalf("step %d (%s): %s forward weights are stale", i, step.name, l)
-					}
-					if !same(c.EffectiveBackward(l, w), ref.EffectiveBackward(l, ref.Weight(l))) {
-						t.Fatalf("step %d (%s): %s backward weights are stale", i, step.name, l)
-					}
-					grad, refGrad := tensor.New(w.Shape...), tensor.New(w.Shape...)
-					rng.FillNormal(grad, 1)
-					copy(refGrad.Data, grad.Data)
-					c.TransformGradient(l, grad)
-					ref.TransformGradient(l, refGrad)
-					if !same(grad, refGrad) {
-						t.Fatalf("step %d (%s): %s gradient transform differs", i, step.name, l)
+		}},
+		{"WeightsWritten", func() {
+			l := layers[rng.Intn(len(layers))]
+			w := c.Weight(l)
+			w.Data[rng.Intn(w.Len())] = float32(rng.NormFloat64())
+			c.WeightsWritten(l)
+		}},
+		{"SetRelocated", func() {
+			rel := map[string][]int{}
+			for _, l := range layers {
+				if rng.Intn(2) == 0 {
+					for _, e := range randomCells(1 + rng.Intn(40)) {
+						rel[l] = append(rel[l], e%c.Weight(l).Len())
 					}
 				}
 			}
-		})
+			if _, err := c.SetRelocated(rel); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetCorrectable", func() {
+			ecc := make([][]int, len(c.Xbars))
+			for xi := range ecc {
+				if rng.Intn(2) == 0 {
+					ecc[xi] = randomCells(1 + rng.Intn(40))
+				}
+			}
+			if err := c.SetCorrectable(ecc); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	// Start with enough faults that most steps touch a faulty cell.
+	for xi := range c.Xbars {
+		for f := 0; f < 30; f++ {
+			c.Xbars[xi].InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(1+rng.Intn(2)), rng)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		step := steps[rng.Intn(len(steps))]
+		step.do()
+		ref := fresh()
+		for _, l := range layers {
+			w := c.Weight(l)
+			if !same(c.EffectiveForward(l, w), ref.EffectiveForward(l, ref.Weight(l))) {
+				t.Fatalf("step %d (%s): %s forward weights are stale", i, step.name, l)
+			}
+			if !same(c.EffectiveBackward(l, w), ref.EffectiveBackward(l, ref.Weight(l))) {
+				t.Fatalf("step %d (%s): %s backward weights are stale", i, step.name, l)
+			}
+			grad, refGrad := tensor.New(w.Shape...), tensor.New(w.Shape...)
+			rng.FillNormal(grad, 1)
+			copy(refGrad.Data, grad.Data)
+			c.TransformGradient(l, grad)
+			ref.TransformGradient(l, refGrad)
+			if !same(grad, refGrad) {
+				t.Fatalf("step %d (%s): %s gradient transform differs", i, step.name, l)
+			}
+		}
 	}
 }

@@ -334,7 +334,7 @@ func TestMalformedCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &trainer.TrainState{
-			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9, 0),
+			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9),
 			TrainRNG: tensor.NewRNG(1), FaultRNG: tensor.NewRNG(2),
 			Chip: chip, Policy: remap.None{}, Result: &trainer.Result{},
 		}
@@ -476,7 +476,7 @@ func TestFaultedChipRoundTripCounts(t *testing.T) {
 			}
 		}
 		return &trainer.TrainState{
-			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9, 0),
+			Net: net, Opt: nn.NewSGD(net, 0.1, 0.9),
 			TrainRNG: tensor.NewRNG(1), FaultRNG: tensor.NewRNG(2),
 			Chip: chip, Policy: remap.None{}, Result: &trainer.Result{},
 		}

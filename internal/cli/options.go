@@ -167,6 +167,9 @@ func (o *Options) Validate() error {
 	if o.FleetMax < 0 {
 		return fmt.Errorf("cli: -fleet must be >= 0, got %d", o.FleetMax)
 	}
+	if o.FleetMax > 0 && o.Listen == "" {
+		return errors.New("cli: -fleet only applies to a -listen fleet coordinator")
+	}
 	if o.Dist > 0 && o.Worker {
 		return errors.New("cli: -dist and -worker are mutually exclusive (a worker never coordinates)")
 	}

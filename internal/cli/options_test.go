@@ -29,6 +29,7 @@ func TestValidate(t *testing.T) {
 		{"listen worker", Options{Listen: ":0", Worker: true, Connect: "127.0.0.1:7433", Slots: 1}, "-listen and -worker"},
 		{"dist and listen", Options{Dist: 2, Listen: ":0"}, "-listen and -dist"},
 		{"zero slots", Options{Worker: true, Connect: "127.0.0.1:7433"}, "-slots"},
+		{"fleet without listen", Options{Dist: 2, FleetMax: 4}, "-fleet only applies"},
 		{"negative sever", Options{ChaosSever: -1}, "-chaos-sever-after"},
 		{"sever without connect", Options{ChaosSever: 4}, "-chaos-sever-after"},
 		{"negative batch-max", Options{BatchMax: -1}, "-batch-max"},

@@ -181,7 +181,7 @@ func TestCIFAR10LikeIsLearnable(t *testing.T) {
 		nn.NewFlatten("fl"),
 		nn.NewLinear("fc", 8*8*8, 10, rng),
 	)
-	opt := nn.NewSGD(net, 0.03, 0.9, 1e-4)
+	opt := nn.NewSGD(net, 0.03, 0.9)
 	for epoch := 0; epoch < 6; epoch++ {
 		for _, b := range d.TrainBatches(32, rng) {
 			logits := net.Forward(b.X, true)
@@ -221,7 +221,7 @@ func TestSVHNLikeIsLearnable(t *testing.T) {
 		nn.NewFlatten("fl"),
 		nn.NewLinear("fc", 12*8*8, 10, rng),
 	)
-	opt := nn.NewSGD(net, 0.03, 0.9, 1e-4)
+	opt := nn.NewSGD(net, 0.03, 0.9)
 	for epoch := 0; epoch < 8; epoch++ {
 		for _, b := range d.TrainBatches(32, rng) {
 			logits := net.Forward(b.X, true)

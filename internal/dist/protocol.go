@@ -49,8 +49,9 @@ import "encoding/json"
 // coordinator and its workers always ship in the same binary, so there is
 // nothing to negotiate: the worker's hello carries the version and the
 // coordinator admits exactly this one. Bump it (and run `make
-// wire-golden`) on any change to the field sets below.
-const ProtoVersion = 5
+// wire-golden`) on any change to the field sets below, or to what a
+// run request's spec encodes.
+const ProtoVersion = 6
 
 // Request is one coordinator→worker line.
 type Request struct {

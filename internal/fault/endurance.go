@@ -103,9 +103,6 @@ func (m *EnduranceModel) Apply(xbars []*reram.Crossbar, rng *tensor.RNG) int {
 	return total
 }
 
-// Reset forgets the applied-write bookkeeping (fresh deployment).
-func (m *EnduranceModel) Reset() { m.applied = make(map[int]uint64) }
-
 // AppliedWrites returns a copy of the per-crossbar write counts up to which
 // failures have already been materialised (checkpoint snapshot).
 func (m *EnduranceModel) AppliedWrites() map[int]uint64 {

@@ -96,21 +96,6 @@ func TestEnduranceApplyIsIncremental(t *testing.T) {
 	}
 }
 
-func TestEnduranceReset(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	xbars := newFarm(1, 32)
-	for i := 0; i < 2000; i++ {
-		xbars[0].RecordWrite()
-	}
-	m := NewEnduranceModel()
-	m.Apply(xbars, rng)
-	m.Reset()
-	// After reset the same write count is re-applied from scratch.
-	if n := m.Apply(xbars, rng); n == 0 {
-		t.Fatal("reset must forget the applied watermark")
-	}
-}
-
 func TestEnduranceSA1Fraction(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	xbars := newFarm(20, 64)

@@ -68,17 +68,16 @@ func (p PreProfile) Inject(xbars []*reram.Crossbar, rng *tensor.RNG) int {
 
 // PostModel describes the post-deployment (endurance) fault process: after
 // each training epoch, CellFraction (the paper's m%) new faults appear on
-// CrossbarFraction (n%) of the crossbars. WriteWeighted selects victim
-// crossbars preferentially by accumulated write count, modelling the
-// paper's observation that frequently-written crossbars wear out faster;
-// with it disabled victims are uniform.
+// CrossbarFraction (n%) of the crossbars. Victim crossbars are drawn with
+// probability proportional to 1 + their accumulated write count, modelling
+// the paper's observation that frequently-written crossbars wear out
+// faster.
 type PostModel struct {
 	CrossbarFraction float64 // n ∈ [0,1]
 	CellFraction     float64 // m ∈ [0,1]
 	SA1Fraction      float64
 	ClusterFraction  float64
 	ClusterSigma     float64
-	WriteWeighted    bool
 }
 
 // DefaultPostModel returns the paper's headline post-deployment scenario:
@@ -90,7 +89,6 @@ func DefaultPostModel() PostModel {
 		SA1Fraction:      0.10,
 		ClusterFraction:  0.5,
 		ClusterSigma:     3,
-		WriteWeighted:    true,
 	}
 }
 
@@ -109,7 +107,7 @@ func (p PostModel) InjectEpoch(xbars []*reram.Crossbar, rng *tensor.RNG) int {
 	if nVictims > len(xbars) {
 		nVictims = len(xbars)
 	}
-	victims := p.pickVictims(xbars, nVictims, rng)
+	victims := pickVictims(xbars, nVictims, rng)
 	total := 0
 	for _, vi := range victims {
 		x := xbars[vi]
@@ -122,12 +120,8 @@ func (p PostModel) InjectEpoch(xbars []*reram.Crossbar, rng *tensor.RNG) int {
 	return total
 }
 
-// pickVictims selects distinct crossbar indices, either uniformly or
-// proportionally to (1 + writes).
-func (p PostModel) pickVictims(xbars []*reram.Crossbar, n int, rng *tensor.RNG) []int {
-	if !p.WriteWeighted {
-		return rng.Perm(len(xbars))[:n]
-	}
+// pickVictims selects n distinct crossbar indices, weighted by 1 + writes.
+func pickVictims(xbars []*reram.Crossbar, n int, rng *tensor.RNG) []int {
 	type wt struct {
 		idx int
 		key float64

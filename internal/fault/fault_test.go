@@ -100,7 +100,7 @@ func TestPostModelWriteWeightedPrefersWornCrossbars(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		xbars[7].RecordWrite()
 	}
-	pm := PostModel{CrossbarFraction: 0.02, CellFraction: 0.01, SA1Fraction: 0.1, WriteWeighted: true}
+	pm := PostModel{CrossbarFraction: 0.02, CellFraction: 0.01, SA1Fraction: 0.1}
 	hits := 0
 	const rounds = 50
 	for r := 0; r < rounds; r++ {

@@ -48,11 +48,11 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 // Name returns the layer's identifier.
 func (bn *BatchNorm2D) Name() string { return bn.name }
 
-// Params exposes gamma and beta (excluded from weight decay).
+// Params exposes gamma and beta.
 func (bn *BatchNorm2D) Params() []*Param {
 	return []*Param{
-		{Name: bn.name + ".gamma", W: bn.Gamma, Grad: bn.GradGamma, NoDecay: true},
-		{Name: bn.name + ".beta", W: bn.Beta, Grad: bn.GradBeta, NoDecay: true},
+		{Name: bn.name + ".gamma", W: bn.Gamma, Grad: bn.GradGamma},
+		{Name: bn.name + ".beta", W: bn.Beta, Grad: bn.GradBeta},
 	}
 }
 

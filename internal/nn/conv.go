@@ -51,7 +51,7 @@ func (c *Conv2D) SetFabric(f Fabric) { c.fabric = f }
 func (c *Conv2D) Params() []*Param {
 	return []*Param{
 		{Name: c.name + ".w", W: c.W, Grad: c.GradW},
-		{Name: c.name + ".b", W: c.B, Grad: c.GradB, NoDecay: true},
+		{Name: c.name + ".b", W: c.B, Grad: c.GradB},
 	}
 }
 

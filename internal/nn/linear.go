@@ -50,7 +50,7 @@ func (l *Linear) SetFabric(f Fabric) { l.fabric = f }
 func (l *Linear) Params() []*Param {
 	return []*Param{
 		{Name: l.name + ".w", W: l.W, Grad: l.GradW},
-		{Name: l.name + ".b", W: l.B, Grad: l.GradB, NoDecay: true},
+		{Name: l.name + ".b", W: l.B, Grad: l.GradB},
 	}
 }
 

@@ -23,9 +23,6 @@ type Param struct {
 	Name string
 	W    *tensor.Tensor
 	Grad *tensor.Tensor
-	// NoDecay marks parameters (BN scale/shift, biases) excluded from
-	// weight decay.
-	NoDecay bool
 }
 
 // Layer is a differentiable network stage. Forward must cache whatever it
@@ -187,13 +184,6 @@ func (n *Network) LayerWeight(name string) *tensor.Tensor {
 		}
 	}
 	return nil
-}
-
-// ZeroGrads clears all parameter gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
 }
 
 // badShape panics with a descriptive layer-geometry message. Layers call it

@@ -116,14 +116,6 @@ func TestMaxPoolGradients(t *testing.T) {
 	checkLayerGradients(t, p, x, 20)
 }
 
-func TestAvgPoolGradients(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	p := NewAvgPool2D("ap", 2, 2)
-	x := tensor.New(2, 2, 4, 4)
-	rng.FillNormal(x, 1)
-	checkLayerGradients(t, p, x, 20)
-}
-
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	p := NewGlobalAvgPool("gap")
@@ -397,7 +389,7 @@ func TestSGDMomentumUpdate(t *testing.T) {
 	l.W.Data[0] = 1
 	l.B.Data[0] = 0
 	net := NewNetwork(l)
-	opt := NewSGD(net, 0.1, 0.9, 0)
+	opt := NewSGD(net, 0.1, 0.9)
 	opt.GradClip = 0
 
 	// Constant gradient of 1 on W: v1=1, w=1−0.1; v2=1.9, w=1−0.1−0.19.
@@ -416,23 +408,6 @@ func TestSGDMomentumUpdate(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecaySkipsNoDecay(t *testing.T) {
-	rng := tensor.NewRNG(20)
-	l := NewLinear("fc", 1, 1, rng)
-	l.W.Data[0] = 2
-	l.B.Data[0] = 2
-	net := NewNetwork(l)
-	opt := NewSGD(net, 0.1, 0, 0.5)
-	opt.GradClip = 0
-	opt.Step() // zero grads; only decay applies
-	if math.Abs(float64(l.W.Data[0])-1.9) > 1e-6 {
-		t.Fatalf("decayed w=%v, want 1.9", l.W.Data[0])
-	}
-	if l.B.Data[0] != 2 {
-		t.Fatalf("bias must not decay, got %v", l.B.Data[0])
-	}
-}
-
 // Integration: a small MLP must learn a linearly-separable toy problem.
 func TestTrainingConvergesOnToyProblem(t *testing.T) {
 	rng := tensor.NewRNG(21)
@@ -441,7 +416,7 @@ func TestTrainingConvergesOnToyProblem(t *testing.T) {
 		NewReLU("r1"),
 		NewLinear("fc2", 16, 2, rng),
 	)
-	opt := NewSGD(net, 0.1, 0.9, 0)
+	opt := NewSGD(net, 0.1, 0.9)
 
 	sample := func(n int) (*tensor.Tensor, []int) {
 		x := tensor.New(n, 2)
@@ -482,7 +457,7 @@ func TestConvNetLearnsTexture(t *testing.T) {
 		NewFlatten("fl"),
 		NewLinear("fc", 4*4*4, 2, rng),
 	)
-	opt := NewSGD(net, 0.05, 0.9, 0)
+	opt := NewSGD(net, 0.05, 0.9)
 
 	sample := func(n int) (*tensor.Tensor, []int) {
 		x := tensor.New(n, 1, 8, 8)

@@ -141,88 +141,3 @@ func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
-
-// AvgPool2D is average pooling with a square window and equal stride
-// (used by SqueezeNet variants).
-type AvgPool2D struct {
-	name    string
-	K       int
-	Stride  int
-	ws      Workspace
-	inShape []int
-}
-
-// NewAvgPool2D returns an average-pooling layer with window k and stride s.
-func NewAvgPool2D(name string, k, s int) *AvgPool2D {
-	return &AvgPool2D{name: name, K: k, Stride: s}
-}
-
-// Name returns the layer's identifier.
-func (p *AvgPool2D) Name() string { return p.name }
-
-// Params returns nil; pooling has no parameters.
-func (p *AvgPool2D) Params() []*Param { return nil }
-
-// Forward computes window means.
-//
-//lint:hotpath
-func (p *AvgPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		badShape(p.name, "want NCHW input, got %v", x.Shape)
-	}
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	p.inShape = append(p.inShape[:0], x.Shape...)
-	y := p.ws.Take("y", n, c, oh, ow)
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float32
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							s += plane[(oy*p.Stride+ky)*w+ox*p.Stride+kx]
-						}
-					}
-					y.Data[oi] = s * inv
-					oi++
-				}
-			}
-		}
-	}
-	return y
-}
-
-// Backward spreads each gradient uniformly over its window.
-//
-//lint:hotpath
-func (p *AvgPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	dx := p.ws.Take("dx", p.inShape...)
-	dx.Zero() // overlapping windows accumulate
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := dx.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := dy.Data[oi] * inv
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							plane[(oy*p.Stride+ky)*w+ox*p.Stride+kx] += g
-						}
-					}
-					oi++
-				}
-			}
-		}
-	}
-	return dx
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"remapd/internal/det"
 	"remapd/internal/tensor"
@@ -93,38 +94,36 @@ func writeTensorEntry(w io.Writer, name string, t *tensor.Tensor) error {
 }
 
 // readTensorHeader reads one entry's name and shape, leaving r positioned
-// at the entry's float32 payload (volume = product of the returned shape).
-func readTensorHeader(r io.Reader) (name string, shape []int, vol int, err error) {
+// at the entry's float32 payload.
+func readTensorHeader(r io.Reader) (name string, shape []int, err error) {
 	var nameLen uint32
 	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return "", nil, 0, err
+		return "", nil, err
 	}
 	if nameLen > 4096 {
-		return "", nil, 0, fmt.Errorf("nn: implausible name length %d", nameLen)
+		return "", nil, fmt.Errorf("nn: implausible name length %d", nameLen)
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return "", nil, 0, err
+		return "", nil, err
 	}
 	name = string(nameBuf)
 	var rank uint32
 	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return "", nil, 0, err
+		return "", nil, err
 	}
 	if rank > 8 {
-		return "", nil, 0, fmt.Errorf("nn: implausible rank %d for %q", rank, name)
+		return "", nil, fmt.Errorf("nn: implausible rank %d for %q", rank, name)
 	}
 	shape = make([]int, rank)
-	vol = 1
 	for d := range shape {
 		var v uint32
 		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return "", nil, 0, err
+			return "", nil, err
 		}
 		shape[d] = int(v)
-		vol *= int(v)
 	}
-	return name, shape, vol, nil
+	return name, shape, nil
 }
 
 // SaveWeights writes every parameter and BN statistic of net to w.
@@ -174,7 +173,7 @@ func LoadWeights(r io.Reader, net *Network) error {
 		byName[nt.name] = nt.t
 	}
 	for i := uint32(0); i < count; i++ {
-		name, _, vol, err := readTensorHeader(r)
+		name, shape, err := readTensorHeader(r)
 		if err != nil {
 			return err
 		}
@@ -182,8 +181,8 @@ func LoadWeights(r io.Reader, net *Network) error {
 		if !ok {
 			return fmt.Errorf("nn: file contains unknown tensor %q", name)
 		}
-		if dst.Len() != vol {
-			return fmt.Errorf("nn: tensor %q volume %d does not match model (%d)", name, vol, dst.Len())
+		if !slices.Equal(shape, dst.Shape) {
+			return fmt.Errorf("nn: tensor %q shape %v does not match model %v", name, shape, dst.Shape)
 		}
 		if err := binary.Read(r, binary.LittleEndian, dst.Data); err != nil {
 			return err
@@ -233,8 +232,8 @@ func SaveOptimizer(w io.Writer, opt *SGD) error {
 }
 
 // LoadOptimizer restores state saved by SaveOptimizer into opt. Every
-// serialized velocity must name a parameter of opt's network with a
-// matching volume; parameters without a serialized velocity keep the
+// serialized velocity must name a distinct parameter of opt's network with
+// the same shape; parameters without a serialized velocity keep the
 // lazy-zero initialisation (they had not been stepped when the state was
 // saved).
 func LoadOptimizer(r io.Reader, opt *SGD) error {
@@ -268,9 +267,12 @@ func LoadOptimizer(r io.Reader, opt *SGD) error {
 	for _, p := range opt.net.Params() {
 		paramByName[p.Name] = p
 	}
+	if int64(count) > int64(len(paramByName)) {
+		return fmt.Errorf("nn: %d velocities for %d parameters", count, len(paramByName))
+	}
 	velocity := make(map[string]*tensor.Tensor, count)
 	for i := uint32(0); i < count; i++ {
-		name, shape, vol, err := readTensorHeader(r)
+		name, shape, err := readTensorHeader(r)
 		if err != nil {
 			return err
 		}
@@ -278,8 +280,8 @@ func LoadOptimizer(r io.Reader, opt *SGD) error {
 		if !ok {
 			return fmt.Errorf("nn: optimizer state for unknown parameter %q", name)
 		}
-		if p.W.Len() != vol {
-			return fmt.Errorf("nn: velocity %q volume %d does not match parameter (%d)", name, vol, p.W.Len())
+		if !slices.Equal(shape, p.W.Shape) {
+			return fmt.Errorf("nn: velocity %q shape %v does not match parameter %v", name, shape, p.W.Shape)
 		}
 		if _, dup := velocity[name]; dup {
 			return fmt.Errorf("nn: duplicate velocity %q", name)

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 
 	"remapd/internal/tensor"
@@ -110,4 +113,133 @@ func TestNamedTensorsIncludeBNStats(t *testing.T) {
 			t.Fatalf("missing %q in %v", want, names)
 		}
 	}
+}
+
+// steppedSGD returns an optimizer over net whose every parameter has a
+// non-zero velocity.
+func steppedSGD(net *Network, seed uint64) *SGD {
+	opt := NewSGD(net, 0.1, 0.9)
+	rng := tensor.NewRNG(seed)
+	for _, p := range net.Params() {
+		rng.FillNormal(p.Grad, 1)
+	}
+	opt.Step()
+	return opt
+}
+
+// TestLoadRejectsWrongShape: a tensor whose volume matches the model's but
+// whose shape does not is an error, for weights and for velocities alike.
+func TestLoadRejectsWrongShape(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape []int
+		save  func(*bytes.Buffer, []int) error
+		load  func(*bytes.Buffer) error
+	}{
+		{"weights c1.w rank 1", []int{54},
+			func(buf *bytes.Buffer, shape []int) error {
+				net := serNet(1)
+				net.LayerWeight("c1").Shape = shape
+				return SaveWeights(buf, net)
+			},
+			func(buf *bytes.Buffer) error { return LoadWeights(buf, serNet(2)) }},
+		{"velocity c1.w [1 54]", []int{1, 54},
+			func(buf *bytes.Buffer, shape []int) error {
+				opt := steppedSGD(serNet(1), 3)
+				opt.velocity["c1.w"].Shape = shape
+				return SaveOptimizer(buf, opt)
+			},
+			func(buf *bytes.Buffer) error { return LoadOptimizer(buf, NewSGD(serNet(2), 0.1, 0.9)) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := c.save(&buf, c.shape); err != nil {
+				t.Fatal(err)
+			}
+			err := c.load(&buf)
+			if err == nil || !strings.Contains(err.Error(), "shape") {
+				t.Fatalf("loading c1.w as %v: err = %v, want a shape mismatch", c.shape, err)
+			}
+		})
+	}
+}
+
+// TestLoadOptimizerRejectsExcessCount: the velocity count comes from the
+// file, so a count above the parameter count must fail before it sizes
+// anything.
+func TestLoadOptimizerRejectsExcessCount(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveOptimizer(&buf, NewSGD(serNet(1), 0.1, 0.9)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[len(data)-4:], math.MaxUint32)
+	err := LoadOptimizer(bytes.NewReader(data), NewSGD(serNet(1), 0.1, 0.9))
+	if err == nil || !strings.Contains(err.Error(), "velocities for") {
+		t.Fatalf("err = %v, want a velocity-count error", err)
+	}
+}
+
+// FuzzLoadWeights: weight files are read from disk. No input may panic,
+// and an accepted input re-encodes to a decode→encode fixed point.
+func FuzzLoadWeights(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveWeights(&buf, serNet(1)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net := serNet(1)
+		if err := LoadWeights(bytes.NewReader(data), net); err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := SaveWeights(&once, net); err != nil {
+			t.Fatal(err)
+		}
+		again := serNet(2)
+		if err := LoadWeights(bytes.NewReader(once.Bytes()), again); err != nil {
+			t.Fatalf("re-encoded weights rejected: %v", err)
+		}
+		if err := SaveWeights(&twice, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("weights are not a decode→encode fixed point")
+		}
+	})
+}
+
+// FuzzLoadOptimizer: optimizer state is read from checkpoints. No input
+// may panic, and an accepted input re-encodes to a decode→encode fixed
+// point.
+func FuzzLoadOptimizer(f *testing.F) {
+	for _, opt := range []*SGD{NewSGD(serNet(1), 0.1, 0.9), steppedSGD(serNet(1), 4)} {
+		var buf bytes.Buffer
+		if err := SaveOptimizer(&buf, opt); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		opt := NewSGD(serNet(1), 0.1, 0.9)
+		if err := LoadOptimizer(bytes.NewReader(data), opt); err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := SaveOptimizer(&once, opt); err != nil {
+			t.Fatal(err)
+		}
+		again := NewSGD(serNet(2), 0.1, 0.9)
+		if err := LoadOptimizer(bytes.NewReader(once.Bytes()), again); err != nil {
+			t.Fatalf("re-encoded optimizer state rejected: %v", err)
+		}
+		if err := SaveOptimizer(&twice, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("optimizer state is not a decode→encode fixed point")
+		}
+	})
 }

@@ -2,14 +2,13 @@ package nn
 
 import "remapd/internal/tensor"
 
-// SGD is stochastic gradient descent with classical momentum and decoupled
-// L2 weight decay. After every step it notifies the network's fabric that
+// SGD is stochastic gradient descent with classical momentum and per-tensor
+// gradient-norm clipping. After every step it notifies the network's fabric that
 // weights were rewritten, which is how the ReRAM substrate accounts for
 // write endurance and re-clamps stored conductances.
 type SGD struct {
 	LR           float64
 	Momentum     float64
-	WeightDecay  float64
 	GradClip     float64 // max L2 norm per parameter tensor; 0 disables
 	velocity     map[string]*tensor.Tensor
 	net          *Network
@@ -22,14 +21,13 @@ type SGD struct {
 }
 
 // NewSGD builds an optimizer over net's parameters.
-func NewSGD(net *Network, lr, momentum, weightDecay float64) *SGD {
+func NewSGD(net *Network, lr, momentum float64) *SGD {
 	return &SGD{
-		LR:          lr,
-		Momentum:    momentum,
-		WeightDecay: weightDecay,
-		GradClip:    5,
-		velocity:    make(map[string]*tensor.Tensor),
-		net:         net,
+		LR:       lr,
+		Momentum: momentum,
+		GradClip: 5,
+		velocity: make(map[string]*tensor.Tensor),
+		net:      net,
 	}
 }
 
@@ -51,9 +49,6 @@ func (s *SGD) Step() {
 			if norm := g.L2Norm(); norm > s.GradClip {
 				g.Scale(float32(s.GradClip / norm))
 			}
-		}
-		if s.WeightDecay > 0 && !p.NoDecay {
-			g.AXPY(float32(s.WeightDecay), p.W)
 		}
 		v, ok := s.velocity[p.Name]
 		//lint:allow hotpath-alloc velocity-buffer miss: allocated once per parameter, steady state always hits

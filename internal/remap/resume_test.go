@@ -50,7 +50,7 @@ func protectedState(t *testing.T, seed uint64, pol remap.Policy) *trainer.TrainS
 	}
 	pol.Maintain(ctx)
 	return &trainer.TrainState{
-		Net: net, Opt: nn.NewSGD(net, 0.1, 0.9, 0),
+		Net: net, Opt: nn.NewSGD(net, 0.1, 0.9),
 		TrainRNG: tensor.NewRNG(1), FaultRNG: tensor.NewRNG(2),
 		Chip: chip, Policy: pol, Result: &trainer.Result{},
 	}

@@ -2,7 +2,6 @@ package reram
 
 import (
 	"fmt"
-	"math"
 
 	"remapd/internal/tensor"
 )
@@ -226,60 +225,31 @@ func (x *Crossbar) ClampRowInto(q *Quantizer, dst, src []float32, dstStride, src
 	if (ncols-1)*dstStride >= len(dst) || (ncols-1)*srcStride >= len(src) {
 		panic("reram: ClampRowInto view too short for stride")
 	}
-	p := x.Params
 	states := x.state[row*x.Size : row*x.Size+ncols]
-	if p.ProgramSigma <= 0 {
-		healthy := true
-		for _, s := range states {
-			if s != Healthy {
-				healthy = false
-				break
-			}
-		}
-		if healthy {
-			for j := 0; j < ncols; j++ {
-				dst[j*dstStride] = float32(q.Quantize(float64(src[j*srcStride])))
-			}
-			return
+	healthy := true
+	for _, s := range states {
+		if s != Healthy {
+			healthy = false
+			break
 		}
 	}
+	if healthy {
+		for j := 0; j < ncols; j++ {
+			dst[j*dstStride] = float32(q.Quantize(float64(src[j*srcStride])))
+		}
+		return
+	}
+	p := x.Params
 	for j, s := range states {
 		w := float64(src[j*srcStride])
 		if s == Healthy {
 			w = q.Quantize(w)
-			if p.ProgramSigma > 0 {
-				w *= programNoise(x.ID, x.writes, row*x.Size+j, p.ProgramSigma)
-			}
 		} else {
 			cell := row*x.Size + j
 			w = p.StuckWeightAs(s, x.gFault[cell], x.inPositive[cell], w, q.clip)
 		}
 		dst[j*dstStride] = float32(w)
 	}
-}
-
-// programNoise returns a deterministic lognormal factor exp(σ·z) for the
-// cell's current programmed state: the same (crossbar, write-generation,
-// cell) triple always yields the same factor, so the noise is stable
-// between writes and resampled when the array is reprogrammed.
-//
-//lint:hotpath
-func programNoise(id int, writes uint64, cell int, sigma float64) float64 {
-	// splitmix64 over the triple.
-	h := uint64(id)*0x9e3779b97f4a7c15 ^ writes*0xbf58476d1ce4e5b9 ^ uint64(cell)*0x94d049bb133111eb
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	// Two 32-bit uniforms → one Box–Muller normal.
-	u1 := float64(h>>40) / float64(1<<24)
-	u2 := float64(h&0xffffff) / float64(1<<24)
-	if u1 < 1e-12 {
-		u1 = 1e-12
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return math.Exp(sigma * z)
 }
 
 // HealAll clears every fault (used by tests and what-if experiments).
@@ -315,6 +285,6 @@ func (x *Crossbar) RestoreFault(i int, s CellState, g float64, inPositive bool) 
 }
 
 // RestoreWrites overwrites the lifetime write counter. Checkpoint resume
-// uses it so endurance accounting — and the write-generation-keyed
-// programming noise — continue exactly where the snapshot left off.
+// uses it so endurance accounting continues exactly where the snapshot
+// left off.
 func (x *Crossbar) RestoreWrites(n uint64) { x.writes = n }

@@ -84,12 +84,6 @@ type DeviceParams struct {
 	CMOSCycleNS float64
 	// Coding selects the weight↔conductance mapping (see CodingScheme).
 	Coding CodingScheme
-	// ProgramSigma is the lognormal programming-variation σ applied to
-	// healthy cells' conductances (PytorX's write non-ideality). 0 (the
-	// default) disables it. The noise is resampled at every array write but
-	// is deterministic between writes (it is a property of the programmed
-	// state, not of reads).
-	ProgramSigma float64
 }
 
 // StuckWeightAs returns the read-back value of a stuck cell under the

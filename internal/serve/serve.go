@@ -33,6 +33,11 @@ import (
 	"remapd/internal/tensor"
 )
 
+// stageCycles is the ReRAM cycles one forward pipeline stage (MVM, ADC and
+// shift-add) occupies: a batch fills one stage per MVM layer, then streams
+// one sample per stage.
+const stageCycles = 1
+
 // Canonical bucket layouts for the serving SLO histograms.
 var (
 	// LatencyBuckets covers request latencies in simulated ticks, from a
@@ -78,8 +83,6 @@ type Config struct {
 	// absorbs per executed batch — the wear clock under read traffic
 	// (drift-compensation reprogramming on the arrays being read).
 	WritesPerBatch int
-	// Timing converts batch execution into simulated ReRAM cycles.
-	Timing arch.TimingModel
 	// InC/InH/InW is the input image geometry.
 	InC, InH, InW int
 	// Obs receives the serving telemetry (counters, SLO histograms, swap
@@ -227,9 +230,6 @@ func New(cfg Config, reps []*Replica) (*Server, error) {
 	if cfg.InC <= 0 || cfg.InH <= 0 || cfg.InW <= 0 {
 		return nil, fmt.Errorf("serve: input geometry %dx%dx%d invalid", cfg.InC, cfg.InH, cfg.InW)
 	}
-	if cfg.Timing.StageCyclesMVM == 0 {
-		cfg.Timing = arch.DefaultTimingModel()
-	}
 	s := &Server{
 		cfg:     cfg,
 		reps:    reps,
@@ -237,7 +237,7 @@ func New(cfg Config, reps []*Replica) (*Server, error) {
 	}
 	s.stats.Chips = len(reps)
 	// Forward-only pipeline depth: one stage per MVM layer.
-	s.pipeFill = len(reps[0].net.MVMLayers()) * cfg.Timing.StageCyclesMVM
+	s.pipeFill = len(reps[0].net.MVMLayers()) * stageCycles
 	if reg, ok := cfg.Obs.(interface{ Registry() *obs.Registry }); ok {
 		reg.Registry().DeclareHistogram("serve.latency.ticks", LatencyBuckets)
 		reg.Registry().DeclareHistogram("serve.batch.size", BatchSizeBuckets)
@@ -309,7 +309,7 @@ func (s *Server) flushLocked(closeTick uint64) {
 	if rep.busyUntil > start {
 		start = rep.busyUntil
 	}
-	completion := start + uint64(s.pipeFill) + uint64(n*s.cfg.Timing.StageCyclesMVM)
+	completion := start + uint64(s.pipeFill) + uint64(n*stageCycles)
 	rep.busyUntil = completion
 	if completion > s.stats.Tick {
 		s.stats.Tick = completion

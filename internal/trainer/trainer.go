@@ -28,12 +28,10 @@ type PhaseInjection struct {
 
 // Config drives one training run.
 type Config struct {
-	Epochs      int
-	BatchSize   int
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	Seed        uint64
+	Epochs    int
+	BatchSize int
+	LR        float64
+	Seed      uint64
 
 	// Chip, when non-nil, executes the network's MVMs; nil trains on the
 	// ideal digital fabric (the paper's "ideal" rows).
@@ -73,13 +71,15 @@ type Config struct {
 	Ctx context.Context
 }
 
+// momentum is the SGD momentum of every training run.
+const momentum = 0.9
+
 // DefaultConfig returns the reproduction-scale training hyperparameters.
 func DefaultConfig() Config {
 	return Config{
 		Epochs:    10,
 		BatchSize: 32,
 		LR:        0.05,
-		Momentum:  0.9,
 		Seed:      1,
 	}
 }
@@ -153,7 +153,7 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	}
 	observer := newEpochObserver(cfg.Obs, net)
 
-	opt := nn.NewSGD(net, cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt := nn.NewSGD(net, cfg.LR, momentum)
 
 	// Everything above is a pure function of the configuration — mapping,
 	// seeding, and optimizer construction consume no random draws. A
