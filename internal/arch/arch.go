@@ -542,19 +542,9 @@ func (c *Chip) TransformGradient(layer string, grad *tensor.Tensor) {
 			continue
 		}
 		x := c.Xbars[c.xbarOfTask[t.ID]]
-		for r := 0; r < t.Rows; r++ {
-			for col := 0; col < t.Cols; col++ {
-				st := x.State(r, col)
-				if st == reram.Healthy {
-					continue
-				}
-				elem := ml.elementOf(t, r, col)
-				if ml.relocated != nil && ml.relocated[elem] {
-					continue
-				}
-				cell := r*x.Size + col
-				grad.Data[elem] = float32(c.Params.StuckWeightAs(
-					st, x.FaultG(cell), x.FaultInPositive(cell), float64(grad.Data[elem]), scale))
+		for _, cell := range x.Stuck() {
+			if elem, ok := ml.exposed(t, x, cell); ok {
+				grad.Data[elem] = float32(x.StuckWeightAt(cell, float64(grad.Data[elem]), scale))
 			}
 		}
 	}
@@ -592,43 +582,25 @@ func (c *Chip) refresh(ml *mappedLayer) {
 	if !ml.dirty && stamp == ml.stamp {
 		return
 	}
-	w, q, cols := ml.w, ml.quant, ml.cols
+	// Every cell is programmed with its quantised weight, so both copies
+	// start from one quantise pass over W; only the stuck cells then
+	// read back something else.
+	w, q := ml.w, ml.quant
+	q.QuantizeInto(ml.fwd.Data, w.Data)
+	copy(ml.bwd.Data, ml.fwd.Data)
 	for _, t := range ml.tasks {
 		xi := c.xbarOfTask[t.ID]
 		x := c.Xbars[xi]
-		// Fused deploy: clamp each crossbar row straight from the weight
-		// tensor into the effective tensor — no gather/scatter scratch pass.
-		// Forward blocks are contiguous W rows; backward blocks tile Wᵀ, so
-		// crossbar row i is W column (RowOff+i) walked with stride cols.
 		eff := ml.fwd
-		if t.Phase == Forward {
-			for i := 0; i < t.Rows; i++ {
-				off := (t.RowOff+i)*cols + t.ColOff
-				x.ClampRowInto(q, eff.Data[off:off+t.Cols], w.Data[off:off+t.Cols], 1, 1, i, t.Cols)
-			}
-		} else {
+		if t.Phase == Backward {
 			eff = ml.bwd
-			for i := 0; i < t.Rows; i++ {
-				off := t.ColOff*cols + t.RowOff + i
-				end := (t.ColOff+t.Cols-1)*cols + t.RowOff + i + 1
-				x.ClampRowInto(q, eff.Data[off:end], w.Data[off:end], cols, cols, i, t.Cols)
+		}
+		for _, cell := range x.Stuck() {
+			if elem, ok := ml.exposed(t, x, cell); ok {
+				eff.Data[elem] = float32(x.StuckWeightAt(cell, float64(w.Data[elem]), q.Clip()))
 			}
 		}
-		// Covered faulty cells read back as the ideal quantised weight:
-		// relocated elements live on fault-free spares, and the ECC
-		// corrects its cells.
-		if ml.relocated != nil {
-			for i := 0; i < t.Rows; i++ {
-				for j := 0; j < t.Cols; j++ {
-					if x.State(i, j) == reram.Healthy {
-						continue
-					}
-					if elem := ml.elementOf(t, i, j); ml.relocated[elem] {
-						eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
-					}
-				}
-			}
-		}
+		// The ECC corrects its cells back to the ideal quantised weight.
 		for _, cell := range c.correctable[xi] {
 			i, j := cell/x.Size, cell%x.Size
 			if i >= t.Rows || j >= t.Cols || x.StateAt(cell) == reram.Healthy {
@@ -639,6 +611,24 @@ func (c *Chip) refresh(ml *mappedLayer) {
 		}
 	}
 	ml.dirty, ml.stamp = false, stamp
+}
+
+// exposed returns the weight element that stuck cell `cell` of x, the
+// crossbar hosting task t of this layer, holds. It reports false when the
+// cell lies outside the task's block, or when its element is relocated
+// and so lives on a fault-free spare instead.
+//
+//lint:hotpath
+func (ml *mappedLayer) exposed(t *Task, x *reram.Crossbar, cell int) (int, bool) {
+	i, j := cell/x.Size, cell%x.Size
+	if i >= t.Rows || j >= t.Cols {
+		return 0, false
+	}
+	elem := ml.elementOf(t, i, j)
+	if ml.relocated != nil && ml.relocated[elem] {
+		return 0, false
+	}
+	return elem, true
 }
 
 // elementOf maps block position (r, col) of task t, a task of this layer,

@@ -606,24 +606,12 @@ func TestEffectiveWeightsNeverStale(t *testing.T) {
 }
 
 func effectiveWeightsNeverStale(t *testing.T) {
-	const size, seed = 16, 21
-	geom := Geometry{TilesX: 2, TilesY: 2, IMAsPerTile: 2, XbarsPerIMA: 2}
-	newChip := func() (*Chip, *nn.Network) {
-		p := reram.DefaultDeviceParams()
-		p.CrossbarSize = size
-		c := NewChip(p, geom)
-		net := buildNet(tensor.NewRNG(seed)) // same initial weights → same coding ranges
-		if err := c.MapNetwork(net); err != nil {
-			t.Fatal(err)
-		}
-		return c, net
-	}
-	c, _ := newChip()
+	c := propertyChip(t)
 	layers := c.Layers()
 	rng := tensor.NewRNG(99)
 
 	fresh := func() *Chip {
-		ref, _ := newChip()
+		ref := propertyChip(t)
 		for _, l := range layers {
 			copy(ref.Weight(l).Data, c.Weight(l).Data)
 		}
@@ -644,14 +632,114 @@ func effectiveWeightsNeverStale(t *testing.T) {
 		}
 		return ref
 	}
-	same := func(a, b *tensor.Tensor) bool {
-		for i := range a.Data {
-			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-				return false
+	steps := chipSteps(t, c, rng)
+	seedFaults(c, rng)
+	for i := 0; i < 400; i++ {
+		step := steps[rng.Intn(len(steps))]
+		step.do()
+		ref := fresh()
+		for _, l := range layers {
+			w := c.Weight(l)
+			if !sameBits(c.EffectiveForward(l, w), ref.EffectiveForward(l, ref.Weight(l))) {
+				t.Fatalf("step %d (%s): %s forward weights are stale", i, step.name, l)
+			}
+			if !sameBits(c.EffectiveBackward(l, w), ref.EffectiveBackward(l, ref.Weight(l))) {
+				t.Fatalf("step %d (%s): %s backward weights are stale", i, step.name, l)
+			}
+			grad, refGrad := tensor.New(w.Shape...), tensor.New(w.Shape...)
+			rng.FillNormal(grad, 1)
+			copy(refGrad.Data, grad.Data)
+			c.TransformGradient(l, grad)
+			ref.TransformGradient(l, refGrad)
+			if !sameBits(grad, refGrad) {
+				t.Fatalf("step %d (%s): %s gradient transform differs", i, step.name, l)
 			}
 		}
-		return true
 	}
+}
+
+// TestSparseRefreshMatchesDense checks the sparse deploy path (one
+// quantise pass, then patches at the stuck and ECC-corrected cells) bit
+// for bit against the dense per-cell clamp it replaced, and the stuck-list
+// gradient hijack against the per-cell scan. It runs the random fault,
+// heal, swap, mapping and weight-write sequences of
+// TestEffectiveWeightsNeverStale with no coverage, with relocated
+// coverage and with ECC coverage.
+func TestSparseRefreshMatchesDense(t *testing.T) {
+	for _, cover := range []string{"none", "SetRelocated", "SetCorrectable"} {
+		t.Run(cover, func(t *testing.T) {
+			c := propertyChip(t)
+			rng := tensor.NewRNG(7)
+			var steps []chipStep
+			for _, st := range chipSteps(t, c, rng) {
+				switch st.name {
+				case "SetRelocated", "SetCorrectable":
+					if st.name != cover {
+						continue
+					}
+					st.do() // start covered
+				}
+				steps = append(steps, st)
+			}
+			seedFaults(c, rng)
+			for i := 0; i < 400; i++ {
+				step := steps[rng.Intn(len(steps))]
+				step.do()
+				for _, l := range c.Layers() {
+					w := c.Weight(l)
+					fwd, bwd := denseEffective(c, l)
+					if !sameBits(c.EffectiveForward(l, w), fwd) {
+						t.Fatalf("step %d (%s): %s forward weights differ from the dense clamp", i, step.name, l)
+					}
+					if !sameBits(c.EffectiveBackward(l, w), bwd) {
+						t.Fatalf("step %d (%s): %s backward weights differ from the dense clamp", i, step.name, l)
+					}
+					grad, dense := tensor.New(w.Shape...), tensor.New(w.Shape...)
+					rng.FillNormal(grad, 1)
+					copy(dense.Data, grad.Data)
+					c.TransformGradient(l, grad)
+					denseTransformGradient(c, l, dense)
+					if !sameBits(grad, dense) {
+						t.Fatalf("step %d (%s): %s gradient differs from the dense scan", i, step.name, l)
+					}
+				}
+			}
+		})
+	}
+}
+
+// propertyChip returns the chip the random-sequence properties drive:
+// buildNet's two layers on 16×16 crossbars, so most blocks are partial
+// and some stuck cells fall outside them.
+func propertyChip(t testing.TB) *Chip {
+	c := smallChip(16, Geometry{TilesX: 2, TilesY: 2, IMAsPerTile: 2, XbarsPerIMA: 2})
+	if err := c.MapNetwork(buildNet(tensor.NewRNG(21))); err != nil { // same weights → same coding ranges
+		t.Fatal(err)
+	}
+	return c
+}
+
+// seedFaults sticks up to 30 cells of every crossbar, so that most random
+// steps touch a faulty cell.
+func seedFaults(c *Chip, rng *tensor.RNG) {
+	size := c.Params.CrossbarSize
+	for _, x := range c.Xbars {
+		for f := 0; f < 30; f++ {
+			x.InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(1+rng.Intn(2)), rng)
+		}
+	}
+}
+
+type chipStep struct {
+	name string
+	do   func()
+}
+
+// chipSteps returns one random operation of each kind a mapped chip's
+// effective weights depend on, drawing from rng.
+func chipSteps(t testing.TB, c *Chip, rng *tensor.RNG) []chipStep {
+	size := c.Params.CrossbarSize
+	layers := c.Layers()
 	randomCells := func(n int) []int {
 		out := make([]int, n)
 		for i := range out {
@@ -660,10 +748,7 @@ func effectiveWeightsNeverStale(t *testing.T) {
 		return out
 	}
 
-	steps := []struct {
-		name string
-		do   func()
-	}{
+	return []chipStep{
 		{"InjectFault", func() {
 			x := c.Xbars[rng.Intn(len(c.Xbars))]
 			x.InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(rng.Intn(3)), rng)
@@ -717,31 +802,109 @@ func effectiveWeightsNeverStale(t *testing.T) {
 			}
 		}},
 	}
-	// Start with enough faults that most steps touch a faulty cell.
-	for xi := range c.Xbars {
-		for f := 0; f < 30; f++ {
-			c.Xbars[xi].InjectFault(rng.Intn(size), rng.Intn(size), reram.CellState(1+rng.Intn(2)), rng)
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
 		}
 	}
-	for i := 0; i < 400; i++ {
-		step := steps[rng.Intn(len(steps))]
-		step.do()
-		ref := fresh()
-		for _, l := range layers {
-			w := c.Weight(l)
-			if !same(c.EffectiveForward(l, w), ref.EffectiveForward(l, ref.Weight(l))) {
-				t.Fatalf("step %d (%s): %s forward weights are stale", i, step.name, l)
+	return true
+}
+
+// denseEffective is the deploy path the sparse refresh replaced, kept as
+// its oracle. It clamps every cell of every task's block (the quantised
+// weight on a healthy cell, the stuck read-back on a stuck one), walking a
+// backward block's rows as strided columns of W. Then an O(cells) scan
+// restores the relocated elements, and the ECC restores its cells.
+func denseEffective(c *Chip, layer string) (fwd, bwd *tensor.Tensor) {
+	ml := c.byName[layer]
+	w, q, cols := ml.w, ml.quant, ml.cols
+	fwd, bwd = tensor.New(w.Shape...), tensor.New(w.Shape...)
+	for _, t := range ml.tasks {
+		xi := c.xbarOfTask[t.ID]
+		x := c.Xbars[xi]
+		eff := fwd
+		if t.Phase == Forward {
+			for i := 0; i < t.Rows; i++ {
+				off := (t.RowOff+i)*cols + t.ColOff
+				clampRowInto(x, q, eff.Data[off:], w.Data[off:], 1, i, t.Cols)
 			}
-			if !same(c.EffectiveBackward(l, w), ref.EffectiveBackward(l, ref.Weight(l))) {
-				t.Fatalf("step %d (%s): %s backward weights are stale", i, step.name, l)
+		} else {
+			eff = bwd
+			for i := 0; i < t.Rows; i++ {
+				off := t.ColOff*cols + t.RowOff + i
+				clampRowInto(x, q, eff.Data[off:], w.Data[off:], cols, i, t.Cols)
 			}
-			grad, refGrad := tensor.New(w.Shape...), tensor.New(w.Shape...)
-			rng.FillNormal(grad, 1)
-			copy(refGrad.Data, grad.Data)
-			c.TransformGradient(l, grad)
-			ref.TransformGradient(l, refGrad)
-			if !same(grad, refGrad) {
-				t.Fatalf("step %d (%s): %s gradient transform differs", i, step.name, l)
+		}
+		if ml.relocated != nil {
+			for i := 0; i < t.Rows; i++ {
+				for j := 0; j < t.Cols; j++ {
+					if x.State(i, j) == reram.Healthy {
+						continue
+					}
+					if elem := ml.elementOf(t, i, j); ml.relocated[elem] {
+						eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
+					}
+				}
+			}
+		}
+		for _, cell := range c.correctable[xi] {
+			i, j := cell/x.Size, cell%x.Size
+			if i >= t.Rows || j >= t.Cols || x.StateAt(cell) == reram.Healthy {
+				continue
+			}
+			elem := ml.elementOf(t, i, j)
+			eff.Data[elem] = float32(q.Quantize(float64(w.Data[elem])))
+		}
+	}
+	return fwd, bwd
+}
+
+// clampRowInto clamps crossbar row `row` between strided views:
+// dst[j·stride] receives the weight src[j·stride] reads back as through
+// cell (row, j), for j in [0, ncols).
+func clampRowInto(x *reram.Crossbar, q *reram.Quantizer, dst, src []float32, stride, row, ncols int) {
+	for j := 0; j < ncols; j++ {
+		w := float64(src[j*stride])
+		if s := x.State(row, j); s == reram.Healthy {
+			w = q.Quantize(w)
+		} else {
+			cell := row*x.Size + j
+			w = x.Params.StuckWeightAs(s, x.FaultG(cell), x.FaultInPositive(cell), w, q.Clip())
+		}
+		dst[j*stride] = float32(w)
+	}
+}
+
+// denseTransformGradient is the gradient hijack the stuck-list walk
+// replaced, kept as its oracle: it checks the state of every cell of every
+// backward block.
+func denseTransformGradient(c *Chip, layer string, grad *tensor.Tensor) {
+	ml := c.byName[layer]
+	scale := float64(grad.AbsMax())
+	if scale == 0 {
+		return
+	}
+	for _, t := range ml.tasks {
+		if t.Phase == Forward {
+			continue
+		}
+		x := c.Xbars[c.xbarOfTask[t.ID]]
+		for r := 0; r < t.Rows; r++ {
+			for col := 0; col < t.Cols; col++ {
+				st := x.State(r, col)
+				if st == reram.Healthy {
+					continue
+				}
+				elem := ml.elementOf(t, r, col)
+				if ml.relocated != nil && ml.relocated[elem] {
+					continue
+				}
+				cell := r*x.Size + col
+				grad.Data[elem] = float32(c.Params.StuckWeightAs(
+					st, x.FaultG(cell), x.FaultInPositive(cell), float64(grad.Data[elem]), scale))
 			}
 		}
 	}

@@ -168,14 +168,14 @@ func EncodeSpec(sp *CellSpec) ([]byte, error) {
 }
 
 // DecodeSpec parses a spec encoded by EncodeSpec. Specs arrive from
-// outside the process, so it rejects unknown kind, dataset, policy, phase
-// and coding names, non-positive sizes, counts and geometry, images too
-// small for the models, and image sizes or class counts that disagree
-// with the dataset, each with a clean error instead of a panic deep
-// inside training.
+// outside the process, so it rejects unknown fields and trailing data,
+// unknown kind, dataset, policy, phase and coding names, non-positive
+// sizes, counts and geometry, images too small for the models, and image
+// sizes or class counts that disagree with the dataset, each with a clean
+// error instead of a panic deep inside training.
 func DecodeSpec(data []byte) (*CellSpec, error) {
 	sp := &CellSpec{}
-	if err := json.Unmarshal(data, sp); err != nil {
+	if err := obs.DecodeStrict(data, sp); err != nil {
 		return nil, fmt.Errorf("experiments: decode cell spec: %w", err)
 	}
 	if err := sp.validate(); err != nil {

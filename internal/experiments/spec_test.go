@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,6 +134,30 @@ func TestDecodeSpecRejectsBadCoordinates(t *testing.T) {
 	}
 	if _, err := DecodeSpec([]byte(`{"kind":`)); err == nil {
 		t.Error("truncated JSON must not decode")
+	}
+}
+
+// TestDecodeSpecIsStrict: a field the spec does not have, or anything
+// after the JSON value, is an error rather than something to skip.
+func TestDecodeSpecIsStrict(t *testing.T) {
+	data, err := EncodeSpec(allSpecs(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSpec(data); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	extra := append([]byte(`{"WriteWeighted":true,`), data[1:]...)
+	if _, err := DecodeSpec(extra); err == nil || !strings.Contains(err.Error(), "WriteWeighted") {
+		t.Errorf("DecodeSpec of a spec with an extra field: err = %v, want one naming the field", err)
+	}
+	for _, tail := range []string{"{}", "x", `"more"`} {
+		if _, err := DecodeSpec(append(slices.Clone(data), tail...)); err == nil {
+			t.Errorf("DecodeSpec accepted trailing %q", tail)
+		}
+	}
+	if _, err := DecodeSpec(append(slices.Clone(data), " \n"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 

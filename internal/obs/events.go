@@ -209,7 +209,7 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 			continue
 		}
 		var env envelope
-		if err := decodeStrict(line, &env); err != nil {
+		if err := DecodeStrict(line, &env); err != nil {
 			return nil, fmt.Errorf("obs: events line %d: %w", lineNo, err)
 		}
 		mk := eventFactories[env.Kind]
@@ -217,7 +217,7 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 			return nil, fmt.Errorf("obs: events line %d: unknown event kind %q", lineNo, env.Kind)
 		}
 		ev := mk()
-		if err := decodeStrict(env.Data, ev); err != nil {
+		if err := DecodeStrict(env.Data, ev); err != nil {
 			return nil, fmt.Errorf("obs: events line %d (%s): %w", lineNo, env.Kind, err)
 		}
 		out = append(out, ev)
@@ -228,9 +228,10 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// decodeStrict unmarshals one JSON value into v, rejecting unknown fields
-// and anything after the value.
-func decodeStrict(data []byte, v interface{}) error {
+// DecodeStrict unmarshals one JSON value into v, rejecting unknown fields
+// and anything after the value: input from outside the process that does
+// not match the schema exactly is an error, not something to skip.
+func DecodeStrict(data []byte, v interface{}) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -188,7 +188,7 @@ func DecodeFleetEvents(r io.Reader) ([]FleetEvent, error) {
 			continue
 		}
 		var ev FleetEvent
-		if err := decodeStrict(raw, &ev); err != nil {
+		if err := DecodeStrict(raw, &ev); err != nil {
 			return nil, fmt.Errorf("obs: fleet trace line %d: %w", line, err)
 		}
 		if !fleetKinds[ev.Kind] {

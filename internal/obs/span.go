@@ -315,7 +315,7 @@ func ReadSpans(dir string) ([]CellSpanData, error) {
 // anything after the array is an error.
 func decodeSpans(data []byte) ([]CellSpanData, error) {
 	var spans []CellSpanData
-	if err := decodeStrict(data, &spans); err != nil {
+	if err := DecodeStrict(data, &spans); err != nil {
 		return nil, fmt.Errorf("obs: parse spans: %w", err)
 	}
 	return spans, nil

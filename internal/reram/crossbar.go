@@ -2,6 +2,7 @@ package reram
 
 import (
 	"fmt"
+	"slices"
 
 	"remapd/internal/tensor"
 )
@@ -29,6 +30,10 @@ type Crossbar struct {
 	// only writer of state, keeps them current, so the fault counts and
 	// the density are O(1) reads.
 	nSA0, nSA1 int
+	// stuck lists the flat indices of the stuck cells in no particular
+	// order, so weight deploy costs O(faults) instead of O(cells).
+	// setState keeps it current alongside the counts.
+	stuck []int
 	// version counts cell-state changes: setState and HealAll bump it, so
 	// a reader that cached something derived from the cell states can
 	// tell that it is stale. Write accounting does not bump it.
@@ -95,15 +100,24 @@ func (x *Crossbar) InjectFaultPolar(r, c int, s CellState, inPositive bool, rng 
 //lint:hotpath
 func (x *Crossbar) FaultInPositive(i int) bool { return x.inPositive[i] }
 
-// setState moves cell i to state s and keeps the per-state counts in
-// step. Every state write goes through it.
+// setState moves cell i to state s and keeps the per-state counts and the
+// stuck list in step. Every state write goes through it.
 func (x *Crossbar) setState(i int, s CellState) {
 	switch s {
 	case Healthy, SA0, SA1:
 	default:
 		panic(fmt.Sprintf("reram: invalid cell state %d", s))
 	}
-	x.count(x.state[i], -1)
+	was := x.state[i]
+	switch {
+	case was == Healthy && s != Healthy:
+		x.stuck = append(x.stuck, i)
+	case was != Healthy && s == Healthy:
+		k, last := slices.Index(x.stuck, i), len(x.stuck)-1
+		x.stuck[k] = x.stuck[last]
+		x.stuck = x.stuck[:last]
+	}
+	x.count(was, -1)
 	x.count(s, +1)
 	x.state[i] = s
 	x.version++
@@ -190,68 +204,6 @@ func (x *Crossbar) ReadColumnCurrent(c int, programmedOne bool) float64 {
 	return current
 }
 
-// ClampWeights materialises the weights this crossbar would actually apply
-// during an MVM for a rows×cols block stored in the array's top-left corner
-// (block element (i, j) lives in cell (i, j)): healthy cells return the
-// quantised programmed weight; stuck cells return the weight their stuck
-// conductance decodes to. src and dst are flat row-major rows×cols blocks;
-// clip is the layer's weight coding range.
-func (x *Crossbar) ClampWeights(dst, src []float32, rows, cols int, clip float64) {
-	if len(dst) != len(src) || len(src) != rows*cols {
-		panic("reram: ClampWeights block size mismatch")
-	}
-	q := x.Params.NewQuantizer(clip)
-	for i := 0; i < rows; i++ {
-		x.ClampRowInto(q, dst[i*cols:], src[i*cols:], 1, 1, i, cols)
-	}
-}
-
-// ClampRowInto clamps one crossbar row directly between caller-owned
-// (possibly strided) views: dst[j·dstStride] receives the effective weight
-// of src[j·srcStride] as seen through cell (row, j), for j in [0, ncols).
-// Stride 1 walks a contiguous forward-weight row; stride = matrix-width
-// walks a column of the transposed backward copy in place. This is the
-// fused deploy path: the architecture layer hands tensor sub-slices here
-// instead of gathering blocks into scratch and scattering results back.
-//
-//lint:hotpath
-func (x *Crossbar) ClampRowInto(q *Quantizer, dst, src []float32, dstStride, srcStride, row, ncols int) {
-	if row < 0 || row >= x.Size || ncols > x.Size {
-		panic(fmt.Sprintf("reram: row %d / %d cols exceeds crossbar size %d", row, ncols, x.Size))
-	}
-	if ncols <= 0 {
-		return
-	}
-	if (ncols-1)*dstStride >= len(dst) || (ncols-1)*srcStride >= len(src) {
-		panic("reram: ClampRowInto view too short for stride")
-	}
-	states := x.state[row*x.Size : row*x.Size+ncols]
-	healthy := true
-	for _, s := range states {
-		if s != Healthy {
-			healthy = false
-			break
-		}
-	}
-	if healthy {
-		for j := 0; j < ncols; j++ {
-			dst[j*dstStride] = float32(q.Quantize(float64(src[j*srcStride])))
-		}
-		return
-	}
-	p := x.Params
-	for j, s := range states {
-		w := float64(src[j*srcStride])
-		if s == Healthy {
-			w = q.Quantize(w)
-		} else {
-			cell := row*x.Size + j
-			w = p.StuckWeightAs(s, x.gFault[cell], x.inPositive[cell], w, q.clip)
-		}
-		dst[j*dstStride] = float32(w)
-	}
-}
-
 // HealAll clears every fault (used by tests and what-if experiments).
 func (x *Crossbar) HealAll() {
 	for i := range x.state {
@@ -259,18 +211,34 @@ func (x *Crossbar) HealAll() {
 		x.gFault[i] = 0
 	}
 	x.nSA0, x.nSA1 = 0, 0
+	x.stuck = x.stuck[:0]
 	x.version++
 }
 
+// Stuck returns the flat indices of the stuck cells in no particular
+// order. The slice is the crossbar's own: the caller must not modify it,
+// and the next state write may change it.
+//
+//lint:hotpath
+func (x *Crossbar) Stuck() []int { return x.stuck }
+
+// StuckWeightAt returns what stuck cell i reads back in place of weight w,
+// coded into the range ±clip (DeviceParams.StuckWeightAs).
+//
+//lint:hotpath
+func (x *Crossbar) StuckWeightAt(i int, w, clip float64) float64 {
+	return x.Params.StuckWeightAs(x.state[i], x.gFault[i], x.inPositive[i], w, clip)
+}
+
 // FaultCells returns the flat indices of all stuck cells in ascending
-// order — the sparse walk a checkpoint serializes.
+// order (nil when there are none) — the sparse walk a checkpoint
+// serializes.
 func (x *Crossbar) FaultCells() []int {
-	var out []int
-	for i, s := range x.state {
-		if s != Healthy {
-			out = append(out, i)
-		}
+	if len(x.stuck) == 0 {
+		return nil
 	}
+	out := slices.Clone(x.stuck)
+	slices.Sort(out)
 	return out
 }
 

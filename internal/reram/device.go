@@ -202,8 +202,14 @@ func (p DeviceParams) NewQuantizer(clip float64) *Quantizer {
 	return q
 }
 
+// Clip returns the coding range the quantizer was built for.
+//
+//lint:hotpath
+func (q *Quantizer) Clip() float64 { return q.clip }
+
 // Quantize returns the stored weight after program-and-read-back,
-// bit-identical to p.QuantizeWeight(w, clip).
+// bit-identical to p.QuantizeWeight(w, clip). A NaN weight has no level
+// and reads back NaN, as in QuantizeWeight.
 //
 //lint:hotpath
 func (q *Quantizer) Quantize(w float64) float64 {
@@ -211,12 +217,47 @@ func (q *Quantizer) Quantize(w float64) float64 {
 		return q.p.QuantizeWeight(w, q.clip)
 	}
 	x := (w + q.clip) / (2 * q.clip)
-	if x < 0 {
+	switch {
+	case x < 0:
 		x = 0
-	} else if x > 1 {
+	case x > 1:
 		x = 1
+	case math.IsNaN(x):
+		return x
 	}
 	return q.lut[int(math.Round(x*float64(q.p.Levels-1)))]
+}
+
+// QuantizeInto sets dst[i] to float32(Quantize(float64(src[i]))) for
+// every i: the one pass that programs a whole layer. dst and src must
+// have the same length. The loop body is Quantize's, written out: a call
+// per weight would double the cost of the pass.
+//
+//lint:hotpath
+func (q *Quantizer) QuantizeInto(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("reram: QuantizeInto length mismatch")
+	}
+	if q.lut == nil {
+		for i, w := range src {
+			dst[i] = float32(q.p.QuantizeWeight(float64(w), q.clip))
+		}
+		return
+	}
+	lut, clip, top := q.lut, q.clip, float64(q.p.Levels-1)
+	for i, w := range src {
+		x := (float64(w) + clip) / (2 * clip)
+		switch {
+		case x < 0:
+			x = 0
+		case x > 1:
+			x = 1
+		case math.IsNaN(x):
+			dst[i] = float32(x)
+			continue
+		}
+		dst[i] = float32(lut[int(math.Round(x*top))])
+	}
 }
 
 // StuckWeight returns the weight value read from a faulty cell under plain

@@ -8,11 +8,14 @@ import (
 )
 
 // TestQuantizerBitIdentical sweeps a dense weight grid (±2·clip, so both
-// in-range and saturating inputs) comparing the LUT fast path against the
-// scalar program-and-read-back chain bit-for-bit, across clip ranges and
-// level counts.
+// in-range and saturating inputs) comparing the LUT fast path, per weight
+// and as one QuantizeInto pass over the float32 grid, against the scalar
+// program-and-read-back chain bit-for-bit, across clip ranges and level
+// counts.
 func TestQuantizerBitIdentical(t *testing.T) {
 	p := DefaultDeviceParams()
+	src := make([]float32, 4001)
+	dst := make([]float32, len(src))
 	for _, levels := range []int{2, 8, 32} {
 		p.Levels = levels
 		for _, clip := range []float64{0.5, 1, 2.37} {
@@ -23,6 +26,13 @@ func TestQuantizerBitIdentical(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("levels %d clip %g w %g: lut %x (%g) scalar %x (%g)",
 						levels, clip, w, math.Float64bits(got), got, math.Float64bits(want), want)
+				}
+				src[i+2000] = float32(w)
+			}
+			q.QuantizeInto(dst, src)
+			for i, w := range src {
+				if want := float32(p.QuantizeWeight(float64(w), clip)); math.Float32bits(dst[i]) != math.Float32bits(want) {
+					t.Fatalf("levels %d clip %g w %g: QuantizeInto %g, scalar %g", levels, clip, w, dst[i], want)
 				}
 			}
 		}
@@ -44,65 +54,66 @@ func TestQuantizerDegenerateFallsBack(t *testing.T) {
 	}
 }
 
-// TestClampRowIntoStridedMatchesBlock checks the fused strided deploy path
-// against the block-copy wrapper: clamping a column of a transposed matrix
-// in place (stride = width) must produce exactly the values ClampWeights
-// yields on the gathered contiguous block.
-func TestClampRowIntoStridedMatchesBlock(t *testing.T) {
-	p := DefaultDeviceParams()
-	p.CrossbarSize = 8
-	x := NewCrossbar(1, p)
-	rng := tensor.NewRNG(9)
-	x.InjectFault(0, 2, SA0, rng)
-	x.InjectFault(1, 5, SA1, rng)
-	x.InjectFault(3, 0, SA1, rng)
-
-	const rows, cols, clip = 4, 6, 1.5
-	src := make([]float32, rows*cols)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
-	want := make([]float32, rows*cols)
-	x.ClampWeights(want, src, rows, cols, clip)
-
-	// Strided layout: the same block stored transposed in a cols×rows
-	// matrix, so block row i is a column walked with stride rows.
-	trans := make([]float32, rows*cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			trans[j*rows+i] = src[i*cols+j]
+// TestQuantizeEdgeCases pins Quantize and QuantizeInto to QuantizeWeight
+// on the inputs a grid sweep misses: signed zeros, infinities, NaN (which
+// reads back NaN instead of indexing the table), the range ends, values
+// past them and exact half-level midpoints. QuantizeInto takes float32
+// weights; 33 levels put the midpoints on float32 values, so it sees
+// them exactly too.
+func TestQuantizeEdgeCases(t *testing.T) {
+	const clip = 1.0
+	same := func(got, want float64) bool {
+		if math.IsNaN(want) {
+			return math.IsNaN(got)
 		}
+		return math.Float64bits(got) == math.Float64bits(want)
 	}
-	got := make([]float32, rows*cols)
-	q := p.NewQuantizer(clip)
-	for i := 0; i < rows; i++ {
-		x.ClampRowInto(q, got[i:], trans[i:], rows, rows, i, cols)
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			g, w := got[j*rows+i], want[i*cols+j]
-			if math.Float32bits(g) != math.Float32bits(w) {
-				t.Fatalf("cell (%d,%d): strided %g block %g", i, j, g, w)
+	p := DefaultDeviceParams()
+	for _, levels := range []int{32, 33, 1} { // 1: the scalar fallback
+		p.Levels = levels
+		q := p.NewQuantizer(clip)
+		cases := map[string]float64{
+			"+0": 0, "-0": math.Copysign(0, -1),
+			"+Inf": math.Inf(1), "-Inf": math.Inf(-1), "NaN": math.NaN(),
+			"+clip": clip, "-clip": -clip, "past +clip": 1.5 * clip, "past -clip": -1.5 * clip,
+		}
+		if levels > 1 {
+			half := clip / float64(levels-1) // half a level step in weight units
+			cases["first midpoint"] = -clip + half
+			cases["third midpoint"] = -clip + 5*half
+			cases["last midpoint"] = clip - half
+		}
+		for name, w := range cases {
+			want := p.QuantizeWeight(w, clip)
+			if got := q.Quantize(w); !same(got, want) {
+				t.Errorf("levels %d %s: Quantize %g, QuantizeWeight %g", levels, name, got, want)
+			}
+			w32 := float32(w)
+			want32 := float32(p.QuantizeWeight(float64(w32), clip))
+			dst := make([]float32, 1)
+			q.QuantizeInto(dst, []float32{w32})
+			if !same(float64(dst[0]), float64(want32)) {
+				t.Errorf("levels %d %s: QuantizeInto %g, QuantizeWeight %g", levels, name, dst[0], want32)
 			}
 		}
 	}
 }
 
-func BenchmarkClampRowInto(b *testing.B) {
+func BenchmarkQuantizeInto(b *testing.B) {
 	p := DefaultDeviceParams()
-	x := NewCrossbar(0, p)
-	rng := tensor.NewRNG(4)
-	x.InjectFault(7, 3, SA0, rng) // one faulty row: exercises the general loop
 	q := p.NewQuantizer(1)
-	src := make([]float32, p.CrossbarSize)
-	dst := make([]float32, p.CrossbarSize)
+	rng := tensor.NewRNG(4)
+	src := make([]float32, p.CrossbarSize*p.CrossbarSize) // one crossbar's block
+	dst := make([]float32, len(src))
 	for i := range src {
-		src[i] = float32(rng.NormFloat64())
+		// A layer's coding range is twice its initial max|W|, so trained
+		// weights sit well inside ±clip.
+		src[i] = float32(0.2 * rng.NormFloat64())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.ClampRowInto(q, dst, src, 1, 1, i%p.CrossbarSize, p.CrossbarSize)
+		q.QuantizeInto(dst, src)
 	}
 }
 

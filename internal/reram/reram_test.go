@@ -2,6 +2,7 @@ package reram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,13 +188,26 @@ func TestReadColumnCurrentSA0Monotone(t *testing.T) {
 	}
 }
 
+// deployRow programs src into row 0 of x the way the chip deploys a
+// layer: QuantizeInto for every cell, then StuckWeightAs over the stuck
+// ones.
+func deployRow(x *Crossbar, src []float32, clip float64) []float32 {
+	dst := make([]float32, len(src))
+	x.Params.NewQuantizer(clip).QuantizeInto(dst, src)
+	for j, w := range src {
+		if s := x.State(0, j); s != Healthy {
+			dst[j] = float32(x.Params.StuckWeightAs(s, x.FaultG(j), x.FaultInPositive(j), float64(w), clip))
+		}
+	}
+	return dst
+}
+
 func TestClampWeightsHealthyQuantises(t *testing.T) {
 	p := DefaultDeviceParams()
 	p.CrossbarSize = 4
 	x := NewCrossbar(0, p)
 	src := []float32{0.5, -0.25, 0, 1}
-	dst := make([]float32, 4)
-	x.ClampWeights(dst, src, 1, 4, 1)
+	dst := deployRow(x, src, 1)
 	for i := range src {
 		if math.Abs(float64(dst[i]-src[i])) > 2.0/float64(p.Levels-1) {
 			t.Fatalf("healthy clamp deviates too much: %v -> %v", src[i], dst[i])
@@ -208,9 +222,7 @@ func TestClampWeightsStuckCellsOffset(t *testing.T) {
 	x := NewCrossbar(0, p)
 	x.InjectFault(0, 0, SA1, rng)
 	x.InjectFault(0, 1, SA0, rng)
-	src := []float32{0.1, 0.1, 0.1}
-	dst := make([]float32, 3)
-	x.ClampWeights(dst, src, 1, 3, 1)
+	dst := deployRow(x, []float32{0.1, 0.1, 0.1}, 1)
 	if dst[0] < 0.9 {
 		t.Fatalf("offset SA1 cell must clamp high, got %v", dst[0])
 	}
@@ -231,9 +243,7 @@ func TestClampWeightsStuckCellsDifferential(t *testing.T) {
 	x.InjectFaultPolar(0, 0, SA1, true, rng)  // SA1 in G⁺ of a positive weight
 	x.InjectFaultPolar(0, 1, SA0, true, rng)  // SA0 in G⁺ of a positive weight
 	x.InjectFaultPolar(0, 2, SA1, false, rng) // SA1 in G⁻
-	src := []float32{0.1, 0.1, 0.1, 0.1}
-	dst := make([]float32, 4)
-	x.ClampWeights(dst, src, 1, 4, 1)
+	dst := deployRow(x, []float32{0.1, 0.1, 0.1, 0.1}, 1)
 	if dst[0] < 0.9 {
 		t.Fatalf("SA1/G⁺ cell must clamp high, got %v", dst[0])
 	}
@@ -248,16 +258,16 @@ func TestClampWeightsStuckCellsDifferential(t *testing.T) {
 	}
 }
 
+// TestClampWeightsCapacityPanic: a destination that cannot hold the
+// block panics instead of writing a partial one.
 func TestClampWeightsCapacityPanic(t *testing.T) {
 	p := DefaultDeviceParams()
-	p.CrossbarSize = 2
-	x := NewCrossbar(0, p)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for oversized block")
 		}
 	}()
-	x.ClampWeights(make([]float32, 5), make([]float32, 5), 1, 5, 1)
+	p.NewQuantizer(1).QuantizeInto(make([]float32, 4), make([]float32, 5))
 }
 
 func TestZeroSigmaIsNoiseFree(t *testing.T) {
@@ -265,9 +275,7 @@ func TestZeroSigmaIsNoiseFree(t *testing.T) {
 	p.CrossbarSize = 4
 	p.Levels = 0
 	x := NewCrossbar(0, p)
-	src := []float32{0.25}
-	dst := make([]float32, 1)
-	x.ClampWeights(dst, src, 1, 1, 1)
+	dst := deployRow(x, []float32{0.25}, 1)
 	if math.Abs(float64(dst[0]-0.25)) > 1e-7 {
 		t.Fatalf("unquantised clamp must be exact: %v", dst[0])
 	}
@@ -302,7 +310,8 @@ func TestFaultDensityMatchesInjectionProperty(t *testing.T) {
 // TestFaultCountInvariant applies seeded random sequences of every cell
 // state writer — InjectFault, InjectFaultPolar (SA0↔SA1 overwrites and
 // heals by injecting Healthy), RestoreFault and HealAll — and checks the
-// maintained counts against a dense recount after every operation.
+// maintained counts and stuck list against a dense recount after every
+// operation.
 func TestFaultCountInvariant(t *testing.T) {
 	p := DefaultDeviceParams()
 	p.CrossbarSize = 8 // 64 cells: random ops collide often
@@ -334,13 +343,23 @@ func TestFaultCountInvariant(t *testing.T) {
 			}
 
 			var sa0, sa1 int
+			var dense []int
 			for j := 0; j < x.Cells(); j++ {
 				switch x.StateAt(j) {
 				case SA0:
 					sa0++
 				case SA1:
 					sa1++
+				default:
+					continue
 				}
+				dense = append(dense, j)
+			}
+			stuck := slices.Clone(x.Stuck())
+			slices.Sort(stuck)
+			if !slices.Equal(stuck, dense) || !slices.Equal(x.FaultCells(), dense) {
+				t.Fatalf("seed %d op %d: stuck list %v, FaultCells %v; dense recount %v",
+					seed, op, stuck, x.FaultCells(), dense)
 			}
 			if x.FaultCount() != sa0+sa1 || x.CountState(SA0) != sa0 || x.CountState(SA1) != sa1 ||
 				x.CountState(Healthy) != x.Cells()-sa0-sa1 || len(x.FaultCells()) != sa0+sa1 {
