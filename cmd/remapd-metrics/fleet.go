@@ -8,10 +8,10 @@ import (
 	"remapd/internal/obs"
 )
 
-// fleetMain is the -fleet mode: decode a structured fleet event trace
-// (the JSONL a -fleet-trace coordinator or worker appends) and print
-// where the run's churn came from — membership, requeue causes,
-// per-worker utilization, slowest cells.
+// fleetMain is the -fleet mode: decode a harness timeline (the JSONL a
+// -fleet-trace coordinator or worker appends) and print where the run's
+// churn came from — membership, requeue causes, per-worker utilization,
+// slowest cells.
 func fleetMain(path string, top int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -50,17 +50,7 @@ func fleetMain(path string, top int) error {
 		}
 	}
 
-	if len(sum.SlowestCells) > 0 {
-		fmt.Printf("\n==== slowest cells ====\n\n")
-		fmt.Printf("%-45s %-20s %8s %9s\n", "cell", "worker", "attempt", "seconds")
-		n := len(sum.SlowestCells)
-		if n > top {
-			n = top
-		}
-		for _, ev := range sum.SlowestCells[:n] {
-			fmt.Printf("%-45s %-20s %8d %9.2f\n", ev.Cell, ev.Worker, ev.Attempt, ev.Seconds)
-		}
-	}
+	printSlowest(obs.SlowestSpans(obs.FoldSpans(events), top))
 	return nil
 }
 

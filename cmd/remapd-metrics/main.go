@@ -2,11 +2,12 @@
 // remapd-train or remapd-report (-metrics-dir): per-policy remap activity,
 // the remap hop-distance histogram, the BIST density-drift curve, and —
 // when the directory also holds them — the costliest report phases from
-// harness.json and the slowest experiment cells from spans.json.
+// harness.json and the slowest experiment cells, folded out of the
+// harness timeline in timeline.jsonl.
 //
 // Two operational modes look at a live or finished fleet run instead:
-// -fleet summarises a structured fleet event trace (-fleet-trace JSONL)
-// and -watch polls a coordinator's -status-addr for a live view.
+// -fleet summarises a harness timeline file (-fleet-trace JSONL) and
+// -watch polls a coordinator's -status-addr for a live view.
 //
 // Examples:
 //
@@ -29,7 +30,7 @@ func main() {
 	var (
 		dir   = flag.String("dir", "metrics", "telemetry directory (the -metrics-dir of a previous run)")
 		top   = flag.Int("top", 10, "how many slowest cells / costliest phases to show")
-		fleet = flag.String("fleet", "", "summarise this structured fleet event trace (a -fleet-trace JSONL file) instead of a metrics directory")
+		fleet = flag.String("fleet", "", "summarise this harness timeline (a -fleet-trace JSONL file) instead of a metrics directory")
 		watch = flag.String("watch", "", "poll a coordinator's -status-addr (host:port) and render a live single-screen view")
 		every = flag.Duration("every", defaultWatchEvery, "with -watch: poll interval")
 	)
@@ -89,11 +90,11 @@ func main() {
 	if prof != nil {
 		printPhases(prof, *top)
 	}
-	spans, err := obs.ReadSpans(*dir)
+	timeline, err := obs.ReadTimeline(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	printSlowest(spans, *top)
+	printSlowest(obs.SlowestSpans(obs.FoldSpans(timeline), *top))
 }
 
 // printHops merges every policy's hop histogram and renders the combined
@@ -177,16 +178,17 @@ func printPhases(prof *obs.ProfileData, top int) {
 	}
 }
 
-// printSlowest renders the cells that held a runner slot longest, from
-// their lifecycle spans: seconds is the slot time (total less queue),
-// run the worker-reported execution time summed over attempts.
-func printSlowest(spans []obs.CellSpanData, top int) {
-	if len(spans) == 0 {
+// printSlowest renders the cells that held a runner slot longest (see
+// obs.SlowestSpans), from their lifecycle spans: seconds is the slot
+// time (total less queue), run the worker-reported execution time summed
+// over attempts.
+func printSlowest(slowest []obs.CellSpanData) {
+	if len(slowest) == 0 {
 		return
 	}
 	fmt.Printf("\n==== slowest cells ====\n\n")
 	fmt.Printf("%-55s %9s %9s %9s %8s\n", "cell", "seconds", "queue", "run", "attempts")
-	for _, sp := range obs.SlowestSpans(spans, top) {
+	for _, sp := range slowest {
 		var run float64
 		for _, a := range sp.Attempts {
 			run += a.RunSeconds

@@ -68,10 +68,10 @@ type Options struct {
 	// StatusAddr serves the live /status JSON endpoint, pprof and expvar
 	// when non-empty (-status-addr).
 	StatusAddr string
-	// FleetTrace appends the structured fleet event trace (JSONL) to
-	// this file (-fleet-trace): coordinator membership/scheduling events
-	// with -dist or -listen, connection lifecycle events with -worker
-	// -connect.
+	// FleetTrace appends the harness timeline (JSONL) to this file
+	// (-fleet-trace): cell lifecycle events on any grid run, plus
+	// membership events with -dist or -listen; connection lifecycle
+	// events with -worker -connect.
 	FleetTrace string
 	// ServeAddr serves the HTTP classification endpoint when non-empty
 	// (-serve-addr).
@@ -153,7 +153,7 @@ func (o *Options) bindFleetTrace(fs *flag.FlagSet) {
 	if fs.Lookup("fleet-trace") != nil {
 		return
 	}
-	fs.StringVar(&o.FleetTrace, "fleet-trace", "", "append the structured fleet event trace (JSONL) to this file: join/leave/drop/requeue/stall events on a -dist or -listen coordinator, connect/disconnect/sever on a -worker -connect worker")
+	fs.StringVar(&o.FleetTrace, "fleet-trace", "", "append the harness timeline (JSONL) to this file: cell submit/dispatch/run/requeue/cell-done events on a grid run, plus join/leave/drop/stall on a -dist or -listen coordinator; connect/disconnect/sever on a -worker -connect worker")
 }
 
 // Validate rejects incoherent combinations.
@@ -228,7 +228,7 @@ func (o *Options) StartStatus(logf experiments.Logf) (*obs.Status, error) {
 
 // Apply wires the options into a grid Scale: worker bound, progress
 // sink, checkpoint store, metrics sink + harness profile, telemetry
-// (spans, the /status sections StartStatus serves, fleet trace), and
+// (the harness timeline, the /status sections StartStatus serves), and
 // (with -dist/-listen) the remote executor. Tools call StartStatus
 // first, so the runner and the fleet find its registry. It returns the profile (nil without -metrics-dir) and a
 // cleanup that must run before exit — it shuts worker processes down
@@ -263,24 +263,14 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 		s.Metrics = sink
 		prof = obs.NewProfile()
 	}
-	// Spans are recorded whenever anyone can see them: the /status
-	// endpoint serves live aggregates, the metrics dir persists
-	// spans.json. Observation-only either way.
-	if o.status != nil || o.MetricsDir != "" {
-		spans := obs.NewSpanRecorder()
-		s.Spans = spans
-		if o.MetricsDir != "" {
-			dir := o.MetricsDir
-			cleanups = append(cleanups, func() {
-				if err := spans.WriteJSON(dir); err != nil && logf != nil {
-					logf("cli: write spans: %v", err)
-				}
-			})
-		}
-	}
-	s.Status = o.status
+	// One harness timeline records every cell's lifecycle and the
+	// fleet's membership whenever anyone can see it: -fleet-trace appends
+	// it to a file as it happens, the /status endpoint folds live span
+	// aggregates out of it, and the metrics dir keeps it as
+	// timeline.jsonl. Observation-only either way.
 	var trace *obs.FleetTrace
-	if o.FleetTrace != "" {
+	switch {
+	case o.FleetTrace != "":
 		var err error
 		trace, err = obs.NewFleetTraceFile(o.FleetTrace)
 		if err != nil {
@@ -291,7 +281,19 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 				logf("cli: %v", err)
 			}
 		})
+	case o.status != nil || o.MetricsDir != "":
+		trace = obs.NewSpanRecorder()
 	}
+	if o.MetricsDir != "" {
+		dir := o.MetricsDir
+		cleanups = append(cleanups, func() {
+			if err := trace.WriteTimeline(dir); err != nil && logf != nil {
+				logf("cli: write timeline: %v", err)
+			}
+		})
+	}
+	s.Spans = trace
+	s.Status = o.status
 	var (
 		fleet *dist.Fleet
 		err   error
@@ -326,8 +328,7 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 // NewFleet opens the -listen socket and wraps it in the elastic fleet
 // executor. The returned Fleet's Close (installed as Apply's cleanup)
 // asks every connected worker to shut down. trace (may be nil) receives
-// the structured fleet event record; the fleet always keeps an
-// in-memory trace regardless.
+// the fleet's membership events.
 func (o *Options) NewFleet(logf experiments.Logf, trace *obs.FleetTrace) (*dist.Fleet, error) {
 	ln, err := net.Listen("tcp", o.Listen)
 	if err != nil {

@@ -46,8 +46,8 @@ func TestMain(m *testing.M) {
 			_, _ = fmt.Fprintln(conn, "xyzzy: this is not a protocol reply")
 		})
 	case "mute":
-		// The shape of a wedged-but-alive process: only a reply timeout
-		// (or the heartbeat deadline) can unmask it.
+		// The shape of a wedged-but-alive process: only the heartbeat
+		// deadline can unmask it.
 		runRawWorker(func(net.Conn) {})
 	case "exit-early":
 		os.Exit(3)
@@ -263,7 +263,7 @@ func specCell(policy string) experiments.Cell {
 // respawned process; when every attempt hits the same breakage, the
 // error names the cell and the attempt count.
 func TestGarbageWorkerExhaustsRetries(t *testing.T) {
-	fleet := spawnFleet(t, 1, "garbage", dist.FleetOptions{Retries: 2})
+	fleet := spawnFleet(t, 1, "garbage", dist.FleetOptions{})
 	cell := specCell("ideal")
 	res, err := fleet.Execute(context.Background(), 0, cell, nil)
 	if err == nil {
@@ -272,11 +272,11 @@ func TestGarbageWorkerExhaustsRetries(t *testing.T) {
 	if !strings.Contains(err.Error(), cell.Spec.Key.String()) {
 		t.Fatalf("error %q does not name the cell", err)
 	}
-	if !strings.Contains(err.Error(), "after 2 attempts") {
+	if want := fmt.Sprintf("after %d attempts", dist.DefaultRetries); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not record exhausted retries", err)
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", res.Attempts)
+	if res.Attempts != dist.DefaultRetries {
+		t.Fatalf("attempts = %d, want %d", res.Attempts, dist.DefaultRetries)
 	}
 }
 
@@ -297,20 +297,26 @@ func TestDeterministicCellErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestMuteWorkerHitsReplyTimeout: a worker that accepts cells but never
-// answers must trip FleetOptions.Timeout, be dropped, and cost the cell
-// its retries — the error names the silence, not a crash.
-func TestMuteWorkerHitsReplyTimeout(t *testing.T) {
-	fleet := spawnFleet(t, 1, "mute", dist.FleetOptions{Retries: 2, Timeout: 200 * time.Millisecond})
+// TestMuteWorkerEvictedByHeartbeat: a worker that accepts cells but
+// never answers — not even a heartbeat — must miss its liveness
+// deadline, be dropped, and cost the cell its retries; the drop names
+// the silence, not a crash.
+func TestMuteWorkerEvictedByHeartbeat(t *testing.T) {
+	var capture logCapture
+	fleet := spawnFleet(t, 1, "mute", dist.FleetOptions{
+		HeartbeatEvery:  50 * time.Millisecond,
+		HeartbeatMisses: 2,
+		Logf:            capture.logf,
+	})
 	res, err := fleet.Execute(context.Background(), 0, specCell("ideal"), nil)
 	if err == nil {
 		t.Fatal("a mute worker must fail the cell")
 	}
-	if !strings.Contains(err.Error(), "no result within") {
-		t.Fatalf("error %q does not attribute the failure to the reply timeout", err)
+	if res.Attempts != dist.DefaultRetries {
+		t.Fatalf("attempts = %d, want %d (each mute incarnation must burn one)", res.Attempts, dist.DefaultRetries)
 	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (each mute incarnation must burn one)", res.Attempts)
+	if !capture.contains("no frame for") {
+		t.Fatalf("transcript does not attribute the drops to the heartbeat deadline:\n%s", capture.String())
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 
 const (
 	// DefaultRetries bounds how many workers a cell is offered before its
-	// failure is final. Three attempts tolerates two crashes/timeouts per
-	// cell without letting a poisoned cell spin forever.
+	// failure is final. Three attempts tolerates two crashes per cell
+	// without letting a poisoned cell spin forever.
 	DefaultRetries = 3
 
 	// helloTimeout bounds how long a fresh connection (or a freshly
@@ -55,13 +55,6 @@ const (
 
 // FleetOptions configures a listening coordinator.
 type FleetOptions struct {
-	// Retries is the per-cell attempt bound (<= 0 means DefaultRetries).
-	Retries int
-	// Timeout, when > 0, bounds the time between a cell assignment and
-	// its result reply; log frames reset nothing. Heartbeats make it
-	// mostly redundant for crash detection; it remains the backstop
-	// against a live worker that simply never finishes.
-	Timeout time.Duration
 	// HeartbeatEvery / HeartbeatMisses tune the liveness deadline
 	// (defaults above). A worker is declared dead after Misses+1
 	// intervals with no frame of any kind.
@@ -70,10 +63,9 @@ type FleetOptions struct {
 	// Logf receives join/leave/requeue/stall notices (harness domain;
 	// results never depend on it).
 	Logf experiments.Logf
-	// Trace receives the structured fleet event record. When nil the
-	// fleet creates a memory-only trace, so membership churn is always
-	// recorded — a nil-Logf embedder still gets a record of every
-	// dropped worker via Events().
+	// Trace, when non-nil, receives the fleet's membership events (join,
+	// leave, drop, stall, drain). A cell's own events go to the timeline
+	// on its experiments.Cell; the tools pass the same stream to both.
 	Trace *obs.FleetTrace
 }
 
@@ -96,8 +88,6 @@ type Fleet struct {
 
 	nextID     atomic.Int64 // request IDs, shared across all connections
 	nextWorker atomic.Int64 // join counter, names workers deterministically
-
-	trace *obs.FleetTrace // never nil after NewFleet
 
 	// Run totals, surviving worker churn (per-worker counters die with
 	// their connection).
@@ -195,28 +185,16 @@ func NewFleet(ln net.Listener, opts FleetOptions) *Fleet {
 }
 
 func newFleet(ln net.Listener, opts FleetOptions, spawn *spawner) *Fleet {
-	trace := opts.Trace
-	if trace == nil {
-		// Always record: a nil-Logf, nil-Trace embedder can still ask
-		// Events() why a worker vanished.
-		trace = obs.NewFleetTrace()
-	}
 	f := &Fleet{
 		ln:      ln,
 		opts:    opts,
 		spawn:   spawn,
 		workers: map[string]*fleetWorker{},
 		notify:  make(chan struct{}),
-		trace:   trace,
 	}
 	go f.accept()
 	return f
 }
-
-// Events snapshots the fleet's in-memory event trace (see
-// obs.FleetTrace); always populated, whether or not FleetOptions
-// supplied a trace or a Logf.
-func (f *Fleet) Events() []obs.FleetEvent { return f.trace.Events() }
 
 // Addr reports the listener's address (useful with ":0" listeners).
 func (f *Fleet) Addr() net.Addr { return f.ln.Addr() }
@@ -309,7 +287,7 @@ func (f *Fleet) serve(raw net.Conn) {
 	n := len(f.workers)
 	f.mu.Unlock()
 	f.logf("dist: fleet: %s joined from %v (%d slot(s)); %d worker(s) connected", w.name, conn.RemoteAddr(), w.slots, n)
-	f.trace.Emit(obs.FleetEvent{Kind: obs.FleetJoin, Worker: w.name, Addr: w.addr, Proto: ProtoVersion, Slots: w.slots, Workers: n})
+	f.opts.Trace.Emit(obs.FleetEvent{Kind: obs.FleetJoin, Worker: w.name, Addr: w.addr, Proto: ProtoVersion, Slots: w.slots, Workers: n})
 	go f.monitor(w)
 	f.read(w, sc)
 }
@@ -371,8 +349,8 @@ func (f *Fleet) read(w *fleetWorker, sc *bufio.Scanner) {
 			w.draining = true
 			f.mu.Unlock()
 			f.logf("dist: fleet: %s is draining; assigning it nothing new", w.name)
-			f.trace.Emit(obs.FleetEvent{Kind: obs.FleetDrain, Worker: w.name})
-		case "log", "result", "telemetry":
+			f.opts.Trace.Emit(obs.FleetEvent{Kind: obs.FleetDrain, Worker: w.name})
+		case "log", "result":
 			w.route(rep)
 		default:
 			f.drop(w, fmt.Errorf("unexpected reply type %q", rep.Type))
@@ -406,7 +384,7 @@ func (f *Fleet) drop(w *fleetWorker, cause error) {
 			// announced, not a failure.
 			kind = obs.FleetLeave
 		}
-		f.trace.Emit(obs.FleetEvent{Kind: kind, Worker: w.name, Workers: n, Cause: fmt.Sprint(cause)})
+		f.opts.Trace.Emit(obs.FleetEvent{Kind: kind, Worker: w.name, Workers: n, Cause: fmt.Sprint(cause)})
 	})
 }
 
@@ -451,7 +429,7 @@ func (f *Fleet) acquire(ctx context.Context) (*fleetWorker, error) {
 			if n == 0 {
 				f.logf("dist: fleet: no workers connected; grid is stalled until one joins")
 				f.stalls.Add(1)
-				f.trace.Emit(obs.FleetEvent{Kind: obs.FleetStall, Workers: n})
+				f.opts.Trace.Emit(obs.FleetEvent{Kind: obs.FleetStall, Workers: n})
 			}
 			stall := time.NewTicker(fleetStallEvery)
 			defer stall.Stop()
@@ -479,8 +457,9 @@ func (f *Fleet) release(w *fleetWorker) {
 
 // Execute implements experiments.CellExecutor: acquire a worker, run the
 // cell on it, and on any worker-attributable failure requeue onto a
-// survivor after a deterministic backoff, up to Retries attempts. Shared
-// checkpoints make requeues resume rather than recompute.
+// survivor after a deterministic backoff, up to DefaultRetries attempts.
+// Shared checkpoints make requeues resume rather than recompute. Each
+// attempt's dispatch, run and requeue go to the cell's timeline.
 func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, logf experiments.Logf) (experiments.CellResult, error) {
 	_ = slot // the fleet schedules by worker capacity, not runner slot
 	key := cell.Spec.Key
@@ -489,12 +468,8 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 	if err != nil {
 		return res, err
 	}
-	retries := f.opts.Retries
-	if retries <= 0 {
-		retries = DefaultRetries
-	}
 	var lastErr error
-	for attempt := 1; attempt <= retries; attempt++ {
+	for attempt := 1; attempt <= DefaultRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -504,18 +479,12 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 			return res, err
 		}
 		res.Worker = w.name
-		cell.Span.Dispatch(w.name)
-		//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
-		start := time.Now()
-		result, err := f.runOn(ctx, w, spec, cell.Span, logf)
-		//lint:allow no-wall-clock harness-domain cell timing measures the machine, never the simulation
-		seconds := time.Since(start).Seconds()
+		cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetDispatch, Worker: w.name, Cell: key.String(), Attempt: attempt})
+		result, err := f.runOn(ctx, w, spec, cell, logf)
 		f.release(w)
-		cell.Span.EndAttempt(err != nil)
 		if err == nil {
 			w.done.Add(1)
 			f.done.Add(1)
-			f.trace.Emit(obs.FleetEvent{Kind: obs.FleetDone, Worker: w.name, Cell: key.String(), Attempt: attempt, Seconds: seconds})
 			res.Result = result
 			return res, nil
 		}
@@ -533,23 +502,23 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 		lastErr = err
 		w.requeued.Add(1)
 		f.requeued.Add(1)
-		f.logf("dist: fleet: cell %s attempt %d/%d failed: %v; requeueing on a surviving worker", key, attempt, retries, err)
-		f.trace.Emit(obs.FleetEvent{Kind: obs.FleetRequeue, Worker: w.name, Cell: key.String(), Attempt: attempt, Cause: fmt.Sprint(err)})
-		if attempt < retries {
+		f.logf("dist: fleet: cell %s attempt %d/%d failed: %v; requeueing on a surviving worker", key, attempt, DefaultRetries, err)
+		cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetRequeue, Worker: w.name, Cell: key.String(), Attempt: attempt, Cause: fmt.Sprint(err)})
+		if attempt < DefaultRetries {
 			if err := sleepCtx(ctx, Backoff(attempt, requeueBase, requeueMax)); err != nil {
 				return res, err
 			}
 		}
 	}
-	return res, fmt.Errorf("dist: fleet: cell %s failed after %d attempts: %w", key, retries, lastErr)
+	return res, fmt.Errorf("dist: fleet: cell %s failed after %d attempts: %w", key, DefaultRetries, lastErr)
 }
 
 // runOn assigns one cell to one worker and waits for its result,
-// streaming log frames through logf and telemetry frames into span.
-// Worker death (gone), silence past Timeout, or a protocol surprise
-// returns a retryable error; an Error reply is the cell's own fault and
-// comes back as *cellError.
-func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *obs.CellSpan, logf experiments.Logf) (*trainer.Result, error) {
+// streaming log frames through logf and recording the result's run
+// seconds on the cell's timeline. Worker death (gone) or a protocol
+// surprise returns a retryable error; an Error reply is the cell's own
+// fault and comes back as *cellError.
+func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, cell experiments.Cell, logf experiments.Logf) (*trainer.Result, error) {
 	id := f.nextID.Add(1)
 	ch := w.register(id)
 	defer w.deregister(id)
@@ -557,34 +526,22 @@ func (f *Fleet) runOn(ctx context.Context, w *fleetWorker, spec []byte, span *ob
 		f.drop(w, fmt.Errorf("send cell: %w", err))
 		return nil, fmt.Errorf("dist: fleet: send cell to %s: %w", w.name, err)
 	}
-	var timeout <-chan time.Time
-	if f.opts.Timeout > 0 {
-		timer := time.NewTimer(f.opts.Timeout)
-		defer timer.Stop()
-		timeout = timer.C
-	}
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-w.gone:
 			return nil, fmt.Errorf("dist: fleet: %s died mid-cell", w.name)
-		case <-timeout:
-			f.drop(w, fmt.Errorf("no result for request %d within %s", id, f.opts.Timeout))
-			return nil, fmt.Errorf("dist: fleet: %s: no result within %s", w.name, f.opts.Timeout)
 		case rep := <-ch:
 			switch rep.Type {
 			case "log":
 				if logf != nil {
 					logf("%s", rep.Line)
 				}
-			case "telemetry":
-				// Worker-reported run segment: harness-domain timing
-				// only, folded into the cell's span.
-				if rep.Span != nil {
-					span.RunSegment(rep.Span.Seconds, rep.Span.Failed)
-				}
 			case "result":
+				// Worker-measured run segment: harness-domain timing
+				// only, folded into the cell's span.
+				cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetRun, Cell: cell.Spec.Key.String(), Seconds: rep.Seconds})
 				if rep.Error != "" {
 					if rep.Error == context.Canceled.Error() {
 						// The worker's cells were cancelled out from

@@ -15,7 +15,7 @@ import (
 
 // These tests live inside the package to reach hello and liveness
 // internals the public surface hides on purpose: the worker table, the
-// telemetry frame, and the backoff schedule.
+// result reply, and the backoff schedule.
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -63,10 +63,10 @@ func internalSpecCell(policy string) experiments.Cell {
 	return experiments.Cell{Spec: sp}
 }
 
-// TestTelemetryPrecedesResult pins the worker's telemetry frame: every
-// run request produces exactly one, carrying the run segment, sent
-// immediately before the result.
-func TestTelemetryPrecedesResult(t *testing.T) {
+// TestResultCarriesRunSeconds pins the worker's result reply: it
+// carries the cell's run seconds, and every frame before it is a log
+// line — there is no separate timing frame.
+func TestResultCarriesRunSeconds(t *testing.T) {
 	spec, err := experiments.EncodeSpec(internalSpecCell("ideal").Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -77,18 +77,13 @@ func TestTelemetryPrecedesResult(t *testing.T) {
 	if rep.Error != "" {
 		t.Fatalf("cell failed: %s", rep.Error)
 	}
-	n := 0
+	if rep.Type != "result" || rep.ID != 1 || rep.Seconds <= 0 {
+		t.Fatalf("result reply = %+v, want the cell's result with its run seconds", rep)
+	}
 	for _, fr := range frames {
-		if fr.Type == "telemetry" {
-			n++
+		if fr.Type != "log" {
+			t.Fatalf("frame before the result = %+v, want log lines only", fr)
 		}
-	}
-	if n != 1 {
-		t.Fatalf("%d telemetry frames, want exactly 1", n)
-	}
-	last := frames[len(frames)-1]
-	if last.Type != "telemetry" || last.ID != 1 || last.Span == nil || last.Span.Seconds <= 0 || last.Span.Failed {
-		t.Fatalf("last frame before the result = %+v, want the cell's telemetry with its run segment", last)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"remapd/internal/checkpoint"
@@ -12,14 +13,16 @@ import (
 	"remapd/internal/obs"
 )
 
-// TestFleetTelemetryChaosSever is the span-accounting acceptance test:
-// a chaos-severed cell must leave (1) a Fig. 6 table byte-identical to
-// a telemetry-free in-process run, (2) a two-attempt lifecycle span
-// whose severed attempt is failed with no run segment and whose retry
-// carries the worker-reported one, and (3) a structured fleet trace —
-// in memory and in the JSONL file — that narrates join → requeue →
-// cell-done with attempt numbers, attributing the requeue to the
-// severed worker.
+// TestFleetTelemetryChaosSever is the span-accounting acceptance test.
+// One harness timeline serves as both the runner's span stream and the
+// fleet's membership trace, as the tools wire it. A chaos-severed cell
+// must leave (1) a Fig. 6 table byte-identical to a telemetry-free
+// in-process run, (2) a two-attempt lifecycle span whose severed attempt
+// is failed with no run segment and whose retry carries the
+// worker-reported one, and (3) a timeline — in memory and in the JSONL
+// file — that narrates join → requeue → cell-done with attempt numbers,
+// attributes the requeue to the severed worker, and folds into the same
+// spans from the file as live.
 func TestFleetTelemetryChaosSever(t *testing.T) {
 	reg := experiments.DefaultRegime()
 	scale := func() experiments.Scale {
@@ -59,7 +62,7 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 
 	remote := scale()
 	remote.Exec = fleet
-	remote.Spans = obs.NewSpanRecorder()
+	remote.Spans = trace
 	remote.Progress = capture.logf
 	rows, err := experiments.Fig6(context.Background(), remote, reg, policies)
 	if err != nil {
@@ -70,9 +73,9 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 	}
 
 	// Span accounting: one cell, two attempts. The severed attempt's
-	// telemetry frame never arrived, so it is failed with no run
-	// segment; the retry carries the worker-reported one.
-	spans := remote.Spans.Spans()
+	// result reply never arrived, so it is failed with no run segment;
+	// the retry carries the worker-reported one.
+	spans := trace.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("recorded %d spans, want 1 (grid is a single cell):\n%+v", len(spans), spans)
 	}
@@ -94,10 +97,10 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 		t.Errorf("attempts missing worker attribution: %+v", sp.Attempts)
 	}
 
-	// The in-memory trace must narrate the lifecycle with attempts.
+	// The in-memory timeline must narrate the lifecycle with attempts.
 	var sawJoin, sawRequeue, sawDone bool
 	var severedWorker string
-	for _, ev := range fleet.Events() {
+	for _, ev := range trace.Events() {
 		switch ev.Kind {
 		case obs.FleetJoin:
 			sawJoin = true
@@ -119,15 +122,16 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 	}
 	if !sawJoin || !sawRequeue || !sawDone {
 		t.Fatalf("trace missing lifecycle events (join=%v requeue=%v done=%v):\n%+v",
-			sawJoin, sawRequeue, sawDone, fleet.Events())
+			sawJoin, sawRequeue, sawDone, trace.Events())
 	}
 
 	fleet.Close()
 	waitWorker(t, w)
 
-	// The JSONL file must round-trip through the strict decoder and
-	// summarize with the requeue attributed to the severed worker —
-	// exactly what `remapd-metrics -fleet` consumes.
+	// The JSONL file must round-trip through the strict decoder, fold
+	// into the spans the live stream holds, and summarize with the
+	// requeue attributed to the severed worker — exactly what
+	// `remapd-metrics -fleet` consumes.
 	if err := trace.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +143,9 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 	events, err := obs.DecodeFleetEvents(f)
 	if err != nil {
 		t.Fatalf("trace file failed strict decode: %v", err)
+	}
+	if got, want := obs.FoldSpans(events), trace.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans folded from the file differ from the live ones:\n%+v\n%+v", got, want)
 	}
 	sum := obs.SummarizeFleet(events)
 	if sum.Requeues < 1 || sum.CellsDone < 1 {

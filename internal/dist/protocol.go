@@ -35,8 +35,7 @@
 // (see chaos.go).
 //
 // Fault tolerance: a worker crash, severed connection, malformed reply,
-// missed heartbeat deadline, or reply timeout requeues the cell on
-// another worker (bounded retries with a deterministic exponential
+// or missed heartbeat deadline requeues the cell on another worker (bounded retries with a deterministic exponential
 // backoff schedule, per-cell attempt logging). Cells checkpoint into a
 // shared -checkpoint-dir, so a retried cell resumes from its last
 // completed epoch instead of restarting — checkpoints, not protocol
@@ -51,7 +50,7 @@ import "encoding/json"
 // coordinator admits exactly this one. Bump it (and run `make
 // wire-golden`) on any change to the field sets below, or to what a
 // run request's spec encodes.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // Request is one coordinator→worker line.
 type Request struct {
@@ -70,11 +69,10 @@ type Request struct {
 // Reply is one worker→coordinator line.
 type Reply struct {
 	// Type is "hello" (first line after connecting), "log" (one progress
-	// line from an in-flight cell), "telemetry" (the cell's run-segment
-	// timing, sent immediately before its result), "result" (a cell
-	// finished), "heartbeat" (liveness echo), or "goodbye" (the worker is
-	// draining: it will finish its in-flight cells, send their results,
-	// and disconnect — assign it nothing new).
+	// line from an in-flight cell), "result" (a cell finished),
+	// "heartbeat" (liveness echo), or "goodbye" (the worker is draining:
+	// it will finish its in-flight cells, send their results, and
+	// disconnect — assign it nothing new).
 	Type string `json:"type"`
 	// Proto and PID describe the worker on hello.
 	Proto int `json:"proto,omitempty"`
@@ -93,17 +91,9 @@ type Reply struct {
 	// error. Protocol failures have no reply at all — they surface as a
 	// dead or silent worker.
 	Error string `json:"error,omitempty"`
-	// Span carries a telemetry reply's run segment. Purely
-	// harness-domain: the coordinator folds it into the cell's lifecycle
-	// span and it never influences results.
-	Span *RunSpan `json:"span,omitempty"`
-}
-
-// RunSpan is the worker-side run segment a telemetry reply carries: the
-// wall time one attempt of a cell spent executing on the worker, and
-// whether it ended in a (deterministic) cell error. Harness-domain
-// measurement only — never an input to anything the simulation computes.
-type RunSpan struct {
-	Seconds float64 `json:"seconds"`
-	Failed  bool    `json:"failed,omitempty"`
+	// Seconds is the wall time the worker spent executing the cell, on a
+	// result. Purely harness-domain: the coordinator records it as the
+	// attempt's run event on the harness timeline, and it never
+	// influences results.
+	Seconds float64 `json:"seconds,omitempty"`
 }

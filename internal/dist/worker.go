@@ -264,9 +264,8 @@ func serveConn(ctx context.Context, conn net.Conn, opts DialOptions) error {
 // reply — the coordinator must not retry those, because every worker
 // would fail identically. send carries the in-flight cell's log replies
 // back through the connection's mutex, so concurrent cells do not
-// interleave frames. The cell's run segment goes back as a telemetry
-// reply immediately before the result — harness-domain timing only,
-// never part of the result itself.
+// interleave frames. The result carries the cell's run seconds —
+// harness-domain timing only, never part of the result itself.
 func runRequest(ctx context.Context, req Request, rt experiments.Runtime, send func(Reply)) Reply {
 	sp, err := experiments.DecodeSpec(req.Spec)
 	if err != nil {
@@ -284,14 +283,13 @@ func runRequest(ctx context.Context, req Request, rt experiments.Runtime, send f
 	start := time.Now()
 	res, err := sp.Execute(ctx, rt, logf)
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
-	span := &RunSpan{Seconds: time.Since(start).Seconds(), Failed: err != nil}
-	send(Reply{Type: "telemetry", ID: req.ID, Span: span})
+	rep := Reply{Type: "result", ID: req.ID, Seconds: time.Since(start).Seconds()}
 	if err != nil {
-		return Reply{Type: "result", ID: req.ID, Error: err.Error()}
+		rep.Error = err.Error()
+		return rep
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return Reply{Type: "result", ID: req.ID, Error: fmt.Sprintf("dist: encode result for %s: %v", sp.Key, err)}
+	if rep.Value, err = json.Marshal(res); err != nil {
+		rep.Error = fmt.Sprintf("dist: encode result for %s: %v", sp.Key, err)
 	}
-	return Reply{Type: "result", ID: req.ID, Value: data}
+	return rep
 }

@@ -57,10 +57,11 @@ type Scale struct {
 	// (e.g. dist.Fleet ships them to worker processes). Scheduling
 	// only: results must be byte-identical to in-process execution.
 	Exec CellExecutor
-	// Spans, when non-nil, records a lifecycle span per cell (queue /
-	// wire / run attribution — see obs.SpanRecorder). Observation-only,
+	// Spans, when non-nil, is the harness timeline the runner records
+	// every cell's lifecycle into; its spans (queue / wire / run
+	// attribution — see obs.FoldSpans) fold out of it. Observation-only,
 	// like Metrics.
-	Spans *obs.SpanRecorder
+	Spans *obs.FleetTrace
 	// Status, when non-nil, receives live grid-progress and span
 	// sections for the /status endpoint. Observation-only.
 	Status *obs.Status

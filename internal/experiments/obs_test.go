@@ -54,7 +54,11 @@ func TestFig6TelemetryByteIdentical(t *testing.T) {
 	}
 	swapsFromEvents := map[string]int{}
 	for _, cm := range cells {
-		swapsFromEvents[cm.Model+"/"+cm.Policy] += cm.SwapTotal()
+		for _, ev := range cm.Events {
+			if rep, ok := ev.(*obs.ReportEvent); ok {
+				swapsFromEvents[cm.Model+"/"+cm.Policy] += rep.Swaps
+			}
+		}
 	}
 	for _, row := range rows {
 		if got := swapsFromEvents[row.Model+"/"+row.Policy]; got != row.Swaps {

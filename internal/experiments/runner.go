@@ -21,12 +21,12 @@ import (
 // Determinism contract: a cell's result depends only on its coordinates
 // (CellKey), never on scheduling. Every random stream a cell consumes is
 // seeded from its coordinates — the training/fault RNGs from the cell's
-// seed coordinate, exactly as the sequential loops seeded them, and any
-// auxiliary stream from CellKey.RNGSeed — and cells share no mutable state
-// (datasets are read-only after construction; each cell builds its own
-// network, chip, and RNGs). Results are reassembled by submission index,
-// so figure rows are bit-identical to the sequential loops regardless of
-// worker count or completion order.
+// seed coordinate, exactly as the sequential loops seeded them — and
+// cells share no mutable state (datasets are read-only after
+// construction; each cell builds its own network, chip, and RNGs).
+// Results are reassembled by submission index, so figure rows are
+// bit-identical to the sequential loops regardless of worker count or
+// completion order.
 
 // CellKey identifies one independent experiment cell by its grid
 // coordinates. Extra distinguishes cells that vary something beyond the
@@ -47,35 +47,19 @@ func (k CellKey) String() string {
 	return s
 }
 
-// RNGSeed derives a deterministic seed from the cell's coordinates
-// (FNV-1a over the rendered key). Cells that need randomness beyond the
-// training seed draw from this, so streams never alias across cells and
-// never depend on scheduling order.
-func (k CellKey) RNGSeed() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range []byte(k.String()) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
-}
-
 // Logf is the progress-line sink type shared across the runner layers.
 type Logf = func(format string, args ...interface{})
 
-// Cell is one submitted spec plus its lifecycle span: what the runner
-// hands an executor.
+// Cell is one submitted spec plus the run's harness timeline: what the
+// runner hands an executor.
 type Cell struct {
 	Spec *CellSpec
-	// Span is the cell's lifecycle span (harness domain), opened by the
-	// runner when span recording is on and nil otherwise — every method
-	// on a nil span is a no-op, so executors mark lifecycle edges
-	// unconditionally. Spans never feed back into results.
-	Span *obs.CellSpan
+	// Trace is the run's harness timeline, nil when span recording is
+	// off. Executors emit each attempt's dispatch, run and requeue events
+	// into it unconditionally (Emit is a no-op on nil); the runner emits
+	// the cell's submit, schedule and terminal events. Never feeds back
+	// into results.
+	Trace *obs.FleetTrace
 }
 
 // CellResult is one cell's outcome envelope: the training result plus
@@ -110,13 +94,13 @@ type localExecutor struct{ rt Runtime }
 func (e localExecutor) Execute(ctx context.Context, slot int, cell Cell, logf Logf) (CellResult, error) {
 	// In-process cells time their own run segment, so spans mean the same
 	// thing on every execution path.
-	cell.Span.Dispatch("")
+	key := cell.Spec.Key.String()
+	cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetDispatch, Cell: key, Attempt: 1})
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
 	start := time.Now()
 	res, err := cell.Spec.Execute(ctx, e.rt, logf)
 	//lint:allow no-wall-clock harness-domain run-segment timing measures the machine, never the simulation
-	cell.Span.RunSegment(time.Since(start).Seconds(), err != nil)
-	cell.Span.EndAttempt(err != nil)
+	cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetRun, Cell: key, Seconds: time.Since(start).Seconds()})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		err = fmt.Errorf("cell %s: %w", cell.Spec.Key, err)
 	}
@@ -137,9 +121,10 @@ type Runner struct {
 	// only: results must be identical to the in-process executor, which
 	// a nil Exec selects (with no checkpoint store or metrics sink).
 	Exec CellExecutor
-	// Spans, when non-nil, records a lifecycle span per cell (harness
-	// domain; never feeds back into results).
-	Spans *obs.SpanRecorder
+	// Spans, when non-nil, is the harness timeline every cell's lifecycle
+	// is recorded into, and its spans fold out of (harness domain; never
+	// feeds back into results).
+	Spans *obs.FleetTrace
 	// Status, when non-nil, gets a "grid" section with live progress
 	// (total/done/failed cells) for the /status endpoint.
 	Status *obs.Status
@@ -175,15 +160,13 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Span recording opens every cell's span at submission time, before
-	// any scheduling decision, so queue time means the same thing for the
-	// first and the last cell of the grid.
+	// Every cell is submitted to the timeline before any scheduling
+	// decision, so queue time means the same thing for the first and the
+	// last cell of the grid.
 	cells := make([]Cell, len(specs))
 	for i, sp := range specs {
-		cells[i].Spec = sp
-		if r.Spans != nil {
-			cells[i].Span = r.Spans.Begin(sp.Key.String())
-		}
+		cells[i] = Cell{Spec: sp, Trace: r.Spans}
+		r.Spans.Emit(obs.FleetEvent{Kind: obs.FleetSubmit, Cell: sp.Key.String()})
 	}
 
 	results := make([]CellResult, len(cells))
@@ -210,18 +193,12 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 		go func(slot int) {
 			defer wg.Done()
 			for i := range jobs {
-				logf, transcript := r.cellLogf(cells[i].Spec.Key)
-				cells[i].Span.Schedule()
+				key := cells[i].Spec.Key
+				logf, transcript := r.cellLogf(key)
+				r.Spans.Emit(obs.FleetEvent{Kind: obs.FleetSchedule, Cell: key.String()})
 				res, err := exec.Execute(runCtx, slot, cells[i], logf)
-				switch {
-				case err == nil:
-					cells[i].Span.Finish("ok")
-				case errors.Is(err, context.Canceled):
-					cells[i].Span.Finish("cancelled")
-				default:
-					cells[i].Span.Finish("failed")
-				}
-				res.Key = cells[i].Spec.Key
+				r.Spans.Emit(terminalEvent(key.String(), res, err))
+				res.Key = key
 				results[i], errs[i] = res, err
 				if err != nil {
 					failed.Add(1)
@@ -244,7 +221,7 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 						r.Logf("%s", line)
 					}
 					r.Logf("cell %d/%d %s: %s (elapsed %s)",
-						n, len(cells), cells[i].Spec.Key, status,
+						n, len(cells), key, status,
 						//lint:allow no-wall-clock operator-facing elapsed display only; never reaches cell results
 						time.Since(start).Round(time.Millisecond))
 					r.outMu.Unlock()
@@ -291,6 +268,19 @@ feed:
 		return nil, firstErr
 	}
 	return results, nil
+}
+
+// terminalEvent is the timeline event that seals a cell's span: its
+// result's provenance, its failure's cause, or its cancellation.
+func terminalEvent(cell string, res CellResult, err error) obs.FleetEvent {
+	switch {
+	case err == nil:
+		return obs.FleetEvent{Kind: obs.FleetDone, Cell: cell, Worker: res.Worker, Attempt: res.Attempts}
+	case errors.Is(err, context.Canceled):
+		return obs.FleetEvent{Kind: obs.FleetCancel, Cell: cell}
+	default:
+		return obs.FleetEvent{Kind: obs.FleetFailed, Cell: cell, Cause: err.Error()}
+	}
 }
 
 // cellLogf returns the per-cell progress sink and the transcript buffer

@@ -204,26 +204,6 @@ func TestRunnerUsesConfiguredExecutor(t *testing.T) {
 	}
 }
 
-func TestCellKeySeedDerivation(t *testing.T) {
-	a := CellKey{Model: "vgg11", Policy: "remap-d", Seed: 1}
-	if a.RNGSeed() != a.RNGSeed() {
-		t.Fatal("RNGSeed must be deterministic")
-	}
-	seen := map[uint64]CellKey{}
-	for _, k := range []CellKey{
-		a,
-		{Model: "vgg11", Policy: "remap-d", Seed: 2},
-		{Model: "vgg16", Policy: "remap-d", Seed: 1},
-		{Model: "vgg11", Policy: "none", Seed: 1},
-		{Model: "vgg11", Policy: "remap-d", Seed: 1, Extra: "m0.03-n0.01"},
-	} {
-		if prev, dup := seen[k.RNGSeed()]; dup {
-			t.Fatalf("seed collision between %s and %s", prev, k)
-		}
-		seen[k.RNGSeed()] = k
-	}
-}
-
 // determinismScale is small enough that the full j1-vs-j4 comparison stays
 // in unit-test budget: 3 policies × 2 seeds of the 3-layer cnn-s.
 func determinismScale() Scale {

@@ -19,7 +19,12 @@ import (
 //
 // v3 dropped the per-cell entries from harness.json (ProfileData.Cells):
 // a cell's wall time is its span.
-const SchemaVersion = 3
+//
+// v4 made the fleet event trace the one harness timeline: cell lifecycle
+// kinds (submit, schedule, dispatch, run, cell-failed, cancel) joined
+// it, spans fold out of it (spans.json is gone; a metrics directory
+// keeps timeline.jsonl), and FleetSummary lost its slowest cells.
+const SchemaVersion = 4
 
 // Event is one structured trace record. Every event is keyed by simulated
 // coordinates only (epoch, crossbar id, tile id — never wall-clock

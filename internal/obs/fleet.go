@@ -7,33 +7,42 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"remapd/internal/det"
 )
 
-// This file is the HARNESS domain: the structured fleet event trace.
-// The dist fleet narrates its membership and scheduling decisions as a
-// stream of typed events — one JSON object per line — instead of (not
-// in place of: the free-form Logf lines remain) human-oriented log
-// text. The trace is always recorded in memory, whether or not the
-// embedder supplied a Logf or a file sink, so a dropped worker always
-// leaves a record. The schema is strict: decoding rejects unknown event
-// kinds, the same contract the per-cell event stream enforces, and the
-// wire-stability lint golden pins the field set.
+// This file is the HARNESS domain: the harness timeline. The experiment
+// runner, its executors and the dist fleet narrate every cell's
+// lifecycle and the fleet's membership as one stream of typed events —
+// one JSON object per line — alongside (not in place of) the free-form
+// Logf lines. A cell's span is a fold over that stream (FoldSpans), so
+// the stream is the only record of where a cell's wall time went, for
+// in-process and fleet runs alike. The schema is strict: decoding
+// rejects unknown event kinds, the same contract the per-cell event
+// stream enforces, and the wire-stability lint golden pins the field
+// set.
 
-// Fleet event kinds. A closed set: DecodeFleetEvents rejects anything
-// else, so adding a kind means bumping SchemaVersion.
+// Timeline event kinds. A closed set: DecodeFleetEvents rejects
+// anything else, so adding a kind means bumping SchemaVersion.
 const (
-	// Coordinator-side membership and scheduling.
-	FleetJoin    = "join"      // worker admitted to the fleet
-	FleetLeave   = "leave"     // worker drained gracefully and left
-	FleetDrop    = "drop"      // worker removed for cause (error, liveness)
-	FleetRequeue = "requeue"   // in-flight cell moved to another attempt
-	FleetStall   = "stall"     // no workers connected; grid is waiting
-	FleetDone    = "cell-done" // cell completed on a worker
+	// Runner-side cell lifecycle: submit when a run starts, schedule when
+	// a runner slot dequeues the cell, and exactly one terminal kind.
+	FleetSubmit   = "submit"
+	FleetSchedule = "schedule"
+	FleetDone     = "cell-done"   // cell produced its result (worker, attempt)
+	FleetFailed   = "cell-failed" // cell failed for good (cause)
+	FleetCancel   = "cancel"      // the run was cancelled under the cell
+	// Executor-side attempts.
+	FleetDispatch = "dispatch" // attempt handed to a worker (worker, attempt)
+	FleetRun      = "run"      // the attempt's execution wall time (seconds)
+	FleetRequeue  = "requeue"  // attempt lost; the cell moves to another (cause)
+	// Coordinator-side membership.
+	FleetJoin  = "join"  // worker admitted to the fleet
+	FleetLeave = "leave" // worker drained gracefully and left
+	FleetDrop  = "drop"  // worker removed for cause (error, liveness)
+	FleetStall = "stall" // no workers connected; grid is waiting
 	// Worker-side connection lifecycle.
 	FleetConnect    = "connect"    // worker established a coordinator link
 	FleetDisconnect = "disconnect" // worker lost the link (will redial)
@@ -43,8 +52,10 @@ const (
 
 // fleetKinds is the closed set DecodeFleetEvents admits.
 var fleetKinds = map[string]bool{
-	FleetJoin: true, FleetLeave: true, FleetDrop: true,
-	FleetRequeue: true, FleetStall: true, FleetDone: true,
+	FleetSubmit: true, FleetSchedule: true, FleetDone: true,
+	FleetFailed: true, FleetCancel: true,
+	FleetDispatch: true, FleetRun: true, FleetRequeue: true,
+	FleetJoin: true, FleetLeave: true, FleetDrop: true, FleetStall: true,
 	FleetConnect: true, FleetDisconnect: true, FleetDrain: true,
 	FleetSever: true,
 }
@@ -68,40 +79,36 @@ type FleetEvent struct {
 	Seconds        float64 `json:"seconds,omitempty"`
 }
 
-// fleetTraceRing bounds the in-memory record so a long-lived fleet
-// cannot grow without limit; the file sink, when present, keeps
-// everything.
-const fleetTraceRing = 4096
-
-// FleetTrace records fleet events: always into a bounded in-memory
-// ring, and additionally line-by-line into w when non-nil (flushed per
+// FleetTrace is a harness timeline: it records events in memory — every
+// one, since spans fold out of the whole stream, which keeps it O(cells)
+// — and additionally line-by-line into w when non-nil (flushed per
 // event, so a crashed coordinator still leaves a readable trace). All
 // methods are safe on a nil trace and safe for concurrent use.
 type FleetTrace struct {
 	mu     sync.Mutex
 	start  time.Time
-	seq    int
 	events []FleetEvent
 	w      *bufio.Writer
 	closer io.Closer
 	err    error
 }
 
-// NewFleetTrace returns a memory-only trace.
-func NewFleetTrace() *FleetTrace {
+// NewSpanRecorder returns a memory-only timeline: what a run records its
+// cell spans into when no trace file is kept.
+func NewSpanRecorder() *FleetTrace {
 	return &FleetTrace{
 		//lint:allow no-wall-clock harness-domain trace timestamps measure the machine, never the simulation
 		start: time.Now(),
 	}
 }
 
-// NewFleetTraceFile returns a trace that also appends JSONL to path.
+// NewFleetTraceFile returns a timeline that also appends JSONL to path.
 func NewFleetTraceFile(path string) (*FleetTrace, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open fleet trace: %w", err)
 	}
-	t := NewFleetTrace()
+	t := NewSpanRecorder()
 	t.w = bufio.NewWriter(f)
 	t.closer = f
 	return t, nil
@@ -113,13 +120,9 @@ func (t *FleetTrace) Emit(ev FleetEvent) {
 		return
 	}
 	t.mu.Lock()
-	t.seq++
-	ev.Seq = t.seq
+	ev.Seq = len(t.events) + 1
 	//lint:allow no-wall-clock harness-domain trace timestamps measure the machine, never the simulation
 	ev.ElapsedSeconds = time.Since(t.start).Seconds()
-	if len(t.events) == fleetTraceRing {
-		t.events = append(t.events[:0], t.events[1:]...)
-	}
 	t.events = append(t.events, ev)
 	if t.w != nil && t.err == nil {
 		data, err := json.Marshal(ev)
@@ -134,8 +137,7 @@ func (t *FleetTrace) Emit(ev FleetEvent) {
 	t.mu.Unlock()
 }
 
-// Events snapshots the in-memory record (oldest first, up to the ring
-// bound). Nil-safe.
+// Events snapshots the in-memory record, oldest first. Nil-safe.
 func (t *FleetTrace) Events() []FleetEvent {
 	if t == nil {
 		return nil
@@ -203,6 +205,8 @@ func DecodeFleetEvents(r io.Reader) ([]FleetEvent, error) {
 }
 
 // FleetWorkerSummary is one worker's row in a trace summary.
+// BusySeconds is the wall time the worker held cells, summed over every
+// attempt dispatched to it (run plus wire), requeued ones included.
 type FleetWorkerSummary struct {
 	Worker      string  `json:"worker"`
 	Done        int     `json:"done"`
@@ -222,11 +226,11 @@ type FleetSummary struct {
 	CellsDone     int                  `json:"cells_done"`
 	RequeueCauses map[string]int       `json:"requeue_causes,omitempty"`
 	Workers       []FleetWorkerSummary `json:"workers,omitempty"`
-	SlowestCells  []FleetEvent         `json:"slowest_cells,omitempty"`
 }
 
-// SummarizeFleet rolls a trace up: membership churn, requeue causes,
-// per-worker utilization, and the slowest completed cells.
+// SummarizeFleet rolls a trace up: membership churn, requeue causes and
+// per-worker utilization. The slowest cells are its spans' business
+// (SlowestSpans over FoldSpans).
 func SummarizeFleet(events []FleetEvent) FleetSummary {
 	sum := FleetSummary{Events: len(events), RequeueCauses: map[string]int{}}
 	workers := map[string]*FleetWorkerSummary{}
@@ -241,7 +245,6 @@ func SummarizeFleet(events []FleetEvent) FleetSummary {
 		}
 		return w
 	}
-	var done []FleetEvent
 	for _, ev := range events {
 		switch ev.Kind {
 		case FleetJoin:
@@ -262,10 +265,12 @@ func SummarizeFleet(events []FleetEvent) FleetSummary {
 			worker(ev.Worker).Requeues++
 		case FleetDone:
 			sum.CellsDone++
-			w := worker(ev.Worker)
-			w.Done++
-			w.BusySeconds += ev.Seconds
-			done = append(done, ev)
+			worker(ev.Worker).Done++
+		}
+	}
+	for _, sp := range FoldSpans(events) {
+		for _, a := range sp.Attempts {
+			worker(a.Worker).BusySeconds += a.RunSeconds + a.WireSeconds
 		}
 	}
 	if len(sum.RequeueCauses) == 0 {
@@ -274,15 +279,5 @@ func SummarizeFleet(events []FleetEvent) FleetSummary {
 	for _, name := range det.SortedKeys(workers) {
 		sum.Workers = append(sum.Workers, *workers[name])
 	}
-	sort.Slice(done, func(i, j int) bool {
-		if done[i].Seconds != done[j].Seconds { //lint:allow float-eq tie-break ordering only; equal values fall through to the cell comparison
-			return done[i].Seconds > done[j].Seconds
-		}
-		return done[i].Cell < done[j].Cell
-	})
-	if len(done) > slowestSpans {
-		done = done[:slowestSpans]
-	}
-	sum.SlowestCells = done
 	return sum
 }

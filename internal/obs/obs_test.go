@@ -251,8 +251,14 @@ func TestSinkReadDirRoundTrip(t *testing.T) {
 	if cm.Cell != "vgg11/remap-d/seed3" || cm.Model != "vgg11" || cm.Policy != "remap-d" || cm.Seed != 3 {
 		t.Errorf("parsed cell = %q (%s/%s/%d), want vgg11/remap-d/seed3", cm.Cell, cm.Model, cm.Policy, cm.Seed)
 	}
-	if got := cm.SwapTotal(); got != 3 {
-		t.Errorf("SwapTotal = %d, want 3", got)
+	swaps := 0
+	for _, ev := range cm.Events {
+		if rep, ok := ev.(*ReportEvent); ok {
+			swaps += rep.Swaps
+		}
+	}
+	if swaps != 3 {
+		t.Errorf("epoch reports sum to %d swaps, want 3", swaps)
 	}
 	for _, ev := range cm.Events {
 		if _, ok := ev.(*CellStartEvent); ok {

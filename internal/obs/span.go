@@ -1,22 +1,23 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"time"
 )
 
 // This file is the HARNESS domain: cell lifecycle spans. A span covers
 // one cell's trip through the experiment runner — submit → schedule →
 // dispatch → run → result (or requeue and dispatch again) — and
 // attributes its wall time to queueing, wire overhead, and execution,
-// per attempt. The run segment is reported by the worker that executed
-// the cell (over the dist protocol's telemetry frame for remote cells;
-// measured directly for in-process ones); everything else is measured
+// per attempt. Spans are not recorded on their own: they fold out of the
+// harness timeline (fleet.go), whose run events carry the execution time
+// the worker measured (the dist result reply's seconds for remote cells;
+// measured directly for in-process ones); every other edge is stamped
 // coordinator-side. Like the rest of the harness domain, spans describe
 // the machine, never the simulation: recording them cannot change cell
 // results, which the span byte-identity tests pin.
@@ -25,8 +26,8 @@ import (
 // is the offset from the cell's submission; WireSeconds is the
 // dispatch→outcome wall time not accounted to execution (protocol
 // framing, network transit, scheduling slack). A requeued attempt is
-// Failed; RunSeconds is zero when the worker died before its telemetry
-// frame could arrive.
+// Failed; RunSeconds is zero when the worker died before its result
+// reply could arrive.
 type SpanAttempt struct {
 	Attempt         int     `json:"attempt"`
 	Worker          string  `json:"worker,omitempty"`
@@ -46,178 +47,85 @@ type CellSpanData struct {
 	Attempts     []SpanAttempt `json:"attempts"`
 }
 
-// CellSpan is the mutable builder executors mark segments on. Every
-// method is safe on a nil receiver, so the runner hands cells a nil span
-// when recording is off and no call site needs a guard. The runner opens
-// the span at submission; Schedule/Dispatch/RunSegment/EndAttempt/Finish
-// mark the lifecycle edges.
-type CellSpan struct {
-	rec *SpanRecorder
-
-	mu        sync.Mutex
-	data      CellSpanData
-	submit    time.Time
-	scheduled bool
-	dispatch  time.Time
-	open      bool // an attempt is open (Dispatch seen, EndAttempt not yet)
-	run       float64
-	runFailed bool
-	finished  bool
-}
-
-// Schedule marks the runner dequeueing the cell onto a worker slot; the
-// submit→schedule gap is the cell's queue time. First call wins.
-func (s *CellSpan) Schedule() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.scheduled {
-		s.scheduled = true
-		//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-		s.data.QueueSeconds = time.Since(s.submit).Seconds()
-	}
-	s.mu.Unlock()
-}
-
-// Dispatch marks the cell being handed to a worker, opening a new
-// attempt. Executors call it once per attempt, before sending the cell.
-func (s *CellSpan) Dispatch(worker string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.scheduled {
-		s.scheduled = true
-		//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-		s.data.QueueSeconds = time.Since(s.submit).Seconds()
-	}
-	//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-	s.dispatch = time.Now()
-	s.open = true
-	s.run = 0
-	s.runFailed = false
-	s.data.Attempts = append(s.data.Attempts, SpanAttempt{
-		Attempt:         len(s.data.Attempts) + 1,
-		Worker:          worker,
-		DispatchSeconds: s.dispatch.Sub(s.submit).Seconds(),
-	})
-	s.mu.Unlock()
-}
-
-// RunSegment records the worker-reported execution wall time for the
-// open attempt (the dist telemetry frame, or the in-process executor's
-// own measurement). failed mirrors the worker's view of the cell.
-func (s *CellSpan) RunSegment(seconds float64, failed bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.open {
-		s.run = seconds
-		s.runFailed = failed
-	}
-	s.mu.Unlock()
-}
-
-// EndAttempt closes the open attempt: wire time is the dispatch→now wall
-// time minus the reported run segment. failed means the attempt did not
-// produce the cell's result (requeue or final failure).
-func (s *CellSpan) EndAttempt(failed bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.open {
-		s.open = false
-		a := &s.data.Attempts[len(s.data.Attempts)-1]
-		a.RunSeconds = s.run
-		//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-		wire := time.Since(s.dispatch).Seconds() - s.run
-		if wire < 0 {
-			wire = 0
+// FoldSpans rebuilds the finished cell spans from a timeline, in event
+// order. Each submit opens a span for its cell key (a key submitted
+// again later opens a fresh one); the first schedule or dispatch ends
+// its queue time; each dispatch opens an attempt, a run event sets the
+// attempt's run time, and a requeue or the terminal event closes it
+// with wire time = end − dispatch − run (never negative). An attempt
+// counts as failed unless it ended in cell-done. The terminal event
+// seals the span: its total time runs from submit, and its kind names
+// the outcome. Spans that never reached a terminal event are left out;
+// the rest come out sorted by cell key.
+func FoldSpans(events []FleetEvent) []CellSpanData {
+	live := map[string]*foldSpan{}
+	var out []CellSpanData
+	for _, ev := range events {
+		if ev.Kind == FleetSubmit {
+			live[ev.Cell] = &foldSpan{data: CellSpanData{Cell: ev.Cell}, submit: ev.ElapsedSeconds}
+			continue
 		}
-		a.WireSeconds = wire
-		a.Failed = failed || s.runFailed
-	}
-	s.mu.Unlock()
-}
-
-// Finish seals the span with its outcome ("ok", "failed", "cancelled")
-// and hands it to the recorder. Idempotent; later calls are ignored.
-func (s *CellSpan) Finish(outcome string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.finished {
-		s.mu.Unlock()
-		return
-	}
-	s.finished = true
-	if s.open {
-		// The executor abandoned the attempt (cancellation): close it as
-		// failed so the span still accounts the time.
-		s.open = false
-		a := &s.data.Attempts[len(s.data.Attempts)-1]
-		a.RunSeconds = s.run
-		//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-		if wire := time.Since(s.dispatch).Seconds() - s.run; wire > 0 {
-			a.WireSeconds = wire
+		sp := live[ev.Cell]
+		if sp == nil {
+			continue
 		}
-		a.Failed = true
+		if !sp.queued && (ev.Kind == FleetSchedule || ev.Kind == FleetDispatch) {
+			sp.queued = true
+			sp.data.QueueSeconds = ev.ElapsedSeconds - sp.submit
+		}
+		switch ev.Kind {
+		case FleetDispatch:
+			sp.inFlight = true
+			sp.dispatch = ev.ElapsedSeconds
+			sp.data.Attempts = append(sp.data.Attempts, SpanAttempt{
+				Attempt:         len(sp.data.Attempts) + 1,
+				Worker:          ev.Worker,
+				DispatchSeconds: ev.ElapsedSeconds - sp.submit,
+			})
+		case FleetRun:
+			if sp.inFlight {
+				sp.data.Attempts[len(sp.data.Attempts)-1].RunSeconds = ev.Seconds
+			}
+		case FleetRequeue:
+			sp.end(ev.ElapsedSeconds, true)
+		case FleetDone, FleetFailed, FleetCancel:
+			sp.end(ev.ElapsedSeconds, ev.Kind != FleetDone)
+			sp.data.Outcome = outcomes[ev.Kind]
+			sp.data.TotalSeconds = ev.ElapsedSeconds - sp.submit
+			out = append(out, sp.data)
+			delete(live, ev.Cell)
+		}
 	}
-	s.data.Outcome = outcome
-	//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-	s.data.TotalSeconds = time.Since(s.submit).Seconds()
-	data := s.data
-	rec := s.rec
-	s.mu.Unlock()
-	if rec != nil {
-		rec.record(data)
-	}
-}
-
-// SpanRecorder collects finished cell spans. Shared by concurrent runner
-// workers; completion order is scheduling-dependent, which is fine in
-// the harness domain — readers sort.
-type SpanRecorder struct {
-	mu    sync.Mutex
-	spans []CellSpanData
-}
-
-// NewSpanRecorder returns an empty recorder.
-func NewSpanRecorder() *SpanRecorder { return &SpanRecorder{} }
-
-// Begin opens a span for the named cell, stamped at submission. A nil
-// recorder returns a nil span, on which every method is a no-op.
-func (r *SpanRecorder) Begin(cell string) *CellSpan {
-	if r == nil {
-		return nil
-	}
-	return &CellSpan{
-		rec: r,
-		//lint:allow no-wall-clock harness-domain span timing measures the machine, never the simulation
-		submit: time.Now(),
-		data:   CellSpanData{Cell: cell},
-	}
-}
-
-func (r *SpanRecorder) record(d CellSpanData) {
-	r.mu.Lock()
-	r.spans = append(r.spans, d)
-	r.mu.Unlock()
-}
-
-// Spans snapshots the finished spans, sorted by cell key so output is
-// stable across scheduling orders.
-func (r *SpanRecorder) Spans() []CellSpanData {
-	r.mu.Lock()
-	out := append([]CellSpanData(nil), r.spans...)
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
 	return out
 }
+
+// foldSpan is one span FoldSpans has opened and not yet sealed.
+type foldSpan struct {
+	data     CellSpanData
+	submit   float64
+	queued   bool
+	inFlight bool // an attempt is open: dispatched, not yet ended
+	dispatch float64
+}
+
+// end closes the open attempt, if any, at timeline offset at.
+func (sp *foldSpan) end(at float64, failed bool) {
+	if !sp.inFlight {
+		return
+	}
+	sp.inFlight = false
+	a := &sp.data.Attempts[len(sp.data.Attempts)-1]
+	a.WireSeconds = math.Max(0, at-sp.dispatch-a.RunSeconds)
+	a.Failed = failed
+}
+
+// outcomes names a span's outcome after its terminal event kind.
+var outcomes = map[string]string{FleetDone: "ok", FleetFailed: "failed", FleetCancel: "cancelled"}
+
+// Spans folds the timeline's finished cell spans (see FoldSpans). Safe
+// on a nil timeline (no spans).
+func (t *FleetTrace) Spans() []CellSpanData { return FoldSpans(t.Events()) }
 
 // SpanAggregate is the roll-up the /status endpoint serves: where the
 // grid's wall time went, and which cells held a slot longest.
@@ -237,13 +145,10 @@ type SpanAggregate struct {
 // slowestSpans caps how many full spans the aggregate carries.
 const slowestSpans = 5
 
-// Aggregate rolls the recorded spans up. Safe on a nil recorder (zero
+// Aggregate rolls the timeline's spans up. Safe on a nil timeline (zero
 // aggregate).
-func (r *SpanRecorder) Aggregate() SpanAggregate {
-	if r == nil {
-		return SpanAggregate{}
-	}
-	spans := r.Spans()
+func (t *FleetTrace) Aggregate() SpanAggregate {
+	spans := t.Spans()
 	agg := SpanAggregate{Cells: len(spans)}
 	for _, sp := range spans {
 		agg.QueueSeconds += sp.QueueSeconds
@@ -286,37 +191,31 @@ func SlowestSpans(spans []CellSpanData, n int) []CellSpanData {
 	return slowest
 }
 
-// spansFile names the span payload inside a metrics directory.
-const spansFile = "spans.json"
+// TimelineFile names the harness timeline inside a metrics directory.
+const TimelineFile = "timeline.jsonl"
 
-// WriteJSON persists the spans as <dir>/spans.json.
-func (r *SpanRecorder) WriteJSON(dir string) error {
-	data, err := json.MarshalIndent(r.Spans(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal spans: %w", err)
+// WriteTimeline persists the timeline as <dir>/timeline.jsonl, in the
+// JSONL form a trace file holds.
+func (t *FleetTrace) WriteTimeline(dir string) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, ev := range t.Events() {
+		if err := enc.Encode(ev); err != nil {
+			return fmt.Errorf("obs: encode timeline: %w", err)
+		}
 	}
-	return os.WriteFile(filepath.Join(dir, spansFile), append(data, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, TimelineFile), buf.Bytes(), 0o644)
 }
 
-// ReadSpans loads a previously written spans.json; a missing file
-// returns (nil, nil) — span recording is optional.
-func ReadSpans(dir string) ([]CellSpanData, error) {
-	data, err := os.ReadFile(filepath.Join(dir, spansFile))
+// ReadTimeline decodes a previously written timeline.jsonl strictly; a
+// missing file returns (nil, nil) — the timeline is optional.
+func ReadTimeline(dir string) ([]FleetEvent, error) {
+	data, err := os.ReadFile(filepath.Join(dir, TimelineFile))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("obs: read spans: %w", err)
+		return nil, fmt.Errorf("obs: read timeline: %w", err)
 	}
-	return decodeSpans(data)
-}
-
-// decodeSpans parses a spans.json payload strictly: an unknown field or
-// anything after the array is an error.
-func decodeSpans(data []byte) ([]CellSpanData, error) {
-	var spans []CellSpanData
-	if err := DecodeStrict(data, &spans); err != nil {
-		return nil, fmt.Errorf("obs: parse spans: %w", err)
-	}
-	return spans, nil
+	return DecodeFleetEvents(bytes.NewReader(data))
 }

@@ -14,10 +14,11 @@ import (
 
 // This file is the HARNESS domain: the live /status endpoint. A Status
 // is a registry of named sections — "grid" from the experiment runner,
-// "fleet" from the dist fleet, "spans" from the span recorder — each a
-// function returning a JSON-marshalable snapshot. GET /status assembles
-// them into one document, so an operator (or `remapd-metrics -watch`)
-// can see a multi-machine run's progress without tailing stdout.
+// "fleet" from the dist fleet, "spans" folded from the harness timeline
+// — each a function returning a JSON-marshalable snapshot. GET /status
+// assembles them into one document, so an operator (or `remapd-metrics
+// -watch`) can see a multi-machine run's progress without tailing
+// stdout.
 // Everything served is harness-side bookkeeping; serving it cannot
 // perturb simulation results.
 

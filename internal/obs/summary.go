@@ -36,18 +36,6 @@ type CellMetrics struct {
 	Events   []Event
 }
 
-// SwapTotal sums the per-epoch swap counts from the trace's epoch
-// reports — the number the trainer's Result.Swaps accumulates.
-func (c *CellMetrics) SwapTotal() int {
-	n := 0
-	for _, ev := range c.Events {
-		if rep, ok := ev.(*ReportEvent); ok {
-			n += rep.Swaps
-		}
-	}
-	return n
-}
-
 // parseCellKey splits "model/policy/seedN[/extra]" into coordinates.
 func parseCellKey(key string) (model, policy string, seed uint64, extra string) {
 	parts := strings.Split(key, "/")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func TestFleetTraceRoundTrip(t *testing.T) {
 	}
 	tr.Emit(FleetEvent{Kind: FleetJoin, Worker: "fw1/pid9", Addr: "127.0.0.1:1", Proto: 3, Slots: 2, Workers: 1})
 	tr.Emit(FleetEvent{Kind: FleetRequeue, Worker: "fw1/pid9", Cell: "cnn-s/remap-d/seed1", Attempt: 1, Cause: "fw1/pid9 died mid-cell"})
-	tr.Emit(FleetEvent{Kind: FleetDone, Worker: "fw1/pid9", Cell: "cnn-s/remap-d/seed1", Attempt: 2, Seconds: 1.5})
+	tr.Emit(FleetEvent{Kind: FleetRun, Cell: "cnn-s/remap-d/seed1", Seconds: 1.5})
 	tr.Emit(FleetEvent{Kind: FleetDrop, Worker: "fw1/pid9", Workers: 0, Cause: "connection closed"})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -49,10 +50,10 @@ func TestFleetTraceRoundTrip(t *testing.T) {
 		t.Errorf("requeue event mangled: %+v", events[1])
 	}
 	if events[2].Seconds != 1.5 {
-		t.Errorf("cell-done seconds = %v, want 1.5", events[2].Seconds)
+		t.Errorf("run seconds = %v, want 1.5", events[2].Seconds)
 	}
 
-	// The in-memory ring must agree with the file.
+	// The in-memory record must agree with the file.
 	if mem := tr.Events(); len(mem) != 4 || mem[3].Kind != FleetDrop {
 		t.Errorf("memory trace disagrees with file: %+v", mem)
 	}
@@ -95,19 +96,43 @@ func encodeFleetEvents(t *testing.T, events []FleetEvent) []byte {
 	return out
 }
 
-// FuzzDecodeFleetEvents: fleet traces are read back from disk, so
+// FuzzDecodeFleetEvents: timelines are read back from disk, so
 // DecodeFleetEvents must survive any input — no panic — and whatever it
-// accepts must reach a fixed point: re-encoding and decoding again gives
-// the same bytes.
+// accepts must reach a fixed point (re-encoding and decoding again gives
+// the same bytes) and fold into spans without panicking.
 func FuzzDecodeFleetEvents(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"elapsed_seconds":0.5,"kind":"join","worker":"fw1/pid9","addr":"127.0.0.1:1","proto":3,"slots":2,"workers":1}` + "\n" +
 		`{"seq":2,"elapsed_seconds":1.25,"kind":"requeue","worker":"fw1/pid9","cell":"cnn-s/remap-d/seed1","attempt":1,"cause":"died"}` + "\n"))
 	f.Add([]byte(`{"seq":3,"elapsed_seconds":2,"kind":"cell-done","cell":"c","attempt":2,"seconds":1.5}` + "\n\n"))
 	f.Add([]byte(`{"seq":1,"elapsed_seconds":0,"kind":"join"} garbage`))
+	// Every cell lifecycle kind, over two cells: a requeued success and a
+	// failure, then a resubmitted key cancelled mid-attempt.
+	f.Add([]byte(`{"seq":1,"elapsed_seconds":0,"kind":"submit","cell":"a"}
+{"seq":2,"elapsed_seconds":0,"kind":"submit","cell":"b"}
+{"seq":3,"elapsed_seconds":0.25,"kind":"schedule","cell":"a"}
+{"seq":4,"elapsed_seconds":0.25,"kind":"dispatch","worker":"fw1/pid9","cell":"a","attempt":1}
+{"seq":5,"elapsed_seconds":0.5,"kind":"schedule","cell":"b"}
+{"seq":6,"elapsed_seconds":0.5,"kind":"dispatch","worker":"fw2/pid10","cell":"b","attempt":1}
+{"seq":7,"elapsed_seconds":1,"kind":"requeue","worker":"fw1/pid9","cell":"a","attempt":1,"cause":"died"}
+{"seq":8,"elapsed_seconds":1.25,"kind":"run","cell":"b","seconds":0.5}
+{"seq":9,"elapsed_seconds":1.25,"kind":"cell-failed","cell":"b","cause":"boom"}
+{"seq":10,"elapsed_seconds":1.5,"kind":"dispatch","worker":"fw2/pid10","cell":"a","attempt":2}
+{"seq":11,"elapsed_seconds":2,"kind":"run","cell":"a","seconds":0.25}
+{"seq":12,"elapsed_seconds":2,"kind":"cell-done","worker":"fw2/pid10","cell":"a","attempt":2}
+{"seq":13,"elapsed_seconds":3,"kind":"submit","cell":"a"}
+{"seq":14,"elapsed_seconds":3,"kind":"schedule","cell":"a"}
+{"seq":15,"elapsed_seconds":3,"kind":"dispatch","cell":"a","attempt":1}
+{"seq":16,"elapsed_seconds":4,"kind":"cancel","cell":"a"}
+`))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		events, err := DecodeFleetEvents(bytes.NewReader(in))
 		if err != nil {
 			return
+		}
+		for _, sp := range FoldSpans(events) {
+			if sp.Outcome == "" {
+				t.Fatalf("folded span without an outcome: %+v", sp)
+			}
 		}
 		first := encodeFleetEvents(t, events)
 		again, err := DecodeFleetEvents(bytes.NewReader(first))
@@ -115,66 +140,6 @@ func FuzzDecodeFleetEvents(f *testing.F) {
 			t.Fatalf("re-decode of %q: %v", first, err)
 		}
 		if second := encodeFleetEvents(t, again); !bytes.Equal(first, second) {
-			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
-		}
-	})
-}
-
-// TestReadSpansStrict: spans.json is read back by remapd-metrics, so an
-// unknown field or trailing bytes are an error, not a silent skip.
-func TestReadSpansStrict(t *testing.T) {
-	for name, payload := range map[string]string{
-		"unknown span field":    `[{"cell":"a","outcome":"ok","queue_seconds":0,"total_seconds":1,"attempts":[],"extra":1}]`,
-		"unknown attempt field": `[{"cell":"a","outcome":"ok","queue_seconds":0,"total_seconds":1,"attempts":[{"attempt":1,"bogus":true}]}]`,
-		"trailing value":        `[] []`,
-		"trailing garbage":      `[{"cell":"a"}] garbage`,
-	} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, spansFile), []byte(payload), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if spans, err := ReadSpans(dir); err == nil {
-			t.Errorf("%s: ReadSpans accepted %s as %+v", name, payload, spans)
-		}
-	}
-}
-
-// FuzzReadSpans: the bytes ReadSpans decodes must never panic it, and
-// whatever it accepts must reach a re-encode fixed point.
-func FuzzReadSpans(f *testing.F) {
-	rec := NewSpanRecorder()
-	span := rec.Begin("cnn-s/remap-d/seed1")
-	span.Dispatch("fw1/pid9")
-	span.EndAttempt(true)
-	span.Dispatch("fw2/pid10")
-	span.RunSegment(0.25, false)
-	span.EndAttempt(false)
-	span.Finish("ok")
-	seed, err := json.MarshalIndent(rec.Spans(), "", "  ")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`[{"cell":"a","outcome":"failed","queue_seconds":1e-3,"total_seconds":2,"attempts":null}]`))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		spans, err := decodeSpans(in)
-		if err != nil {
-			return
-		}
-		first, err := json.Marshal(spans)
-		if err != nil {
-			t.Fatalf("encode accepted spans: %v", err)
-		}
-		again, err := decodeSpans(first)
-		if err != nil {
-			t.Fatalf("re-decode of %q: %v", first, err)
-		}
-		second, err := json.Marshal(again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, second) {
 			t.Fatalf("not a fixed point:\n%s\n%s", first, second)
 		}
 	})
@@ -192,65 +157,167 @@ func TestFleetTraceNilSafe(t *testing.T) {
 	}
 }
 
-// TestSpanAccounting walks one cell through a requeued lifecycle: the
-// first attempt dies without a run segment (the telemetry frame never
-// arrived), the second succeeds with one — exactly the shape a
-// chaos-severed fleet cell produces.
+// TestSpanAccounting folds hand-written timelines; every expected value
+// is worked out by hand from the events' elapsed_seconds (dyadic, so the
+// arithmetic is exact).
 func TestSpanAccounting(t *testing.T) {
-	rec := NewSpanRecorder()
-	span := rec.Begin("cnn-s/remap-d/seed1")
-	span.Schedule()
+	for _, tc := range []struct {
+		name   string
+		events []FleetEvent
+		want   []CellSpanData
+	}{
+		{
+			name: "queued cell",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 2, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 2.5, Kind: FleetDispatch, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 3.5, Kind: FleetRun, Cell: "a", Seconds: 0.75},
+				{ElapsedSeconds: 3.75, Kind: FleetDone, Cell: "a", Attempt: 1},
+			},
+			want: []CellSpanData{{Cell: "a", Outcome: "ok", QueueSeconds: 2, TotalSeconds: 3.75, Attempts: []SpanAttempt{
+				{Attempt: 1, DispatchSeconds: 2.5, RunSeconds: 0.75, WireSeconds: 0.5},
+			}}},
+		},
+		{
+			// The worker ran the cell but its result was a worker-side
+			// cancellation: the run is reported, then the cell requeues.
+			name: "requeue then second attempt",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 0.25, Kind: FleetJoin, Worker: "fw2/pid10", Workers: 2},
+				{ElapsedSeconds: 0.5, Kind: FleetDispatch, Cell: "a", Worker: "fw1/pid9", Attempt: 1},
+				{ElapsedSeconds: 1.5, Kind: FleetRun, Cell: "a", Seconds: 0.5},
+				{ElapsedSeconds: 1.75, Kind: FleetRequeue, Cell: "a", Worker: "fw1/pid9", Attempt: 1, Cause: "cancelled worker-side"},
+				{ElapsedSeconds: 2.25, Kind: FleetDispatch, Cell: "a", Worker: "fw2/pid10", Attempt: 2},
+				{ElapsedSeconds: 3.25, Kind: FleetRun, Cell: "a", Seconds: 0.75},
+				{ElapsedSeconds: 3.5, Kind: FleetDone, Cell: "a", Worker: "fw2/pid10", Attempt: 2},
+			},
+			want: []CellSpanData{{Cell: "a", Outcome: "ok", QueueSeconds: 0.5, TotalSeconds: 3.5, Attempts: []SpanAttempt{
+				{Attempt: 1, Worker: "fw1/pid9", DispatchSeconds: 0.5, RunSeconds: 0.5, WireSeconds: 0.75, Failed: true},
+				{Attempt: 2, Worker: "fw2/pid10", DispatchSeconds: 2.25, RunSeconds: 0.75, WireSeconds: 0.5},
+			}}},
+		},
+		{
+			// The link was cut before the result reply: no run event.
+			name: "severed attempt",
+			events: []FleetEvent{
+				{ElapsedSeconds: 1, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 1, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 1.25, Kind: FleetDispatch, Cell: "a", Worker: "fw1/pid9", Attempt: 1},
+				{ElapsedSeconds: 2.25, Kind: FleetRequeue, Cell: "a", Worker: "fw1/pid9", Attempt: 1, Cause: "fw1/pid9 died mid-cell"},
+				{ElapsedSeconds: 2.5, Kind: FleetDispatch, Cell: "a", Worker: "fw2/pid10", Attempt: 2},
+				{ElapsedSeconds: 3.5, Kind: FleetRun, Cell: "a", Seconds: 0.5},
+				{ElapsedSeconds: 3.75, Kind: FleetDone, Cell: "a", Worker: "fw2/pid10", Attempt: 2},
+			},
+			want: []CellSpanData{{Cell: "a", Outcome: "ok", QueueSeconds: 0, TotalSeconds: 2.75, Attempts: []SpanAttempt{
+				{Attempt: 1, Worker: "fw1/pid9", DispatchSeconds: 0.25, RunSeconds: 0, WireSeconds: 1, Failed: true},
+				{Attempt: 2, Worker: "fw2/pid10", DispatchSeconds: 1.5, RunSeconds: 0.5, WireSeconds: 0.75},
+			}}},
+		},
+		{
+			// The worker's clock reports more run time than the
+			// coordinator saw pass: wire time clamps at zero.
+			name: "cell-failed",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 0.25, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 0.5, Kind: FleetDispatch, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 1.25, Kind: FleetRun, Cell: "a", Seconds: 1},
+				{ElapsedSeconds: 1.25, Kind: FleetFailed, Cell: "a", Cause: "cell a: boom"},
+			},
+			want: []CellSpanData{{Cell: "a", Outcome: "failed", QueueSeconds: 0.25, TotalSeconds: 1.25, Attempts: []SpanAttempt{
+				{Attempt: 1, DispatchSeconds: 0.5, RunSeconds: 1, WireSeconds: 0, Failed: true},
+			}}},
+		},
+		{
+			name: "cancel mid-attempt",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 0.5, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 0.5, Kind: FleetDispatch, Cell: "a", Worker: "fw1/pid9", Attempt: 1},
+				{ElapsedSeconds: 2, Kind: FleetCancel, Cell: "a"},
+			},
+			want: []CellSpanData{{Cell: "a", Outcome: "cancelled", QueueSeconds: 0.5, TotalSeconds: 2, Attempts: []SpanAttempt{
+				{Attempt: 1, Worker: "fw1/pid9", DispatchSeconds: 0.5, RunSeconds: 0, WireSeconds: 1.5, Failed: true},
+			}}},
+		},
+		{
+			// b finishes first; spans still come out sorted by key.
+			name: "interleaved cells",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "b"},
+				{ElapsedSeconds: 0.25, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 0.25, Kind: FleetDispatch, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 0.5, Kind: FleetSchedule, Cell: "b"},
+				{ElapsedSeconds: 0.5, Kind: FleetDispatch, Cell: "b", Attempt: 1},
+				{ElapsedSeconds: 1, Kind: FleetRun, Cell: "b", Seconds: 0.25},
+				{ElapsedSeconds: 1.25, Kind: FleetDone, Cell: "b", Attempt: 1},
+				{ElapsedSeconds: 1.5, Kind: FleetRun, Cell: "a", Seconds: 1},
+				{ElapsedSeconds: 1.75, Kind: FleetDone, Cell: "a", Attempt: 1},
+			},
+			want: []CellSpanData{
+				{Cell: "a", Outcome: "ok", QueueSeconds: 0.25, TotalSeconds: 1.75, Attempts: []SpanAttempt{
+					{Attempt: 1, DispatchSeconds: 0.25, RunSeconds: 1, WireSeconds: 0.5},
+				}},
+				{Cell: "b", Outcome: "ok", QueueSeconds: 0.5, TotalSeconds: 1.25, Attempts: []SpanAttempt{
+					{Attempt: 1, DispatchSeconds: 0.5, RunSeconds: 0.25, WireSeconds: 0.5},
+				}},
+			},
+		},
+		{
+			// Two runs on one stream submit the same key: each submit
+			// opens its own span. A third submit never finishes and is
+			// left out.
+			name: "key submitted twice",
+			events: []FleetEvent{
+				{ElapsedSeconds: 0, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 0, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 0.25, Kind: FleetDispatch, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 0.75, Kind: FleetRun, Cell: "a", Seconds: 0.5},
+				{ElapsedSeconds: 1, Kind: FleetDone, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 2, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 2.5, Kind: FleetSchedule, Cell: "a"},
+				{ElapsedSeconds: 2.5, Kind: FleetDispatch, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 3.25, Kind: FleetRun, Cell: "a", Seconds: 0.5},
+				{ElapsedSeconds: 3.5, Kind: FleetDone, Cell: "a", Attempt: 1},
+				{ElapsedSeconds: 4, Kind: FleetSubmit, Cell: "a"},
+				{ElapsedSeconds: 4, Kind: FleetSchedule, Cell: "a"},
+			},
+			want: []CellSpanData{
+				{Cell: "a", Outcome: "ok", QueueSeconds: 0, TotalSeconds: 1, Attempts: []SpanAttempt{
+					{Attempt: 1, DispatchSeconds: 0.25, RunSeconds: 0.5, WireSeconds: 0.25},
+				}},
+				{Cell: "a", Outcome: "ok", QueueSeconds: 0.5, TotalSeconds: 1.5, Attempts: []SpanAttempt{
+					{Attempt: 1, DispatchSeconds: 0.5, RunSeconds: 0.5, WireSeconds: 0.5},
+				}},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := FoldSpans(tc.events); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("FoldSpans =\n%+v\nwant\n%+v", got, tc.want)
+			}
+		})
+	}
 
-	span.Dispatch("fw1/pid9")
-	// No RunSegment: the worker died before reporting.
-	span.EndAttempt(true)
-
-	span.Dispatch("fw2/pid10")
-	span.RunSegment(0.25, false)
-	span.EndAttempt(false)
-	span.Finish("ok")
-
-	spans := rec.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(spans))
+	// A live stream folds the same way, and its aggregate counts the
+	// requeue.
+	tr := NewSpanRecorder()
+	tr.Emit(FleetEvent{Kind: FleetSubmit, Cell: "a"})
+	tr.Emit(FleetEvent{Kind: FleetSchedule, Cell: "a"})
+	tr.Emit(FleetEvent{Kind: FleetDispatch, Cell: "a", Worker: "fw1/pid9", Attempt: 1})
+	tr.Emit(FleetEvent{Kind: FleetRequeue, Cell: "a", Worker: "fw1/pid9", Attempt: 1})
+	tr.Emit(FleetEvent{Kind: FleetDispatch, Cell: "a", Worker: "fw2/pid10", Attempt: 2})
+	tr.Emit(FleetEvent{Kind: FleetRun, Cell: "a", Seconds: 0.25})
+	tr.Emit(FleetEvent{Kind: FleetDone, Cell: "a", Worker: "fw2/pid10", Attempt: 2})
+	if got, want := tr.Spans(), FoldSpans(tr.Events()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Spans() = %+v, want the fold of Events() %+v", got, want)
 	}
-	sp := spans[0]
-	if sp.Cell != "cnn-s/remap-d/seed1" || sp.Outcome != "ok" {
-		t.Fatalf("span header mangled: %+v", sp)
-	}
-	if len(sp.Attempts) != 2 {
-		t.Fatalf("span has %d attempts, want 2", len(sp.Attempts))
-	}
-	first, second := sp.Attempts[0], sp.Attempts[1]
-	if !first.Failed || first.RunSeconds != 0 || first.Worker != "fw1/pid9" || first.Attempt != 1 {
-		t.Errorf("first attempt should be failed with no run segment: %+v", first)
-	}
-	if second.Failed || second.RunSeconds != 0.25 || second.Worker != "fw2/pid10" || second.Attempt != 2 {
-		t.Errorf("second attempt should carry the reported run segment: %+v", second)
-	}
-	if second.WireSeconds < 0 {
-		t.Errorf("wire time went negative: %+v", second)
-	}
-
-	agg := rec.Aggregate()
-	if agg.Cells != 1 || agg.Attempts != 2 || agg.Requeues != 1 {
-		t.Errorf("aggregate = %+v, want 1 cell / 2 attempts / 1 requeue", agg)
-	}
-
-	// Persistence round-trip.
-	dir := t.TempDir()
-	if err := rec.WriteJSON(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSpans(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 || len(loaded[0].Attempts) != 2 {
-		t.Fatalf("spans.json round-trip lost data: %+v", loaded)
-	}
-	if missing, err := ReadSpans(t.TempDir()); err != nil || missing != nil {
-		t.Fatalf("missing spans.json should read as (nil, nil), got (%v, %v)", missing, err)
+	agg := tr.Aggregate()
+	if agg.Cells != 1 || agg.Attempts != 2 || agg.Requeues != 1 || agg.RunSeconds != 0.25 {
+		t.Errorf("aggregate = %+v, want 1 cell / 2 attempts / 1 requeue / 0.25 s run", agg)
 	}
 }
 
@@ -273,43 +340,65 @@ func TestSlowestSpans(t *testing.T) {
 	}
 }
 
-// TestSpanNilSafe: a nil recorder yields nil spans whose methods all
-// no-op — the guarantee that lets executors mark edges unconditionally.
+// TestSpanNilSafe: a nil timeline absorbs every event and folds no
+// spans — the guarantee that lets the runner and executors emit
+// unconditionally.
 func TestSpanNilSafe(t *testing.T) {
-	var rec *SpanRecorder
-	span := rec.Begin("x")
-	if span != nil {
-		t.Fatal("nil recorder returned a non-nil span")
+	var tr *FleetTrace
+	tr.Emit(FleetEvent{Kind: FleetSubmit, Cell: "x"})
+	tr.Emit(FleetEvent{Kind: FleetDispatch, Cell: "x", Attempt: 1})
+	tr.Emit(FleetEvent{Kind: FleetDone, Cell: "x", Attempt: 1})
+	if spans := tr.Spans(); spans != nil {
+		t.Errorf("nil timeline folded spans: %+v", spans)
 	}
-	span.Schedule()
-	span.Dispatch("w")
-	span.RunSegment(1, false)
-	span.EndAttempt(false)
-	span.Finish("ok")
-	if agg := rec.Aggregate(); agg.Cells != 0 {
-		t.Errorf("nil recorder aggregate = %+v", agg)
+	if agg := tr.Aggregate(); agg.Cells != 0 {
+		t.Errorf("nil timeline aggregate = %+v", agg)
 	}
 }
 
-// TestSpanConcurrentFinish: spans finishing from many goroutines must
-// land without races (the -race build is the real assertion).
+// TestSpanConcurrentFinish: cells emitting from many goroutines while
+// readers fold the stream must land without races (the -race build is
+// the real assertion).
 func TestSpanConcurrentFinish(t *testing.T) {
-	rec := NewSpanRecorder()
+	tr := NewSpanRecorder()
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = tr.Aggregate()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			span := rec.Begin("cell" + string(rune('a'+i)))
-			span.Dispatch("w")
-			span.RunSegment(0.01, false)
-			span.EndAttempt(false)
-			span.Finish("ok")
+			cell := "cell" + string(rune('a'+i))
+			tr.Emit(FleetEvent{Kind: FleetSubmit, Cell: cell})
+			tr.Emit(FleetEvent{Kind: FleetSchedule, Cell: cell})
+			tr.Emit(FleetEvent{Kind: FleetDispatch, Cell: cell, Attempt: 1})
+			_ = tr.Spans()
+			tr.Emit(FleetEvent{Kind: FleetRun, Cell: cell, Seconds: 0.01})
+			tr.Emit(FleetEvent{Kind: FleetDone, Cell: cell, Attempt: 1})
 		}(i)
 	}
 	wg.Wait()
-	if got := len(rec.Spans()); got != 16 {
-		t.Fatalf("recorded %d spans, want 16", got)
+	close(stop)
+	<-read
+	spans := tr.Spans()
+	if len(spans) != 16 {
+		t.Fatalf("folded %d spans, want 16", len(spans))
+	}
+	for _, sp := range spans {
+		if sp.Outcome != "ok" || len(sp.Attempts) != 1 || sp.Attempts[0].RunSeconds != 0.01 {
+			t.Errorf("span mangled by concurrent emission: %+v", sp)
+		}
 	}
 }
 
@@ -368,16 +457,25 @@ func TestStatusServer(t *testing.T) {
 	}
 }
 
-// TestSummarizeFleet rolls a synthetic trace up and checks attribution.
+// TestSummarizeFleet rolls a synthetic trace up and checks attribution:
+// a worker's busy time is the run plus wire time of every attempt it
+// was dispatched, the requeued one included.
 func TestSummarizeFleet(t *testing.T) {
 	events := []FleetEvent{
 		{Seq: 1, Kind: FleetJoin, Worker: "fw1", Workers: 1},
 		{Seq: 2, Kind: FleetJoin, Worker: "fw2", Workers: 2},
-		{Seq: 3, Kind: FleetRequeue, Worker: "fw1", Cell: "a", Attempt: 1, Cause: "fw1 died mid-cell"},
-		{Seq: 4, Kind: FleetDrop, Worker: "fw1", Workers: 1, Cause: "connection closed"},
-		{Seq: 5, Kind: FleetDone, Worker: "fw2", Cell: "a", Attempt: 2, Seconds: 2},
-		{Seq: 6, Kind: FleetDone, Worker: "fw2", Cell: "b", Attempt: 1, Seconds: 1},
-		{Seq: 7, Kind: FleetStall, Workers: 0},
+		{Seq: 3, Kind: FleetSubmit, Cell: "a"},
+		{Seq: 4, Kind: FleetSubmit, Cell: "b"},
+		{Seq: 5, ElapsedSeconds: 0.5, Kind: FleetDispatch, Worker: "fw1", Cell: "a", Attempt: 1},
+		{Seq: 6, ElapsedSeconds: 1.5, Kind: FleetRequeue, Worker: "fw1", Cell: "a", Attempt: 1, Cause: "fw1 died mid-cell"},
+		{Seq: 7, ElapsedSeconds: 1.5, Kind: FleetDrop, Worker: "fw1", Workers: 1, Cause: "connection closed"},
+		{Seq: 8, ElapsedSeconds: 2, Kind: FleetDispatch, Worker: "fw2", Cell: "a", Attempt: 2},
+		{Seq: 9, ElapsedSeconds: 3.5, Kind: FleetRun, Cell: "a", Seconds: 1.25},
+		{Seq: 10, ElapsedSeconds: 4, Kind: FleetDone, Worker: "fw2", Cell: "a", Attempt: 2},
+		{Seq: 11, ElapsedSeconds: 4, Kind: FleetDispatch, Worker: "fw2", Cell: "b", Attempt: 1},
+		{Seq: 12, ElapsedSeconds: 4.75, Kind: FleetRun, Cell: "b", Seconds: 0.5},
+		{Seq: 13, ElapsedSeconds: 5, Kind: FleetDone, Worker: "fw2", Cell: "b", Attempt: 1},
+		{Seq: 14, ElapsedSeconds: 5, Kind: FleetStall, Workers: 0},
 	}
 	sum := SummarizeFleet(events)
 	if sum.Joins != 2 || sum.Drops != 1 || sum.Stalls != 1 || sum.Requeues != 1 || sum.CellsDone != 2 {
@@ -389,14 +487,12 @@ func TestSummarizeFleet(t *testing.T) {
 	if len(sum.Workers) != 2 {
 		t.Fatalf("worker rows = %+v, want 2", sum.Workers)
 	}
-	// Sorted by name: fw1 first (1 requeue, 0 done), fw2 (2 done, 3s busy).
-	if w := sum.Workers[0]; w.Worker != "fw1" || w.Requeues != 1 || w.Done != 0 {
+	// Sorted by name: fw1 (1 requeue, 0 done, busy 1.5−0.5), fw2 (2
+	// done, busy 4−2 + 5−4).
+	if w := sum.Workers[0]; w.Worker != "fw1" || w.Requeues != 1 || w.Done != 0 || w.BusySeconds != 1 {
 		t.Errorf("fw1 row: %+v", w)
 	}
 	if w := sum.Workers[1]; w.Worker != "fw2" || w.Done != 2 || w.BusySeconds != 3 {
 		t.Errorf("fw2 row: %+v", w)
-	}
-	if len(sum.SlowestCells) != 2 || sum.SlowestCells[0].Cell != "a" {
-		t.Errorf("slowest cells: %+v", sum.SlowestCells)
 	}
 }
