@@ -374,14 +374,15 @@ func (f *Fleet) drop(w *fleetWorker, cause error) {
 		f.mu.Lock()
 		delete(f.workers, w.name)
 		n := len(f.workers)
-		draining := w.draining
+		graceful := w.draining || f.closed
 		f.notifyLocked()
 		f.mu.Unlock()
 		f.logf("dist: fleet: %s gone (%v); %d worker(s) remain; its in-flight cells will be requeued", w.name, cause, n)
 		kind := obs.FleetDrop
-		if draining {
+		if graceful {
 			// A drained worker's disconnect is the graceful exit it
-			// announced, not a failure.
+			// announced, and after Close every disconnect is the
+			// shutdown the coordinator asked for: neither is a failure.
 			kind = obs.FleetLeave
 		}
 		f.opts.Trace.Emit(obs.FleetEvent{Kind: kind, Worker: w.name, Workers: n, Cause: fmt.Sprint(cause)})

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"remapd/internal/checkpoint"
 	"remapd/internal/dist"
@@ -192,4 +193,43 @@ func TestFleetStatusSection(t *testing.T) {
 
 	fleet.Close()
 	waitWorker(t, w)
+}
+
+// TestFleetCloseRecordsLeaves: once a grid has finished, Close shuts
+// the workers down, and each one's disconnect is the exit the
+// coordinator asked for — a leave, not a drop — so a clean run
+// summarises with no drops.
+func TestFleetCloseRecordsLeaves(t *testing.T) {
+	trace := obs.NewSpanRecorder()
+	fleet := newTestFleet(t, dist.FleetOptions{Trace: trace})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr := fleet.Addr().String()
+	w1 := startWorker(ctx, addr, dist.DialOptions{})
+	w2 := startWorker(ctx, addr, dist.DialOptions{})
+
+	remote := microScale()
+	remote.Exec = fleet
+	if _, err := experiments.Fig6(context.Background(), remote, experiments.DefaultRegime(), []string{"ideal"}); err != nil {
+		t.Fatal(err)
+	}
+	fleet.Close()
+	waitWorker(t, w1)
+	waitWorker(t, w2)
+
+	// The coordinator sees each disconnect on its own reader goroutine,
+	// shortly after the worker exits.
+	gone := func() obs.FleetSummary { return obs.SummarizeFleet(trace.Events()) }
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if sum := gone(); sum.Leaves+sum.Drops >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet recorded no exit for both workers: %+v", trace.Events())
+		}
+	}
+	if sum := gone(); sum.Joins != 2 || sum.Leaves != 2 || sum.Drops != 0 {
+		t.Fatalf("clean run summarises as joins %d, leaves %d, drops %d; want 2, 2, 0:\n%+v",
+			sum.Joins, sum.Leaves, sum.Drops, trace.Events())
+	}
 }

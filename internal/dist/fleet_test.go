@@ -235,15 +235,13 @@ func TestFleetGracefulDrain(t *testing.T) {
 	w1 := startWorker(ctx1, addr, dist.DialOptions{Logf: capture.logf})
 	w2 := startWorker(ctx2, addr, dist.DialOptions{Logf: capture.logf})
 
-	// Drain worker 1 shortly into the grid; 6 cells remain to be run, so
-	// the survivor picks up the slack.
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		cancel1()
-	}()
-
+	// Drain worker 1 when the first of the grid's 6 cells completes, so
+	// cells remain to be run and the survivor picks up the slack. (A fixed
+	// delay would race the grid, which can finish first.)
+	var drainOnce sync.Once
 	remote := microScale()
 	remote.Exec = fleet
+	remote.Progress = func(string, ...interface{}) { drainOnce.Do(cancel1) }
 	rows, err := experiments.Fig6(context.Background(), remote, reg, microPolicies)
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,11 @@ import (
 
 // Conv2D is a 2-D convolution implemented as im2col + GEMM, the same
 // lowering a crossbar accelerator uses: the kernel tensor is unrolled into
-// an OutC×(InC·K·K) matrix whose rows are mapped onto crossbar columns.
-// Forward MVMs read the fabric's forward-effective weights; the backward
-// error-propagation MVM reads the backward-effective (transpose-copy)
-// weights.
+// an OutC×(InC·K·K) matrix whose rows are mapped onto crossbar columns,
+// and the batch into the (InC·K·K)×(N·OH·OW) `unfold` matrix it multiplies
+// (PytorX's crxb_Conv2d orientation). Forward MVMs read the fabric's
+// forward-effective weights; the backward error-propagation MVM reads the
+// backward-effective (transpose-copy) weights.
 type Conv2D struct {
 	name   string
 	Geom   tensor.ConvGeom
@@ -22,7 +23,7 @@ type Conv2D struct {
 	fabric Fabric
 
 	ws   Workspace      // scratch reused across batches (see Workspace)
-	cols *tensor.Tensor // im2col matrix (N·R)×C, cached for backward
+	cols *tensor.Tensor // im2col matrix (C·K²)×PadCols(N·R), cached for backward
 	n    int            // cached batch size
 }
 
@@ -56,7 +57,9 @@ func (c *Conv2D) Params() []*Param {
 }
 
 // Forward lowers the batch with im2col and computes one large GEMM:
-// out((N·R)×OutC) = cols((N·R)×C) · Wfᵀ(C×OutC).
+// out(OutC×N·R) = Wf(OutC×C·K²) · cols(C·K²×N·R), with N·R padded to
+// whole kernel tiles. Image i's channel oc is then one contiguous R-float
+// block of out's row oc, copied to NCHW with the bias added.
 //
 //lint:hotpath
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
@@ -66,40 +69,33 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	n := x.Dim(0)
 	c.n = n
-	rows, colsN := g.ColRows(), g.ColCols()
-	c.cols = c.ws.Take("cols", n*rows, colsN)
-	imgLen := g.InC * g.InH * g.InW
-	for i := 0; i < n; i++ {
-		g.Im2Col(c.cols.Data[i*rows*colsN:(i+1)*rows*colsN], x.Data[i*imgLen:(i+1)*imgLen])
-	}
+	taps, r := g.ColRows(), g.ColCols()
+	ld := tensor.PadCols(n * r)
+	c.cols = c.ws.Take("cols", taps, ld)
+	g.Im2Col(c.cols.Data, x.Data, n, ld)
+	clearPadCols(c.cols, n*r)
 
-	wf := c.ws.View2D("wf", c.fabric.EffectiveForward(c.name, c.W), g.OutC, colsN)
-	out := c.ws.Take("gemm", n*rows, g.OutC)
-	tensor.MatMulTransBInto(out, c.cols, wf)
-	for r := 0; r < n*rows; r++ {
-		row := out.Data[r*g.OutC : (r+1)*g.OutC]
-		for j := range row {
-			row[j] += c.B.Data[j]
-		}
-	}
-	// Transpose (N·R)×OutC rows into N×OutC×OH×OW layout, one contiguous
-	// output plane at a time.
-	oh, ow := g.OutH(), g.OutW()
-	y := c.ws.Take("y", n, g.OutC, oh, ow)
+	wf := c.ws.View2D("wf", c.fabric.EffectiveForward(c.name, c.W), g.OutC, taps)
+	out := c.ws.Take("gemm", g.OutC, ld)
+	tensor.MatMulDenseInto(out, wf, c.cols)
+	y := c.ws.Take("y", n, g.OutC, g.OutH(), g.OutW())
 	for i := 0; i < n; i++ {
-		img := out.Data[i*rows*g.OutC : (i+1)*rows*g.OutC]
-		for oc := 0; oc < g.OutC; oc++ {
-			plane := y.Data[(i*g.OutC+oc)*rows : (i*g.OutC+oc+1)*rows]
-			for r := range plane {
-				plane[r] = img[r*g.OutC+oc]
+		for oc, b := range c.B.Data {
+			src := out.Data[oc*ld+i*r : oc*ld+i*r+r]
+			dst := y.Data[(i*g.OutC+oc)*r : (i*g.OutC+oc+1)*r]
+			for j, v := range src {
+				dst[j] = v + b
 			}
 		}
 	}
 	return y
 }
 
-// Backward computes kernel/bias gradients and the input gradient. The
-// propagation dcols = dy·Wb uses the backward-effective weight copy.
+// Backward computes kernel/bias gradients and the input gradient:
+// dWᵀ(C·K²×OutC) = cols·dY in ascending (image, pixel) order, and the
+// propagation dcols = Wbᵀ·dY on the backward-effective weight copy, folded
+// back to image space. A product whose dY factor is ±0 contributes
+// nothing to either.
 //
 //lint:hotpath
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
@@ -109,43 +105,71 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		badShape(c.name, "want N×%d×%d×%d grad, got %v", g.OutC, oh, ow, dy.Shape)
 	}
 	n := c.n
-	rows, colsN := g.ColRows(), g.ColCols()
+	taps, r := g.ColRows(), g.ColCols()
+	ld := c.cols.Dim(1)
+	outCP := tensor.PadCols(g.OutC)
 
-	// Re-layout dy from N×OutC×OH×OW to (N·R)×OutC to match the GEMM view.
-	dyf := c.ws.Take("dyf", n*rows, g.OutC)
+	// dY twice: OutC×ld (dcols' b operand, one R-float block per image and
+	// channel) and ld×outCP (dW's b operand, pixel-major). Padding is zero,
+	// so it adds nothing to dW's chains. db = Σ dy in (image, pixel) order.
+	// The first reuses the forward's GEMM output, which is dead once y is
+	// written.
+	dym := c.ws.Take("gemm", g.OutC, ld)
+	clearPadCols(dym, n*r)
+	dyf := c.ws.Take("dyf", ld, outCP)
+	dyf.Zero()
 	for i := 0; i < n; i++ {
-		img := dyf.Data[i*rows*g.OutC : (i+1)*rows*g.OutC]
 		for oc := 0; oc < g.OutC; oc++ {
-			src := dy.Data[(i*g.OutC+oc)*oh*ow : (i*g.OutC+oc+1)*oh*ow]
-			for r, v := range src {
-				img[r*g.OutC+oc] = v
+			src := dy.Data[(i*g.OutC+oc)*r : (i*g.OutC+oc+1)*r]
+			copy(dym.Data[oc*ld+i*r:oc*ld+i*r+r], src)
+			gb := c.GradB.Data[oc]
+			for j, v := range src {
+				dyf.Data[(i*r+j)*outCP+oc] = v
+				gb += v
+			}
+			c.GradB.Data[oc] = gb
+		}
+	}
+
+	// dWᵀ = cols·dY, transposed into GradW. The dW outer products run on
+	// the backward-phase crossbars, so the fabric may corrupt stuck entries.
+	// dWᵀ borrows dcols' buffer, which is not taken again until GradW holds
+	// the result.
+	gwt := c.ws.Take("dcols", taps, outCP)
+	tensor.MatMulSkipBInto(gwt, c.cols, dyf)
+	const block = 16 // taps per pass: the block's gwt rows stay in L1
+	for t0 := 0; t0 < taps; t0 += block {
+		t1 := min(t0+block, taps)
+		for oc := 0; oc < g.OutC; oc++ {
+			row := c.GradW.Data[oc*taps+t0 : oc*taps+t1]
+			for j := range row {
+				row[j] = gwt.Data[(t0+j)*outCP+oc]
 			}
 		}
 	}
-
-	// dW(OutC×C) = dyfᵀ((N·R)×OutC)ᵀ · cols((N·R)×C); db = Σ dy. The dW
-	// outer products run on the backward-phase crossbars, so the fabric may
-	// corrupt stuck entries.
-	gw := c.ws.View2D("gw", c.GradW, g.OutC, colsN)
-	tensor.MatMulTransAInto(gw, dyf, c.cols)
 	c.fabric.TransformGradient(c.name, c.GradW)
-	for r := 0; r < n*rows; r++ {
-		row := dyf.Data[r*g.OutC : (r+1)*g.OutC]
-		for j, v := range row {
-			c.GradB.Data[j] += v
-		}
-	}
 
-	// dcols = dyf · Wb, then fold back to image space.
-	wb := c.ws.View2D("wb", c.fabric.EffectiveBackward(c.name, c.W), g.OutC, colsN)
-	dcols := c.ws.Take("dcols", n*rows, colsN) // MatMulInto zeroes it
-	tensor.MatMulInto(dcols, dyf, wb)
+	// dcols = Wbᵀ·dY, then fold back to image space.
+	wb := c.ws.View2D("wb", c.fabric.EffectiveBackward(c.name, c.W), g.OutC, taps)
+	dcols := c.ws.Take("dcols", taps, ld)
+	tensor.MatMulTransASkipBInto(dcols, wb, dym)
 
 	dx := c.ws.Take("dx", n, g.InC, g.InH, g.InW)
 	dx.Zero() // Col2Im accumulates into its destination
-	imgLen := g.InC * g.InH * g.InW
-	for i := 0; i < n; i++ {
-		g.Col2Im(dx.Data[i*imgLen:(i+1)*imgLen], dcols.Data[i*rows*colsN:(i+1)*rows*colsN])
-	}
+	g.Col2Im(dx.Data, dcols.Data, n, ld)
 	return dx
+}
+
+// clearPadCols zeroes columns [used, cols) of every row of a rows×cols
+// GEMM operand, the padding up to whole kernel tiles.
+//
+//lint:hotpath
+func clearPadCols(t *tensor.Tensor, used int) {
+	cols := t.Dim(1)
+	if used == cols {
+		return
+	}
+	for r := 0; r < t.Dim(0); r++ {
+		clear(t.Data[r*cols+used : (r+1)*cols])
+	}
 }

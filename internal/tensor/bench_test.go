@@ -43,19 +43,6 @@ func BenchmarkMatMulTransBSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTransBNarrow is the conv-forward shape: cols × Wfᵀ for
-// the first 3×3 conv of a narrow vgg11 (k = 3·9 = 27 inputs per output,
-// n = 8 output channels), 512 output pixels — serial, below
-// parallelThreshold.
-func BenchmarkMatMulTransBNarrow(b *testing.B) {
-	A, _, Bt, _, out := benchOperands(512, 27, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTransBInto(out, A, Bt)
-	}
-}
-
 func BenchmarkMatMulTransASerial(b *testing.B) {
 	_, B, _, At, out := benchOperands(48, 48, 48)
 	b.ReportAllocs()
@@ -85,7 +72,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Im2Col(dst, src)
+		g.Im2Col(dst, src, 1, g.ColCols())
 	}
 }
 
@@ -100,6 +87,6 @@ func BenchmarkCol2Im(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Col2Im(img, cols)
+		g.Col2Im(img, cols, 1, g.ColCols())
 	}
 }

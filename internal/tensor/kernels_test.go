@@ -68,29 +68,65 @@ func naiveMatMulTransAInto(out, a, b *Tensor) {
 	}
 }
 
-// naiveCol2Im is the pre-fast-path Col2Im loop.
-func naiveCol2Im(g ConvGeom, dstImage, srcCols []float32) {
+// naiveDenseInto is the dot-product reference of MatMulDenseInto: every
+// product counted, one chain from +0 in ascending p.
+func naiveDenseInto(out, a, b *Tensor) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += float32(a.Data[i*k+p] * b.Data[p*n+j])
+			}
+			out.Data[i*n+j] = s
+		}
+	}
+}
+
+// naiveSkipBInto is the reference of MatMulSkipBInto (transA false) and
+// MatMulTransASkipBInto (transA true): the products whose b factor is ±0
+// are left out of the chain.
+func naiveSkipBInto(out, a, b *Tensor, transA bool) {
+	k, n := b.Shape[0], b.Shape[1]
+	m := out.Shape[0]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				bv := b.Data[p*n+j]
+				if !nonzero(bv) {
+					continue
+				}
+				av := a.Data[i*k+p]
+				if transA {
+					av = a.Data[p*m+i]
+				}
+				s += float32(av * bv)
+			}
+			out.Data[i*n+j] = s
+		}
+	}
+}
+
+// naiveCol2Im is the per-pixel reference of Col2Im: output pixels in
+// ascending (oy, ox), and each pixel's taps in (c, ky, kx) order, so
+// every input pixel receives its additions in ascending (oy, ox) — the
+// order the conv results are pinned to.
+func naiveCol2Im(g ConvGeom, dstImage, srcCols []float32, ld int) {
 	oh, ow := g.OutH(), g.OutW()
-	cols := g.ColCols()
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			row := srcCols[(oy*ow+ox)*cols : (oy*ow+ox+1)*cols]
-			si := 0
+			row := 0
 			for c := 0; c < g.InC; c++ {
 				chn := dstImage[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 				for ky := 0; ky < g.K; ky++ {
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						si += g.K
-						continue
-					}
-					base := iy * g.InW
 					for kx := 0; kx < g.K; kx++ {
+						iy := oy*g.Stride + ky - g.Pad
 						ix := ox*g.Stride + kx - g.Pad
-						if ix >= 0 && ix < g.InW {
-							chn[base+ix] += row[si]
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							chn[iy*g.InW+ix] += srcCols[row*ld+oy*ow+ox]
 						}
-						si++
+						row++
 					}
 				}
 			}
@@ -98,39 +134,43 @@ func naiveCol2Im(g ConvGeom, dstImage, srcCols []float32) {
 	}
 }
 
-// naiveIm2Col is the pre-fast-path Im2Col loop.
-func naiveIm2Col(g ConvGeom, dst, src []float32) {
+// naiveIm2Col is the per-tap reference of Im2Col.
+func naiveIm2Col(g ConvGeom, dst, src []float32, ld int) {
 	oh, ow := g.OutH(), g.OutW()
-	cols := g.ColCols()
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := dst[(oy*ow+ox)*cols : (oy*ow+ox+1)*cols]
-			di := 0
-			for c := 0; c < g.InC; c++ {
-				chn := src[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-				for ky := 0; ky < g.K; ky++ {
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						for kx := 0; kx < g.K; kx++ {
-							row[di] = 0
-							di++
-						}
-						continue
-					}
-					base := iy * g.InW
-					for kx := 0; kx < g.K; kx++ {
+	row := 0
+	for c := 0; c < g.InC; c++ {
+		chn := src[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		for ky := 0; ky < g.K; ky++ {
+			for kx := 0; kx < g.K; kx++ {
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy := oy*g.Stride + ky - g.Pad
 						ix := ox*g.Stride + kx - g.Pad
-						if ix < 0 || ix >= g.InW {
-							row[di] = 0
-						} else {
-							row[di] = chn[base+ix]
+						var v float32
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							v = chn[iy*g.InW+ix]
 						}
-						di++
+						dst[row*ld+oy*ow+ox] = v
 					}
 				}
+				row++
 			}
 		}
 	}
+}
+
+// forEachKernelPath runs fn once per body the vector kernels can take on
+// this machine: the AVX2 assembly where the CPU has it, then the Go twins
+// that pre-AVX2 CPUs and other architectures run (useAVX2 forced off).
+func forEachKernelPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	if saved {
+		t.Run("avx2", fn)
+	}
+	useAVX2 = false
+	t.Run("go", fn)
 }
 
 // fillKernelOperand populates t with a value mix that exercises the kernels'
@@ -202,40 +242,78 @@ func bitEqual(t *testing.T, name string, shape []int, got, want []float32) {
 }
 
 // TestMatMulKernelsBitIdentical sweeps the shape grid comparing every
-// blocked kernel against its naive reference bit-for-bit.
+// blocked kernel against its naive reference bit-for-bit, on both kernel
+// bodies.
 func TestMatMulKernelsBitIdentical(t *testing.T) {
-	rng := NewRNG(7)
-	for _, s := range matmulShapes {
-		a := New(s.m, s.k)
-		b := New(s.k, s.n)
-		fillKernelOperand(a, rng)
-		fillKernelOperand(b, rng)
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := NewRNG(7)
+		for _, s := range matmulShapes {
+			checkMatMulKernels(t, rng, s.m, s.k, s.n)
+		}
+	})
+}
 
-		got, want := New(s.m, s.n), New(s.m, s.n)
+// checkMatMulKernels compares every GEMM kernel against its reference on
+// one m×k×n shape with fillKernelOperand operands salted with NaN and ±Inf.
+func checkMatMulKernels(t *testing.T, rng *RNG, m, k, n int) {
+	t.Helper()
+	shape := []int{m, k, n}
+	a, b := New(m, k), New(k, n)
+	bt, at := New(n, k), New(k, m) // b for a×bᵀ, a for aᵀ×b
+	for _, op := range []*Tensor{a, b, bt, at} {
+		fillKernelOperand(op, rng)
+		saltNonFinite(op, rng)
+	}
+	got, want := New(m, n), New(m, n)
+	for _, kc := range []struct {
+		name      string
+		run, want func()
+	}{
+		{"MatMulInto", func() { MatMulInto(got, a, b) }, func() { naiveMatMulInto(want, a, b) }},
+		{"MatMulTransBInto", func() { MatMulTransBInto(got, a, bt) }, func() { naiveMatMulTransBInto(want, a, bt) }},
+		{"MatMulTransAInto", func() { MatMulTransAInto(got, at, b) }, func() { naiveMatMulTransAInto(want, at, b) }},
+		{"MatMulDenseInto", func() { MatMulDenseInto(got, a, b) }, func() { naiveDenseInto(want, a, b) }},
+		{"MatMulSkipBInto", func() { MatMulSkipBInto(got, a, b) }, func() { naiveSkipBInto(want, a, b, false) }},
+		{"MatMulTransASkipBInto", func() { MatMulTransASkipBInto(got, at, b) }, func() { naiveSkipBInto(want, at, b, true) }},
+	} {
 		fillKernelOperand(got, rng) // dirty output: kernels must not read it
-		MatMulInto(got, a, b)
-		naiveMatMulInto(want, a, b)
-		bitEqual(t, "MatMulInto", []int{s.m, s.k, s.n}, got.Data, want.Data)
+		kc.run()
+		kc.want()
+		bitEqual(t, kc.name, shape, got.Data, want.Data)
+	}
+}
 
-		bt := New(s.n, s.k) // b for the a×bᵀ form
-		fillKernelOperand(bt, rng)
-		fillKernelOperand(got, rng)
-		MatMulTransBInto(got, a, bt)
-		naiveMatMulTransBInto(want, a, bt)
-		bitEqual(t, "MatMulTransBInto", []int{s.m, s.k, s.n}, got.Data, want.Data)
+// posInf is a variable so that hardwareNaN's subtraction runs at run time.
+var posInf = float32(math.Inf(1))
 
-		at := New(s.k, s.m) // a for the aᵀ×b form
-		fillKernelOperand(at, rng)
-		fillKernelOperand(got, rng)
-		MatMulTransAInto(got, at, b)
-		naiveMatMulTransAInto(want, at, b)
-		bitEqual(t, "MatMulTransAInto", []int{s.m, s.k, s.n}, got.Data, want.Data)
+// hardwareNaN returns the NaN the FPU itself produces (Inf − Inf), the
+// one 0·Inf yields mid-chain. Go does not define which of two NaN
+// operands' bits an operation keeps, and kernels and references may pick
+// differently; salting with this NaN keeps every NaN alike, so results
+// can still be compared bit for bit.
+func hardwareNaN() float32 { return posInf - posInf }
+
+// saltNonFinite overwrites about one entry in 64 with NaN, +Inf or −Inf,
+// so the kernels' zero-skips meet the operands where skipping a ±0
+// factor changes the result (0·Inf and 0·NaN are NaN).
+func saltNonFinite(t *Tensor, rng *RNG) {
+	nonFinite := []float32{hardwareNaN(), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := range t.Data {
+		if rng.Intn(64) == 0 {
+			t.Data[i] = nonFinite[rng.Intn(len(nonFinite))]
+		}
 	}
 }
 
 // convGeoms sweeps convolution geometries including pad-dominated edges,
-// stride>1, 1×1 kernels, and single-pixel planes.
+// stride>1, 1×1 kernels, and single-pixel planes, through both ways
+// Im2Col and Col2Im move a row: output rows narrower than runMin (the
+// tap-index table, one plane past gatherChunk) and at least as wide (runs,
+// strided and with padding at both ends).
 var convGeoms = []ConvGeom{
+	{InC: 2, InH: 9, InW: 17, OutC: 3, K: 3, Stride: 2, Pad: 1},
+	{InC: 1, InH: 4, InW: 12, OutC: 2, K: 5, Stride: 1, Pad: 2},
+	{InC: 1, InH: 70, InW: 4, OutC: 1, K: 3, Stride: 1, Pad: 1},
 	{InC: 1, InH: 1, InW: 1, OutC: 1, K: 1, Stride: 1, Pad: 0},
 	{InC: 1, InH: 5, InW: 5, OutC: 2, K: 3, Stride: 1, Pad: 1},
 	{InC: 3, InH: 8, InW: 8, OutC: 4, K: 3, Stride: 1, Pad: 1},
@@ -246,25 +324,32 @@ var convGeoms = []ConvGeom{
 	{InC: 2, InH: 5, InW: 5, OutC: 2, K: 3, Stride: 1, Pad: 2}, // pad wider than typical
 }
 
-// TestIm2ColCol2ImBitIdentical compares the fast-path lowering/scatter
-// against the naive per-tap loops bit-for-bit, including the accumulation
-// order of overlapping Col2Im taps.
+// TestIm2ColCol2ImBitIdentical compares the run-based lowering/scatter
+// against the per-tap loops bit-for-bit, including the accumulation order
+// of overlapping Col2Im taps. Each geometry lowers a batch of three
+// images into one matrix whose row stride is padded to whole tiles.
 func TestIm2ColCol2ImBitIdentical(t *testing.T) {
 	rng := NewRNG(11)
+	const n = 3
 	for _, g := range convGeoms {
-		src := make([]float32, g.InC*g.InH*g.InW)
+		shape := []int{g.InC, g.InH, g.InW, g.K, g.Stride, g.Pad}
+		r, imgLen := g.ColCols(), g.InC*g.InH*g.InW
+		ld := PadCols(n * r)
+		src := make([]float32, n*imgLen)
 		for i := range src {
 			src[i] = float32(rng.NormFloat64())
 		}
-		got := make([]float32, g.ColRows()*g.ColCols())
+		got := make([]float32, g.ColRows()*ld)
 		want := make([]float32, len(got))
 		for i := range got {
-			got[i] = float32(rng.NormFloat64()) // dirty: Im2Col must overwrite fully
+			got[i] = float32(rng.NormFloat64()) // dirty: Im2Col must overwrite its columns
+			want[i] = got[i]
 		}
-		g.Im2Col(got, src)
-		naiveIm2Col(g, want, src)
-		bitEqual(t, "Im2Col", []int{g.InC, g.InH, g.InW, g.K, g.Stride, g.Pad},
-			got, want)
+		g.Im2Col(got, src, n, ld)
+		for i := 0; i < n; i++ {
+			naiveIm2Col(g, want[i*r:], src[i*imgLen:(i+1)*imgLen], ld)
+		}
+		bitEqual(t, "Im2Col", shape, got, want)
 
 		cols := make([]float32, len(got))
 		for i := range cols {
@@ -272,75 +357,74 @@ func TestIm2ColCol2ImBitIdentical(t *testing.T) {
 		}
 		gotImg := make([]float32, len(src))
 		wantImg := make([]float32, len(src))
-		g.Col2Im(gotImg, cols)
-		naiveCol2Im(g, wantImg, cols)
-		bitEqual(t, "Col2Im", []int{g.InC, g.InH, g.InW, g.K, g.Stride, g.Pad},
-			gotImg, wantImg)
+		g.Col2Im(gotImg, cols, n, ld)
+		for i := 0; i < n; i++ {
+			naiveCol2Im(g, wantImg[i*imgLen:(i+1)*imgLen], cols[i*r:], ld)
+		}
+		bitEqual(t, "Col2Im", shape, gotImg, wantImg)
 	}
 }
 
-// TestMatMulParallelRace drives all three kernels well above the parallel
+// TestMatMulParallelRace drives every kernel well above the parallel
 // threshold so `go test -race ./internal/tensor` exercises the goroutine
 // fan-out, and re-checks determinism against the references at size.
 func TestMatMulParallelRace(t *testing.T) {
-	rng := NewRNG(13)
-	m, k, n := 97, 83, 101 // primes, comfortably above parallelThreshold
-	a, b := New(m, k), New(k, n)
-	bt, at := New(n, k), New(k, m)
-	fillKernelOperand(a, rng)
-	fillKernelOperand(b, rng)
-	fillKernelOperand(bt, rng)
-	fillKernelOperand(at, rng)
-
-	got, want := New(m, n), New(m, n)
-	MatMulInto(got, a, b)
-	naiveMatMulInto(want, a, b)
-	bitEqual(t, "MatMulInto(parallel)", []int{m, k, n}, got.Data, want.Data)
-
-	MatMulTransBInto(got, a, bt)
-	naiveMatMulTransBInto(want, a, bt)
-	bitEqual(t, "MatMulTransBInto(parallel)", []int{m, k, n}, got.Data, want.Data)
-
-	MatMulTransAInto(got, at, b)
-	naiveMatMulTransAInto(want, at, b)
-	bitEqual(t, "MatMulTransAInto(parallel)", []int{m, k, n}, got.Data, want.Data)
+	checkMatMulKernels(t, NewRNG(13), 97, 83, 101) // primes, comfortably above parallelThreshold
 }
 
-// TestTile4x8MatchesGoTwin compares the tile4x8 kernel with its portable
-// twin bit for bit, so the non-amd64 path is checked on amd64 too. The
-// operands are fillKernelOperand data (±0, 1e-20 scale) salted with NaN,
-// laid out with row strides wider than the tile; the test also checks
-// that nothing outside the 4×8 output tile is written.
+// TestTile4x8MatchesGoTwin compares both tile kernels with their portable
+// twin bit for bit, on both kernel bodies. The operands are
+// fillKernelOperand data (±0, 1e-20 scale) salted with NaN and ±Inf,
+// laid out with row strides wider than the tile and with a read both
+// row-major and transposed; every row count 1–4 is swept. The test also
+// checks that nothing outside the rows×8 output tile is written.
 func TestTile4x8MatchesGoTwin(t *testing.T) {
-	rng := NewRNG(17)
-	nan := float32(math.NaN())
-	for k := 0; k <= 33; k++ {
-		for _, ld := range []int{tileCols, 11, 64} {
-			lda := k + 3
-			a := make([]float32, 3*lda+k)
-			b := make([]float32, max(k-1, 0)*ld+tileCols)
-			for _, op := range [][]float32{a, b} {
-				fillKernelOperand(&Tensor{Shape: []int{len(op)}, Data: op}, rng)
-				for i := range op {
-					if rng.Intn(64) == 0 {
-						op[i] = nan
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := NewRNG(17)
+		for k := 0; k <= 33; k++ {
+			for _, ld := range []int{tileCols, 11, 64} {
+				for rows := 1; rows <= tileRows; rows++ {
+					for _, trans := range []bool{false, true} {
+						checkTile(t, rng, k, ld, rows, trans)
 					}
 				}
 			}
-			got := make([]float32, 3*ld+tileCols+ld)
-			want := make([]float32, len(got))
-			for i := range got {
-				got[i] = float32(i) + 0.5 // sentinel
-				want[i] = got[i]
-			}
-			tile4x8(got, ld, a, lda, b, ld, k)
-			tile4x8Go(want, ld, a, lda, b, ld, k)
-			bitEqual(t, "tile4x8", []int{k, ld}, got, want)
-			for i := range got {
-				inTile := i < 3*ld+tileCols && i%ld < tileCols
-				if !inTile && math.Float32bits(got[i]) != math.Float32bits(float32(i)+0.5) {
-					t.Fatalf("k=%d ld=%d: element %d outside the tile was written", k, ld, i)
-				}
+		}
+	})
+}
+
+func checkTile(t *testing.T, rng *RNG, k, ld, rows int, trans bool) {
+	t.Helper()
+	lda, ak := k+3, 1 // a row-major, rows padded past k
+	if trans {
+		lda, ak = 1, tileRows+2 // a stored transposed: a[r][p] at p·ak+r
+	}
+	a := make([]float32, max(3*lda+k*ak, 1))
+	b := make([]float32, max(k-1, 0)*ld+tileCols)
+	for _, op := range [][]float32{a, b} {
+		t := &Tensor{Shape: []int{len(op)}, Data: op}
+		fillKernelOperand(t, rng)
+		saltNonFinite(t, rng)
+	}
+	shape := []int{k, ld, rows, lda, ak}
+	for _, skip := range []bool{false, true} {
+		got := make([]float32, 3*ld+tileCols+ld)
+		want := make([]float32, len(got))
+		for i := range got {
+			got[i] = float32(i) + 0.5 // sentinel
+			want[i] = got[i]
+		}
+		if skip {
+			tile4x8Skip(got, ld, a, lda, ak, b, ld, k, rows)
+		} else {
+			tile4x8(got, ld, a, lda, ak, b, ld, k, rows)
+		}
+		tile4x8Go(want, ld, a, lda, ak, b, ld, k, rows, skip)
+		bitEqual(t, "tile4x8", shape, got, want)
+		for i := range got {
+			inTile := i < (rows-1)*ld+tileCols && i%ld < tileCols
+			if !inTile && math.Float32bits(got[i]) != math.Float32bits(float32(i)+0.5) {
+				t.Fatalf("shape %v skip=%v: element %d outside the tile was written", shape, skip, i)
 			}
 		}
 	}

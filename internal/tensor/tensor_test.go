@@ -255,10 +255,10 @@ func TestIm2ColConvMatchesDirect(t *testing.T) {
 	rng.FillNormal(w, 1)
 
 	cols := New(g.ColRows(), g.ColCols())
-	g.Im2Col(cols.Data, img.Data)
-	wm := w.Reshape(g.OutC, g.ColCols())
-	out := New(g.ColRows(), g.OutC)
-	MatMulTransBInto(out, cols, wm)
+	g.Im2Col(cols.Data, img.Data, 1, g.ColCols())
+	wm := w.Reshape(g.OutC, g.ColRows())
+	out := New(g.OutC, g.ColCols())
+	MatMulDenseInto(out, wm, cols)
 
 	oh, ow := g.OutH(), g.OutW()
 	for oc := 0; oc < g.OutC; oc++ {
@@ -276,7 +276,7 @@ func TestIm2ColConvMatchesDirect(t *testing.T) {
 						}
 					}
 				}
-				got := out.At(oy*ow+ox, oc)
+				got := out.At(oc, oy*ow+ox)
 				if !almostEq(float64(got), float64(want), 1e-4) {
 					t.Fatalf("conv mismatch at oc=%d oy=%d ox=%d: %v vs %v", oc, oy, ox, got, want)
 				}
@@ -297,11 +297,11 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		x := New(g.InC, h, w)
 		rng.FillNormal(x, 1)
 		ax := New(g.ColRows(), g.ColCols())
-		g.Im2Col(ax.Data, x.Data)
+		g.Im2Col(ax.Data, x.Data, 1, g.ColCols())
 		y := New(g.ColRows(), g.ColCols())
 		rng.FillNormal(y, 1)
 		aty := New(g.InC, h, w)
-		g.Col2Im(aty.Data, y.Data)
+		g.Col2Im(aty.Data, y.Data, 1, g.ColCols())
 		return almostEq(Dot(ax, y), Dot(x, aty), 1e-2*(1+math.Abs(Dot(ax, y))))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,82 +1,141 @@
-// SSE2 GEMM micro-kernel: one 4×8 output tile held in registers.
+// AVX2 GEMM micro-kernels: one rows×8 output tile (rows ≤ 4) held in
+// registers.
 //
-// X0..X7 are the accumulators, two XMM registers (8 floats) per output
-// row. Each step p loads b[p][0:8] once into X8/X9, broadcasts a[r][p] into
-// X10 for each of the four rows, and adds the products into that row's
-// accumulators. The operand order matches axpy exactly — MULPS computes
-// b·a (b is the destination operand) and ADDPS computes prod + acc — and
-// nothing is fused, so every lane is the same IEEE operation sequence as
-// axpy on a pre-zeroed output: one chain per element from +0, ascending
-// p. The accumulators are stored once, after the k loop. SSE2 is the amd64
-// baseline: no feature detection needed.
+// Y0..Y3 are the accumulators, one YMM register (8 floats) per output
+// row. Each step p loads b[p][0:8] once into Y4, broadcasts a[r][p] for
+// each row and adds the products into that row's accumulator. The operand
+// order is axpy's: VMULPS computes b·a (b is the first source)
+// and VADDPS computes prod + acc, with no FMA, so every lane is the same
+// IEEE operation sequence as axpy on a pre-zeroed output: one chain per
+// element from +0, ascending p. The accumulators are stored once, after
+// the k loop. a is addressed with a row stride (lda) and a step stride
+// (ak), so the same kernel reads a row-major or a transposed a. Rows past
+// `rows` read row 0 again and are not stored.
+//
+// tile4x8Skip adds a compare-and-mask: lanes whose b factor is ±0 add +0
+// instead of the product. A chain from +0 never holds −0, so acc + (+0)
+// equals acc for every value it can hold (NaN and ±Inf included), which
+// is exactly skipping the product. Steps whose eight b factors are all
+// nonzero — nearly all of them, as dY is dense — branch to the unmasked
+// body, which gives the same bits without the five mask instructions.
 
 #include "textflag.h"
 
-// One row of the tile: X10 = broadcast a[row][p], then acc += b·a.
-#define ROW(aptr, accLo, accHi) \
-	MOVSS  (aptr)(AX*4), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MOVAPS X8, X11; \
-	MOVAPS X9, X12; \
-	MULPS  X10, X11; \
-	MULPS  X10, X12; \
-	ADDPS  accLo, X11; \
-	ADDPS  accHi, X12; \
-	MOVAPS X11, accLo; \
-	MOVAPS X12, accHi
+// Kernel prologue: DI = dst, R8 = ldd bytes, SI/R11/R12/R13 = a rows 0..3
+// (rows past `rows` alias row 0), R9 = rows, BX = ak bytes, DX = b,
+// R10 = ldb bytes, CX = k, AX = 0 (the a step offset), accumulators zeroed.
+#define PROLOGUE \
+	MOVQ   dst_base+0(FP), DI; \
+	MOVQ   ldd+24(FP), R8; \
+	SHLQ   $2, R8; \
+	MOVQ   a_base+32(FP), SI; \
+	MOVQ   ak+64(FP), BX; \
+	SHLQ   $2, BX; \
+	MOVQ   b_base+72(FP), DX; \
+	MOVQ   ldb+96(FP), R10; \
+	SHLQ   $2, R10; \
+	MOVQ   k+104(FP), CX; \
+	MOVQ   rows+112(FP), R9; \
+	MOVQ   lda+56(FP), AX; \
+	SHLQ   $2, AX; \
+	LEAQ   (SI)(AX*1), R11; \
+	LEAQ   (R11)(AX*1), R12; \
+	LEAQ   (R12)(AX*1), R13; \
+	CMPQ   R9, $2; \
+	CMOVQLT SI, R11; \
+	CMPQ   R9, $3; \
+	CMOVQLT SI, R12; \
+	CMPQ   R9, $4; \
+	CMOVQLT SI, R13; \
+	VXORPS Y0, Y0, Y0; \
+	VXORPS Y1, Y1, Y1; \
+	VXORPS Y2, Y2, Y2; \
+	VXORPS Y3, Y3, Y3; \
+	XORQ   AX, AX
 
-// func tile4x8(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k int)
-TEXT ·tile4x8(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ ldd+24(FP), R8
-	SHLQ $2, R8                // dst row stride in bytes
-	MOVQ a_base+32(FP), SI
-	MOVQ lda+56(FP), R9
-	SHLQ $2, R9                // a row stride in bytes
-	MOVQ b_base+64(FP), DX
-	MOVQ ldb+88(FP), R10
-	SHLQ $2, R10               // b row stride in bytes
-	MOVQ k+96(FP), CX
+// One row of the tile: acc += b·a[row][p].
+#define ROW(aptr, acc, tmp) \
+	VBROADCASTSS (aptr)(AX*1), tmp; \
+	VMULPS       tmp, Y4, tmp; \
+	VADDPS       acc, tmp, acc
 
-	LEAQ (SI)(R9*1), R11       // a row 1
-	LEAQ (R11)(R9*1), R12      // a row 2
-	LEAQ (R12)(R9*1), R13      // a row 3
+// One row with the mask in Y5: acc += (b·a[row][p]) & (b != 0).
+#define ROWSKIP(aptr, acc, tmp) \
+	VBROADCASTSS (aptr)(AX*1), tmp; \
+	VMULPS       tmp, Y4, tmp; \
+	VANDPS       Y5, tmp, tmp; \
+	VADDPS       acc, tmp, acc
 
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+// Store the first `rows` accumulators (R9 = rows) and return.
+#define EPILOGUE \
+	VMOVUPS Y0, (DI); \
+	CMPQ    R9, $2; \
+	JLT     done; \
+	ADDQ    R8, DI; \
+	VMOVUPS Y1, (DI); \
+	CMPQ    R9, $3; \
+	JLT     done; \
+	ADDQ    R8, DI; \
+	VMOVUPS Y2, (DI); \
+	CMPQ    R9, $4; \
+	JLT     done; \
+	ADDQ    R8, DI; \
+	VMOVUPS Y3, (DI); \
+done: \
+	VZEROUPPER; \
+	RET
 
-	XORQ AX, AX
-	CMPQ AX, CX
-	JGE  store
+// func tile4x8AVX2(dst []float32, ldd int, a []float32, lda, ak int, b []float32, ldb, k, rows int)
+TEXT ·tile4x8AVX2(SB), NOSPLIT, $0-120
+	PROLOGUE
+	TESTQ CX, CX
+	JLE   store
 
 loop:
-	MOVUPS (DX), X8
-	MOVUPS 16(DX), X9
-	ROW(SI, X0, X1)
-	ROW(R11, X2, X3)
-	ROW(R12, X4, X5)
-	ROW(R13, X6, X7)
-	ADDQ R10, DX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  loop
+	VMOVUPS (DX), Y4
+	ROW(SI, Y0, Y6)
+	ROW(R11, Y1, Y7)
+	ROW(R12, Y2, Y8)
+	ROW(R13, Y3, Y9)
+	ADDQ    BX, AX
+	ADDQ    R10, DX
+	DECQ    CX
+	JNZ     loop
 
 store:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	ADDQ   R8, DI
-	MOVUPS X2, (DI)
-	MOVUPS X3, 16(DI)
-	ADDQ   R8, DI
-	MOVUPS X4, (DI)
-	MOVUPS X5, 16(DI)
-	ADDQ   R8, DI
-	MOVUPS X6, (DI)
-	MOVUPS X7, 16(DI)
-	RET
+	EPILOGUE
+
+// func tile4x8SkipAVX2(dst []float32, ldd int, a []float32, lda, ak int, b []float32, ldb, k, rows int)
+TEXT ·tile4x8SkipAVX2(SB), NOSPLIT, $0-120
+	PROLOGUE
+	VXORPS Y10, Y10, Y10
+	TESTQ  CX, CX
+	JLE    store
+
+loop:
+	VMOVUPS   (DX), Y4
+	VCMPPS    $4, Y10, Y4, Y5     // NEQ_UQ: all-ones unless b is ±0
+	VMOVMSKPS Y5, R9
+	CMPL      R9, $0xff
+	JNE       masked              // some b factor is ±0
+	ROW(SI, Y0, Y6)
+	ROW(R11, Y1, Y7)
+	ROW(R12, Y2, Y8)
+	ROW(R13, Y3, Y9)
+	JMP       next
+
+masked:
+	ROWSKIP(SI, Y0, Y6)
+	ROWSKIP(R11, Y1, Y7)
+	ROWSKIP(R12, Y2, Y8)
+	ROWSKIP(R13, Y3, Y9)
+
+next:
+	ADDQ BX, AX
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  loop
+
+store:
+	MOVQ rows+112(FP), R9 // R9 held the lane mask in the loop
+	EPILOGUE
