@@ -1,6 +1,10 @@
 package nn
 
-import "remapd/internal/tensor"
+import (
+	"math"
+
+	"remapd/internal/tensor"
+)
 
 // ReLU is the rectified-linear activation. It keeps a mask of positive
 // inputs for the backward pass.
@@ -28,16 +32,27 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		r.mask = make([]bool, x.Len())
 	}
 	r.mask = r.mask[:x.Len()]
+	ys, mask := y.Data[:len(x.Data)], r.mask[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask[i] = true
-		} else {
-			y.Data[i] = 0
-			r.mask[i] = false
-		}
+		keep := reluKeep(v)
+		ys[i] = math.Float32frombits(math.Float32bits(v) & keep)
+		mask[i] = keep != 0
 	}
 	return y
+}
+
+// reluKeep returns all ones when v > 0 and zero otherwise (−0, NaN and
+// negatives), the bit mask that selects v or +0. The compiler lowers the
+// if to a conditional move: the sign of an activation is random, so a
+// branch on it would be mispredicted about half the time.
+//
+//lint:hotpath
+func reluKeep(v float32) uint32 {
+	var keep uint32
+	if v > 0 {
+		keep = ^uint32(0)
+	}
+	return keep
 }
 
 // Backward zeroes gradients where the input was non-positive.
@@ -45,12 +60,13 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 //lint:hotpath
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := r.ws.Take("dx", dy.Shape...)
+	dxs, mask := dx.Data[:len(dy.Data)], r.mask[:len(dy.Data)]
 	for i, v := range dy.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
+		var keep uint32
+		if mask[i] {
+			keep = ^uint32(0)
 		}
+		dxs[i] = math.Float32frombits(math.Float32bits(v) & keep)
 	}
 	return dx
 }

@@ -72,7 +72,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	taps, r := g.ColRows(), g.ColCols()
 	ld := tensor.PadCols(n * r)
 	c.cols = c.ws.Take("cols", taps, ld)
-	g.Im2Col(c.cols.Data, x.Data, n, ld)
+	planes := c.ws.Take("planes", n, g.InH+2*g.Pad, g.InW+2*g.Pad)
+	g.Im2Col(c.cols.Data, x.Data, planes.Data, n, ld)
 	clearPadCols(c.cols, n*r)
 
 	wf := c.ws.View2D("wf", c.fabric.EffectiveForward(c.name, c.W), g.OutC, taps)
@@ -156,7 +157,8 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 
 	dx := c.ws.Take("dx", n, g.InC, g.InH, g.InW)
 	dx.Zero() // Col2Im accumulates into its destination
-	g.Col2Im(dx.Data, dcols.Data, n, ld)
+	planes := c.ws.Take("planes", n, g.InH+2*g.Pad, g.InW+2*g.Pad)
+	g.Col2Im(dx.Data, dcols.Data, planes.Data, n, ld)
 	return dx
 }
 

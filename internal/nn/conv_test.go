@@ -154,33 +154,44 @@ func quickScaleConvGeoms(t *testing.T) []tensor.ConvGeom {
 var convType = reflect.TypeOf(nn.Conv2D{})
 
 // walkConvGeoms calls visit with the geometry of every nn.Conv2D
-// reachable from v through pointers, interfaces, structs and slices. It
-// reads unexported fields too, so layers that keep their convolutions
-// private (models.Fire) are covered.
+// reachable from v (see walkStructs).
 func walkConvGeoms(v reflect.Value, visit func(tensor.ConvGeom)) {
+	walkStructs(v, func(v reflect.Value) bool {
+		if v.Type() != convType {
+			return false
+		}
+		geom := v.FieldByName("Geom")
+		field := func(name string) int { return int(geom.FieldByName(name).Int()) }
+		visit(tensor.ConvGeom{
+			InC: field("InC"), InH: field("InH"), InW: field("InW"), OutC: field("OutC"),
+			K: field("K"), Stride: field("Stride"), Pad: field("Pad"),
+		})
+		return true
+	})
+}
+
+// walkStructs calls visit on every struct reachable from v through
+// pointers, interfaces, structs and slices, and descends into the struct
+// unless visit returns true. It reads unexported fields too, so layers
+// that keep theirs private (models.Fire) are covered.
+func walkStructs(v reflect.Value, visit func(reflect.Value) bool) {
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if !v.IsNil() {
-			walkConvGeoms(v.Elem(), visit)
+			walkStructs(v.Elem(), visit)
 		}
 	case reflect.Slice:
 		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct {
 			for i := 0; i < v.Len(); i++ {
-				walkConvGeoms(v.Index(i), visit)
+				walkStructs(v.Index(i), visit)
 			}
 		}
 	case reflect.Struct:
-		if v.Type() == convType {
-			geom := v.FieldByName("Geom")
-			field := func(name string) int { return int(geom.FieldByName(name).Int()) }
-			visit(tensor.ConvGeom{
-				InC: field("InC"), InH: field("InH"), InW: field("InW"), OutC: field("OutC"),
-				K: field("K"), Stride: field("Stride"), Pad: field("Pad"),
-			})
+		if visit(v) {
 			return
 		}
 		for i := 0; i < v.NumField(); i++ {
-			walkConvGeoms(v.Field(i), visit)
+			walkStructs(v.Field(i), visit)
 		}
 	}
 }

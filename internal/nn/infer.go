@@ -1,6 +1,10 @@
 package nn
 
-import "remapd/internal/tensor"
+import (
+	"math"
+
+	"remapd/internal/tensor"
+)
 
 // This file is the forward-only inference surface split out of the
 // train-coupled Layer.Forward(x, train) API. Serving (internal/serve)
@@ -50,12 +54,9 @@ func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
 //lint:hotpath
 func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
 	y := r.ws.Take("y", x.Shape...)
+	ys := y.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = 0
-		}
+		ys[i] = math.Float32frombits(math.Float32bits(v) & reluKeep(v))
 	}
 	return y
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "remapd/internal/tensor"
+import (
+	"math"
+
+	"remapd/internal/tensor"
+)
 
 // MaxPool2D is a max pooling layer with square window and equal stride
 // (the common K=2, stride 2 case in VGG/SqueezeNet). Windows that would
@@ -44,30 +48,49 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		p.argmax = make([]int, y.Len())
 	}
 	p.argmax = p.argmax[:y.Len()]
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bi := (oy*p.Stride)*w + ox*p.Stride
-					best, bidx := plane[bi], bi
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							idx := (oy*p.Stride+ky)*w + ox*p.Stride + kx
-							if plane[idx] > best {
-								best, bidx = plane[idx], idx
-							}
-						}
+	k, st := p.K, p.Stride
+	for pl := 0; pl < n*c; pl++ {
+		base := pl * h * w
+		plane := x.Data[base : base+h*w]
+		for oy := 0; oy < oh; oy++ {
+			oi := (pl*oh + oy) * ow
+			best, arg := y.Data[oi:oi+ow], p.argmax[oi:oi+ow]
+			for ox := range best {
+				at := oy*st*w + ox*st
+				best[ox], arg[ox] = plane[at], base+at
+			}
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					if ky == 0 && kx == 0 {
+						continue // the seed: a value never beats itself
 					}
-					y.Data[oi] = best
-					p.argmax[oi] = (i*c+ch)*h*w + bidx
-					oi++
+					off := (oy*st+ky)*w + kx
+					poolTap(best, arg, plane[off:off+(ow-1)*st+1], st, base+off)
 				}
 			}
 		}
 	}
 	return y
+}
+
+// poolTap offers one window tap to a row of pooling outputs: output ox
+// sees row[ox·st], flat input index at+ox·st, and takes it only when it
+// is strictly greater — so the first maximum wins a tie and a NaN never
+// replaces the current best (nor is a NaN best ever replaced). Both
+// updates are conditional moves: after a ReLU, ties and near-ties are
+// common and a compare branch would be mispredicted.
+//
+//lint:hotpath
+func poolTap(best []float32, arg []int, row []float32, st, at int) {
+	arg = arg[:len(best)]
+	for ox, cur := range best {
+		v, i := row[ox*st], at+ox*st
+		b, a, vb := math.Float32bits(cur), arg[ox], math.Float32bits(v)
+		if v > cur {
+			b, a = vb, i
+		}
+		best[ox], arg[ox] = math.Float32frombits(b), a
+	}
 }
 
 // Backward routes each output gradient to its argmax input position.

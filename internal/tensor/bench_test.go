@@ -65,6 +65,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	g := ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
 	src := make([]float32, g.InC*g.InH*g.InW)
 	dst := make([]float32, g.ColRows()*g.ColCols())
+	plane := planeScratch(g, 1)
 	rng := NewRNG(5)
 	for i := range src {
 		src[i] = float32(rng.NormFloat64())
@@ -72,7 +73,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Im2Col(dst, src, 1, g.ColCols())
+		g.Im2Col(dst, src, plane, 1, g.ColCols())
 	}
 }
 
@@ -80,6 +81,7 @@ func BenchmarkCol2Im(b *testing.B) {
 	g := ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
 	img := make([]float32, g.InC*g.InH*g.InW)
 	cols := make([]float32, g.ColRows()*g.ColCols())
+	plane := planeScratch(g, 1)
 	rng := NewRNG(5)
 	for i := range cols {
 		cols[i] = float32(rng.NormFloat64())
@@ -87,6 +89,6 @@ func BenchmarkCol2Im(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Col2Im(img, cols, 1, g.ColCols())
+		g.Col2Im(img, cols, plane, 1, g.ColCols())
 	}
 }

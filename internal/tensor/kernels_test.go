@@ -306,10 +306,10 @@ func saltNonFinite(t *Tensor, rng *RNG) {
 }
 
 // convGeoms sweeps convolution geometries including pad-dominated edges,
-// stride>1, 1×1 kernels, and single-pixel planes, through both ways
-// Im2Col and Col2Im move a row: output rows narrower than runMin (the
-// tap-index table, one plane past gatherChunk) and at least as wide (runs,
-// strided and with padding at both ends).
+// stride>1 (with rows and columns of the padded plane that no tap
+// reaches), 1×1 kernels, single-pixel planes, a pad wider than the
+// kernel's reach, and, at the tests' batch of three, a patch-matrix row
+// longer than gatherChunk.
 var convGeoms = []ConvGeom{
 	{InC: 2, InH: 9, InW: 17, OutC: 3, K: 3, Stride: 2, Pad: 1},
 	{InC: 1, InH: 4, InW: 12, OutC: 2, K: 5, Stride: 1, Pad: 2},
@@ -321,13 +321,26 @@ var convGeoms = []ConvGeom{
 	{InC: 2, InH: 6, InW: 6, OutC: 2, K: 5, Stride: 1, Pad: 2},
 	{InC: 4, InH: 4, InW: 4, OutC: 8, K: 1, Stride: 1, Pad: 0},
 	{InC: 1, InH: 3, InW: 9, OutC: 1, K: 3, Stride: 3, Pad: 0},
-	{InC: 2, InH: 5, InW: 5, OutC: 2, K: 3, Stride: 1, Pad: 2}, // pad wider than typical
+	{InC: 2, InH: 5, InW: 5, OutC: 2, K: 3, Stride: 1, Pad: 2},   // pad wider than typical
+	{InC: 2, InH: 1, InW: 1, OutC: 2, K: 3, Stride: 1, Pad: 1},   // only the centre tap is real
+	{InC: 2, InH: 40, InW: 37, OutC: 2, K: 3, Stride: 1, Pad: 1}, // a gatherChunk boundary inside image 2
 }
 
-// TestIm2ColCol2ImBitIdentical compares the run-based lowering/scatter
-// against the per-tap loops bit-for-bit, including the accumulation order
-// of overlapping Col2Im taps. Each geometry lowers a batch of three
-// images into one matrix whose row stride is padded to whole tiles.
+// planeScratch returns scratch for Im2Col's and Col2Im's padded planes of
+// n images, filled with NaN: neither may depend on what the scratch held.
+func planeScratch(g ConvGeom, n int) []float32 {
+	plane := make([]float32, n*(g.InH+2*g.Pad)*(g.InW+2*g.Pad))
+	for i := range plane {
+		plane[i] = hardwareNaN()
+	}
+	return plane
+}
+
+// TestIm2ColCol2ImBitIdentical compares the padded-plane lowering and
+// scatter against the per-tap and per-pixel loops bit-for-bit, including
+// the accumulation order of overlapping Col2Im taps. Each geometry lowers
+// a batch of three images into one matrix whose row stride is padded to
+// whole tiles; operands carry ±0, 1e-20-scale values, NaN and ±Inf.
 func TestIm2ColCol2ImBitIdentical(t *testing.T) {
 	rng := NewRNG(11)
 	const n = 3
@@ -335,33 +348,39 @@ func TestIm2ColCol2ImBitIdentical(t *testing.T) {
 		shape := []int{g.InC, g.InH, g.InW, g.K, g.Stride, g.Pad}
 		r, imgLen := g.ColCols(), g.InC*g.InH*g.InW
 		ld := PadCols(n * r)
-		src := make([]float32, n*imgLen)
-		for i := range src {
-			src[i] = float32(rng.NormFloat64())
-		}
+		src := &Tensor{Shape: []int{n * imgLen}, Data: make([]float32, n*imgLen)}
+		fillKernelOperand(src, rng)
+		saltNonFinite(src, rng)
 		got := make([]float32, g.ColRows()*ld)
 		want := make([]float32, len(got))
 		for i := range got {
 			got[i] = float32(rng.NormFloat64()) // dirty: Im2Col must overwrite its columns
 			want[i] = got[i]
 		}
-		g.Im2Col(got, src, n, ld)
+		g.Im2Col(got, src.Data, planeScratch(g, n), n, ld)
 		for i := 0; i < n; i++ {
-			naiveIm2Col(g, want[i*r:], src[i*imgLen:(i+1)*imgLen], ld)
+			naiveIm2Col(g, want[i*r:], src.Data[i*imgLen:(i+1)*imgLen], ld)
 		}
 		bitEqual(t, "Im2Col", shape, got, want)
 
-		cols := make([]float32, len(got))
-		for i := range cols {
-			cols[i] = float32(rng.NormFloat64())
-		}
-		gotImg := make([]float32, len(src))
-		wantImg := make([]float32, len(src))
-		g.Col2Im(gotImg, cols, n, ld)
+		cols := &Tensor{Shape: []int{len(got)}, Data: make([]float32, len(got))}
+		fillKernelOperand(cols, rng)
+		saltNonFinite(cols, rng)
+		gotImg := make([]float32, len(src.Data))
+		wantImg := make([]float32, len(src.Data))
+		g.Col2Im(gotImg, cols.Data, planeScratch(g, n), n, ld)
 		for i := 0; i < n; i++ {
-			naiveCol2Im(g, wantImg[i*imgLen:(i+1)*imgLen], cols[i*r:], ld)
+			naiveCol2Im(g, wantImg[i*imgLen:(i+1)*imgLen], cols.Data[i*r:], ld)
 		}
 		bitEqual(t, "Col2Im", shape, gotImg, wantImg)
+
+		// Onto images that already hold values, each pixel gains its sum.
+		for i := range gotImg {
+			base := float32(rng.NormFloat64())
+			gotImg[i], wantImg[i] = base, base+wantImg[i]
+		}
+		g.Col2Im(gotImg, cols.Data, planeScratch(g, n), n, ld)
+		bitEqual(t, "Col2Im onto values", shape, gotImg, wantImg)
 	}
 }
 

@@ -218,10 +218,10 @@ func (t *Tensor) Sum() float64 {
 func (t *Tensor) AbsMax() float32 {
 	var m float32
 	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
+		// |v| by clearing the sign bit: a compare on the sign would be
+		// mispredicted on gradients. A NaN stays NaN, and a > m never
+		// picks it.
+		a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 		if a > m {
 			m = a
 		}

@@ -82,6 +82,52 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	}
 }
 
+// TestAbsMaxMatchesSignBranch pins the sign-bit AbsMax to the loop it
+// replaced (negate when v < 0, keep when a > m) bit for bit, on ±0, ±Inf,
+// subnormals and NaN, alone and mixed, NaN first and last.
+func TestAbsMaxMatchesSignBranch(t *testing.T) {
+	old := func(data []float32) float32 {
+		var m float32
+		for _, v := range data {
+			a := v
+			if a < 0 {
+				a = -a
+			}
+			if a > m {
+				m = a
+			}
+		}
+		return m
+	}
+	negZero, inf, nan := float32(math.Copysign(0, -1)), float32(math.Inf(1)), hardwareNaN()
+	sub := math.Float32frombits(1) // the smallest subnormal
+	cases := [][]float32{
+		nil,
+		{negZero},
+		{negZero, 0, negZero},
+		{-sub, sub / 2, -3 * sub},
+		{-inf},
+		{nan},
+		{nan, -3, 2},
+		{-3, 2, nan},
+		{-inf, nan, 5},
+		{1e-40, -1e-39, negZero},
+	}
+	rng := NewRNG(43)
+	for c := 0; c < 20; c++ {
+		mix := New(64)
+		fillKernelOperand(mix, rng)
+		saltNonFinite(mix, rng)
+		cases = append(cases, mix.Data)
+	}
+	for i, data := range cases {
+		got, want := FromSlice(data, len(data)).AbsMax(), old(data)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("case %d %v: AbsMax = %x, want %x", i, data, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
 func TestSumDotNorms(t *testing.T) {
 	x := FromSlice([]float32{3, -4}, 2)
 	if !almostEq(x.Sum(), -1, 1e-9) {
@@ -255,7 +301,7 @@ func TestIm2ColConvMatchesDirect(t *testing.T) {
 	rng.FillNormal(w, 1)
 
 	cols := New(g.ColRows(), g.ColCols())
-	g.Im2Col(cols.Data, img.Data, 1, g.ColCols())
+	g.Im2Col(cols.Data, img.Data, planeScratch(g, 1), 1, g.ColCols())
 	wm := w.Reshape(g.OutC, g.ColRows())
 	out := New(g.OutC, g.ColCols())
 	MatMulDenseInto(out, wm, cols)
@@ -297,11 +343,11 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		x := New(g.InC, h, w)
 		rng.FillNormal(x, 1)
 		ax := New(g.ColRows(), g.ColCols())
-		g.Im2Col(ax.Data, x.Data, 1, g.ColCols())
+		g.Im2Col(ax.Data, x.Data, planeScratch(g, 1), 1, g.ColCols())
 		y := New(g.ColRows(), g.ColCols())
 		rng.FillNormal(y, 1)
 		aty := New(g.InC, h, w)
-		g.Col2Im(aty.Data, y.Data, 1, g.ColCols())
+		g.Col2Im(aty.Data, y.Data, planeScratch(g, 1), 1, g.ColCols())
 		return almostEq(Dot(ax, y), Dot(x, aty), 1e-2*(1+math.Abs(Dot(ax, y))))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // tileRows and tileCols are the output tile of the tile4x8 micro-kernels.
 const (
 	tileRows = 4
@@ -23,32 +25,60 @@ func PadCols(n int) int { return (n + tileCols - 1) &^ (tileCols - 1) }
 // adds the products in ascending p, product first (prod + acc) — the
 // operation sequence axpy applies to a pre-zeroed output, so either path
 // gives the same bits. With skipZeroB, a product whose b factor is ±0 is
-// not added: the chain never holds −0, so this equals adding the +0 the
-// assembly's compare-and-mask leaves. The float32 conversion of each
-// product forbids the compiler from fusing the multiply and the add (Go
-// may emit FMA on arm64 otherwise, which rounds once instead of twice).
-// It is what pre-AVX2 CPUs and other architectures run, and the kernel
-// tests compare the assembly against it.
+// not added. The chain never holds −0, so adding a ±0 product leaves it
+// unchanged: skipping only matters when the a factor is ±Inf or NaN
+// (0·Inf is NaN), and only then does this twin mask the products — to the
+// +0 the assembly's compare-and-mask leaves. The float32 conversion of
+// each product forbids the compiler from fusing the multiply and the add
+// (Go may emit FMA on arm64 otherwise, which rounds once instead of
+// twice). It is what pre-AVX2 CPUs and other architectures run, and the
+// kernel tests compare the assembly against it. It goes one output row at
+// a time, so that the row's eight chains stay in registers across the
+// whole k loop.
 //
 //lint:hotpath
 func tile4x8Go(dst []float32, ldd int, a []float32, lda, ak int, b []float32, ldb, k, rows int, skipZeroB bool) {
-	var acc [tileRows][tileCols]float32
-	for p := 0; p < k; p++ {
-		brow := b[p*ldb : p*ldb+tileCols : p*ldb+tileCols]
-		for r := 0; r < rows; r++ {
-			v := a[r*lda+p*ak]
-			row := &acc[r]
-			for c, bv := range brow {
-				if skipZeroB && !nonzero(bv) {
-					continue
-				}
-				row[c] = float32(bv*v) + row[c]
-			}
-		}
-	}
 	for r := 0; r < rows; r++ {
-		copy(dst[r*ldd:r*ldd+tileCols], acc[r][:])
+		var c0, c1, c2, c3, c4, c5, c6, c7 float32
+		for p, ai, bi := 0, r*lda, 0; p < k; p, ai, bi = p+1, ai+ak, bi+ldb {
+			v := a[ai]
+			bp := b[bi : bi+tileCols : bi+tileCols]
+			if skipZeroB && math.Float32bits(v)&expMask == expMask {
+				c0 = skippedProduct(bp[0], v) + c0
+				c1 = skippedProduct(bp[1], v) + c1
+				c2 = skippedProduct(bp[2], v) + c2
+				c3 = skippedProduct(bp[3], v) + c3
+				c4 = skippedProduct(bp[4], v) + c4
+				c5 = skippedProduct(bp[5], v) + c5
+				c6 = skippedProduct(bp[6], v) + c6
+				c7 = skippedProduct(bp[7], v) + c7
+				continue
+			}
+			c0 = float32(bp[0]*v) + c0
+			c1 = float32(bp[1]*v) + c1
+			c2 = float32(bp[2]*v) + c2
+			c3 = float32(bp[3]*v) + c3
+			c4 = float32(bp[4]*v) + c4
+			c5 = float32(bp[5]*v) + c5
+			c6 = float32(bp[6]*v) + c6
+			c7 = float32(bp[7]*v) + c7
+		}
+		d := dst[r*ldd : r*ldd+tileCols : r*ldd+tileCols]
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = c0, c1, c2, c3, c4, c5, c6, c7
 	}
+}
+
+// expMask selects a float32's exponent bits; all set means ±Inf or NaN.
+const expMask = 0x7f800000
+
+// skippedProduct returns bv·v rounded to float32, or +0 when bv is ±0.
+//
+//lint:hotpath
+func skippedProduct(bv, v float32) float32 {
+	if !nonzero(bv) {
+		return 0
+	}
+	return float32(bv * v)
 }
 
 // axpyGo computes dst[j] += v·src[j] over len(src) elements; len(dst)
