@@ -192,17 +192,17 @@ func TestAllowSpanMultiline(t *testing.T) {
 // the nn.Layer interface contract enforced on out-of-package types.
 func TestCrossPackageFactPropagation(t *testing.T) {
 	findings := checkFixture(t, "hotpathuse")
-	hitMatMul := false
+	hitNew := false
 	for _, f := range findings {
-		if f.Rule == "hotpath-alloc" && strings.Contains(f.Msg, "tensor.MatMul ") {
-			hitMatMul = true
+		if f.Rule == "hotpath-alloc" && strings.Contains(f.Msg, "tensor.New ") {
+			hitNew = true
 		}
-		if strings.Contains(f.Msg, "tensor.MatMulInto") {
+		if strings.Contains(f.Msg, "tensor.MatMulDenseInto") {
 			t.Errorf("annotated cross-package callee flagged: %s", f.Msg)
 		}
 	}
-	if !hitMatMul {
-		t.Error("unannotated cross-package callee tensor.MatMul not flagged")
+	if !hitNew {
+		t.Error("unannotated cross-package callee tensor.New not flagged")
 	}
 }
 

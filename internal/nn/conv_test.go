@@ -33,7 +33,7 @@ func (c *refConv) forward(x, w, b *tensor.Tensor) *tensor.Tensor {
 		refIm2Col(g, c.cols.Data[i*rows*taps:(i+1)*rows*taps], x.Data[i*imgLen:(i+1)*imgLen])
 	}
 	out := tensor.New(c.n*rows, g.OutC)
-	tensor.MatMulTransBInto(out, c.cols, w.Reshape(g.OutC, taps))
+	refMatMulTransB(out, c.cols, w.Reshape(g.OutC, taps))
 	for r := 0; r < c.n*rows; r++ {
 		row := out.Data[r*g.OutC : (r+1)*g.OutC]
 		for j := range row {
@@ -66,7 +66,7 @@ func (c *refConv) backward(dy, w, gradW, gradB *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	tensor.MatMulTransAInto(gradW.Reshape(g.OutC, taps), dyf, c.cols)
+	refMatMulTransA(gradW.Reshape(g.OutC, taps), dyf, c.cols)
 	for r := 0; r < c.n*rows; r++ {
 		row := dyf.Data[r*g.OutC : (r+1)*g.OutC]
 		for j, v := range row {
@@ -74,7 +74,7 @@ func (c *refConv) backward(dy, w, gradW, gradB *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	dcols := tensor.New(c.n*rows, taps)
-	tensor.MatMulInto(dcols, dyf, w.Reshape(g.OutC, taps))
+	refMatMul(dcols, dyf, w.Reshape(g.OutC, taps))
 	dx := tensor.New(c.n, g.InC, g.InH, g.InW)
 	imgLen := g.InC * g.InH * g.InW
 	for i := 0; i < c.n; i++ {

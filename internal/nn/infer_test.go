@@ -48,18 +48,10 @@ func TestNetworkInferMatchesForwardEval(t *testing.T) {
 	}
 }
 
-// raceEnabled is set in -race builds (race_test.go). There sync.Pool
-// drops pooled items at random — MatMulTransBInto's transpose scratch
-// comes from a pool — so allocation counts are not the program's own.
-var raceEnabled bool
-
 // TestNetworkInferNoAllocSteadyState pins the serving hot path at zero
 // allocations per pass once workspaces are warm — the `//lint:hotpath`
 // contract remapd-serve's request loop relies on.
 func TestNetworkInferNoAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	net, x := inferStack()
 	net.Infer(x)
 	net.Infer(x) // warm the workspaces

@@ -62,10 +62,11 @@ func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		badShape(l.name, "want N×%d input, got %v", l.In, x.Shape)
 	}
 	l.x = x
-	wf := l.fabric.EffectiveForward(l.name, l.W)
+	wt := l.ws.Take("wt", l.In, l.Out)
+	tensor.TransposeInto(wt, l.fabric.EffectiveForward(l.name, l.W))
 	n := x.Dim(0)
 	y := l.ws.Take("y", n, l.Out)
-	tensor.MatMulTransBInto(y, x, wf)
+	tensor.MatMulDenseInto(y, x, wt)
 	for i := 0; i < n; i++ {
 		row := y.Data[i*l.Out : (i+1)*l.Out]
 		for j := range row {
@@ -75,7 +76,8 @@ func (l *Linear) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return y
 }
 
-// Backward computes dx = dy·Wb, dW = dyᵀ·x, db = Σ dy.
+// Backward computes dx = dy·Wb, dW = dyᵀ·x, db = Σ dy. Both products run
+// transposed, on the GEMMs conv uses, with the zero-skip on dy.
 //
 //lint:hotpath
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
@@ -84,9 +86,13 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	n := dy.Dim(0)
 
-	// Weight gradient: dW(Out×In) = dyᵀ(Out×N)·x(N×In), computed on the
-	// backward-phase crossbars, so the fabric may corrupt stuck entries.
-	tensor.MatMulTransAInto(l.GradW, dy, l.x)
+	// Weight gradient: dWᵀ(In×Out) = xᵀ(In×N)·dy(N×Out), transposed into
+	// GradW. It is computed on the backward-phase crossbars, so the
+	// fabric may corrupt stuck entries. dWᵀ borrows the forward's Wfᵀ
+	// buffer, which is dead once y is written.
+	gwt := l.ws.Take("wt", l.In, l.Out)
+	tensor.MatMulTransASkipBInto(gwt, l.x, dy)
+	tensor.TransposeInto(l.GradW, gwt)
 	l.fabric.TransformGradient(l.name, l.GradW)
 	for i := 0; i < n; i++ {
 		row := dy.Data[i*l.Out : (i+1)*l.Out]
@@ -95,9 +101,13 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// Error propagation through the backward (transpose) weight copy.
-	wb := l.fabric.EffectiveBackward(l.name, l.W)
-	dx := l.ws.Take("dx", n, l.In) // MatMulInto zeroes it
-	tensor.MatMulInto(dx, dy, wb)
+	// Error propagation through the backward (transpose) weight copy:
+	// dxᵀ(In×N) = Wbᵀ(In×Out)·dyᵀ(Out×N).
+	dyt := l.ws.Take("dyt", l.Out, n)
+	tensor.TransposeInto(dyt, dy)
+	dxt := l.ws.Take("dxt", l.In, n)
+	tensor.MatMulTransASkipBInto(dxt, l.fabric.EffectiveBackward(l.name, l.W), dyt)
+	dx := l.ws.Take("dx", n, l.In)
+	tensor.TransposeInto(dx, dxt)
 	return dx
 }

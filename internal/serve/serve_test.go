@@ -277,20 +277,12 @@ func TestBatchDeadlineFlush(t *testing.T) {
 	}
 }
 
-// raceEnabled is set in -race builds (race_test.go). There sync.Pool
-// drops pooled items at random, so allocation counts are not the
-// program's own.
-var raceEnabled bool
-
 // TestBatchFlushAllocs pins the serving bookkeeping of a warm server: a
 // full batch through two replicas, with refresh-write wear, allocates
 // nothing. Before the allocation-free crossbar walks, every flush
 // allocated the MappedXbars slices of the wear and density gauges plus a
 // regrown queue (25 allocations at this shape).
 func TestBatchFlushAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	cfg := Config{BatchMax: 8, BatchWait: 16, WritesPerBatch: 4, InC: 3, InH: 16, InW: 16}
 	var reps []*Replica
 	for i := 0; i < 2; i++ {

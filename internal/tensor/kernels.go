@@ -1,26 +1,14 @@
 package tensor
 
-// The vector kernels have two bodies: AVX2 assembly on amd64 CPUs that
-// have it (axpy_amd64.s, tile_amd64.s) and the Go twins in tile.go, which
-// every other CPU runs. Both are the same IEEE operation sequence per
-// output element — a multiply, then product + accumulator, rounded
-// separately, never fused — so which body runs cannot change a bit.
+// The tile kernels have two bodies: AVX2 assembly on amd64 CPUs that
+// have it (tile_amd64.s) and the Go twin in tile.go, which every other
+// CPU runs. Both are the same IEEE operation sequence per output element
+// — a multiply, then product + accumulator, rounded separately, never
+// fused — so which body runs cannot change a bit.
 // useAVX2 is the one switch. It is set once, from the CPU's feature bits,
 // before any kernel runs; only the kernel tests flip it, to run both
 // bodies on one machine.
 var useAVX2 = cpuHasAVX2()
-
-// axpy computes dst[j] += v·src[j] over len(src) elements; len(dst) must
-// be at least len(src).
-//
-//lint:hotpath
-func axpy(dst, src []float32, v float32) {
-	if useAVX2 {
-		axpyAVX2(dst, src, v)
-		return
-	}
-	axpyGo(dst, src, v)
-}
 
 // tile4x8 writes the rows×8 output tile dst[r·ldd+c] = Σ_{p<k}
 // a[r·lda+p·ak]·b[p·ldb+c] for r < rows ≤ 4, c < 8, counting every

@@ -29,12 +29,6 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (cpu_amd64.s); call only when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// axpyAVX2 is axpy's AVX2 body (axpy_amd64.s).
-//
-//lint:hotpath vector kernel, asm body
-//go:noescape
-func axpyAVX2(dst, src []float32, v float32)
-
 // tile4x8AVX2 is tile4x8's AVX2 body (tile_amd64.s).
 //
 //lint:hotpath vector kernel, asm body

@@ -9,9 +9,6 @@ package tensor
 func cpuHasAVX2() bool { return false }
 
 //lint:hotpath
-func axpyAVX2(dst, src []float32, v float32) { axpyGo(dst, src, v) }
-
-//lint:hotpath
 func tile4x8AVX2(dst []float32, ldd int, a []float32, lda, ak int, b []float32, ldb, k, rows int) {
 	tile4x8Go(dst, ldd, a, lda, ak, b, ldb, k, rows, false)
 }

@@ -22,26 +22,15 @@ func serialRows(m, volume int) bool {
 }
 
 // parallelFor runs work over the row range [0, m), sharding it across
-// GOMAXPROCS-bounded goroutines when volume (the total flop count of the
-// call) justifies the scheduling cost, and inline otherwise. work must be
+// GOMAXPROCS-bounded goroutines. Callers reach it only when serialRows
+// says no, so there are at least two rows and two procs. work must be
 // safe to call concurrently on disjoint row ranges.
 //
 // Sharding never affects results: every kernel routed through this helper
 // computes each output row independently, so the worker count (and hence
 // GOMAXPROCS) cannot change any summation order.
-func parallelFor(m, volume int, work func(r0, r1 int)) {
-	if volume < parallelThreshold || m <= 1 {
-		work(0, m)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		work(0, m)
-		return
-	}
+func parallelFor(m int, work func(r0, r1 int)) {
+	workers := min(runtime.GOMAXPROCS(0), m)
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
 	for w := 0; w < workers; w++ {

@@ -4,8 +4,8 @@
 // is expressed in terms of these tensors.
 //
 // Tensors are row-major and of arbitrary rank. The package favours explicit,
-// allocation-conscious APIs (e.g. MatMulInto) because the training loop calls
-// these routines millions of times.
+// allocation-conscious APIs (e.g. MatMulDenseInto) because the training
+// loop calls these routines millions of times.
 package tensor
 
 import (
@@ -259,27 +259,26 @@ func (t *Tensor) ArgMaxRow(r int) int {
 	return bi
 }
 
-// Transpose2D returns a new tensor that is the transpose of a 2-D tensor.
-func (t *Tensor) Transpose2D() *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: Transpose2D requires rank 2")
+// TransposeInto writes the transpose of the r×c tensor src into dst,
+// which must be c×r. Values are copied exactly. It panics unless both are
+// rank-2 with swapped dimensions.
+//
+//lint:hotpath
+func TransposeInto(dst, src *Tensor) {
+	if src.Rank() != 2 || dst.Rank() != 2 || dst.Shape[0] != src.Shape[1] || dst.Shape[1] != src.Shape[0] {
+		panic("tensor: TransposeInto shape mismatch")
 	}
-	r, c := t.Shape[0], t.Shape[1]
-	out := New(c, r)
-	// Blocked transpose for cache friendliness.
-	const bs = 32
-	for i0 := 0; i0 < r; i0 += bs {
-		i1 := min(i0+bs, r)
-		for j0 := 0; j0 < c; j0 += bs {
-			j1 := min(j0+bs, c)
-			for i := i0; i < i1; i++ {
-				for j := j0; j < j1; j++ {
-					out.Data[j*r+i] = t.Data[i*c+j]
-				}
-			}
+	r, c := src.Shape[0], src.Shape[1]
+	s := src.Data[:r*c]
+	// One dst row at a time, gathered from a column of src: contiguous
+	// stores measured faster than cache-blocking on the layer-sized
+	// matrices transposed here.
+	for j := 0; j < c; j++ {
+		row := dst.Data[j*r : j*r+r]
+		for i := range row {
+			row[i] = s[i*c+j]
 		}
 	}
-	return out
 }
 
 // String renders a short description (shape plus a handful of values),

@@ -155,9 +155,10 @@ func TestArgMaxRow(t *testing.T) {
 	}
 }
 
-func TestTranspose2D(t *testing.T) {
+func TestTransposeInto(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Transpose2D()
+	y := New(3, 2)
+	TransposeInto(y, x)
 	if y.Dim(0) != 3 || y.Dim(1) != 2 {
 		t.Fatalf("transpose shape %v", y.Shape)
 	}
@@ -174,7 +175,9 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 		c := int(cs%23) + 1
 		x := New(r, c)
 		rng.FillNormal(x, 1)
-		y := x.Transpose2D().Transpose2D()
+		xt, y := New(c, r), New(r, c)
+		TransposeInto(xt, x)
+		TransposeInto(y, xt)
 		for i := range x.Data {
 			if x.Data[i] != y.Data[i] {
 				return false
@@ -202,7 +205,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Property: the blocked/parallel MatMul matches a naive triple loop.
+// Property: the tiled MatMulDenseInto matches a naive triple loop.
 func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	rng := NewRNG(11)
 	f := func(ms, ks, ns uint8) bool {
@@ -212,7 +215,8 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		rng.FillNormal(a, 1)
 		rng.FillNormal(b, 1)
-		got := MatMul(a, b)
+		got := New(m, n)
+		MatMulDenseInto(got, a, b)
 		want := naiveMatMul(a, b)
 		for i := range got.Data {
 			if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
@@ -231,41 +235,12 @@ func TestMatMulLargeParallelPath(t *testing.T) {
 	a, b := New(70, 70), New(70, 70)
 	rng.FillNormal(a, 1)
 	rng.FillNormal(b, 1)
-	got := MatMul(a, b)
+	got := New(70, 70)
+	MatMulDenseInto(got, a, b)
 	want := naiveMatMul(a, b)
 	for i := range got.Data {
 		if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-3) {
 			t.Fatalf("parallel matmul mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestMatMulTransB(t *testing.T) {
-	rng := NewRNG(5)
-	a, b := New(9, 6), New(7, 6) // out = a(9×6) · bᵀ(6×7) = 9×7
-	rng.FillNormal(a, 1)
-	rng.FillNormal(b, 1)
-	out := New(9, 7)
-	MatMulTransBInto(out, a, b)
-	want := naiveMatMul(a, b.Transpose2D())
-	for i := range out.Data {
-		if !almostEq(float64(out.Data[i]), float64(want.Data[i]), 1e-4) {
-			t.Fatalf("MatMulTransB mismatch at %d", i)
-		}
-	}
-}
-
-func TestMatMulTransA(t *testing.T) {
-	rng := NewRNG(6)
-	a, b := New(8, 5), New(8, 4) // out = aᵀ(5×8) · b(8×4) = 5×4
-	rng.FillNormal(a, 1)
-	rng.FillNormal(b, 1)
-	out := New(5, 4)
-	MatMulTransAInto(out, a, b)
-	want := naiveMatMul(a.Transpose2D(), b)
-	for i := range out.Data {
-		if !almostEq(float64(out.Data[i]), float64(want.Data[i]), 1e-4) {
-			t.Fatalf("MatMulTransA mismatch at %d", i)
 		}
 	}
 }
@@ -276,7 +251,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulDenseInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 func TestConvGeomDims(t *testing.T) {

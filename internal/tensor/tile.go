@@ -22,9 +22,8 @@ func PadCols(n int) int { return (n + tileCols - 1) &^ (tileCols - 1) }
 //	dst[r·ldd+c] = Σ_{p<k} a[r·lda+p·ak]·b[p·ldb+c]   (r < rows, c < 8)
 //
 // with one accumulation chain per output element that starts at +0 and
-// adds the products in ascending p, product first (prod + acc) — the
-// operation sequence axpy applies to a pre-zeroed output, so either path
-// gives the same bits. With skipZeroB, a product whose b factor is ±0 is
+// adds the products in ascending p, product first (prod + acc), the
+// product b·a and the sum each rounded on their own. With skipZeroB, a product whose b factor is ±0 is
 // not added. The chain never holds −0, so adding a ±0 product leaves it
 // unchanged: skipping only matters when the a factor is ±Inf or NaN
 // (0·Inf is NaN), and only then does this twin mask the products — to the
@@ -79,33 +78,4 @@ func skippedProduct(bv, v float32) float32 {
 		return 0
 	}
 	return float32(bv * v)
-}
-
-// axpyGo computes dst[j] += v·src[j] over len(src) elements; len(dst)
-// must be at least len(src). The 8-way unrolling exposes independent
-// per-element chains to the pipeline (each dst[j] is its own accumulation
-// chain, so the unroll cannot reorder any addition) and the full-width
-// reslices eliminate per-element bounds checks. The float32 conversion of
-// each product forbids fusing the multiply and the add, keeping every
-// result bit-identical to the assembly kernel.
-//
-//lint:hotpath
-func axpyGo(dst, src []float32, v float32) {
-	dst = dst[:len(src)]
-	n := len(src) &^ 7
-	for j := 0; j < n; j += 8 {
-		d := dst[j : j+8 : j+8]
-		s := src[j : j+8 : j+8]
-		d[0] += float32(v * s[0])
-		d[1] += float32(v * s[1])
-		d[2] += float32(v * s[2])
-		d[3] += float32(v * s[3])
-		d[4] += float32(v * s[4])
-		d[5] += float32(v * s[5])
-		d[6] += float32(v * s[6])
-		d[7] += float32(v * s[7])
-	}
-	for j := n; j < len(src); j++ {
-		dst[j] += float32(v * src[j])
-	}
 }

@@ -3,11 +3,12 @@
 //
 // Y0..Y3 are the accumulators, one YMM register (8 floats) per output
 // row. Each step p loads b[p][0:8] once into Y4, broadcasts a[r][p] for
-// each row and adds the products into that row's accumulator. The operand
-// order is axpy's: VMULPS computes b·a (b is the first source)
-// and VADDPS computes prod + acc, with no FMA, so every lane is the same
-// IEEE operation sequence as axpy on a pre-zeroed output: one chain per
-// element from +0, ascending p. The accumulators are stored once, after
+// each row and adds the products into that row's accumulator. VMULPS
+// computes b·a (b is the first source, which decides the bits of a
+// NaN·NaN product) and VADDPS computes prod + acc, each lane rounded on
+// its own and nothing fused, so every lane is one IEEE chain per element
+// from +0 in ascending p, the sequence tile4x8Go (tile.go) and the
+// reference loops compute. The accumulators are stored once, after
 // the k loop. a is addressed with a row stride (lda) and a step stride
 // (ak), so the same kernel reads a row-major or a transposed a. Rows past
 // `rows` read row 0 again and are not stored.
