@@ -1,13 +1,14 @@
 // Command remapd-metrics summarises a telemetry directory written by
 // remapd-train or remapd-report (-metrics-dir): per-policy remap activity,
 // the remap hop-distance histogram, the BIST density-drift curve, and —
-// when the directory also holds them — the costliest report phases from
-// harness.json and the slowest experiment cells, folded out of the
-// harness timeline in timeline.jsonl.
+// when the directory also holds the grid's harness timeline
+// (timeline.jsonl) — the timeline's summary: membership, cell counts,
+// per-worker counts, the costliest report phases and the slowest cells.
 //
 // Two operational modes look at a live or finished fleet run instead:
-// -fleet summarises a harness timeline file (-fleet-trace JSONL) and
-// -watch polls a coordinator's -status-addr for a live view.
+// -fleet prints the same timeline summary from a harness timeline file
+// (-fleet-trace JSONL), and -watch polls a coordinator's -status-addr
+// for a live view of its "timeline" and "fleet" sections.
 //
 // Examples:
 //
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"remapd/internal/obs"
 )
@@ -43,7 +45,7 @@ func main() {
 		return
 	}
 	if *watch != "" {
-		if err := watchMain(*watch, *every); err != nil {
+		if err := watchMain(*watch, *every, *top); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -83,18 +85,13 @@ func main() {
 		}
 	}
 
-	prof, err := obs.ReadProfile(*dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if prof != nil {
-		printPhases(prof, *top)
-	}
 	timeline, err := obs.ReadTimeline(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	printSlowest(obs.SlowestSpans(obs.FoldSpans(timeline), *top))
+	if len(timeline) > 0 {
+		printTimeline(os.Stdout, timeline, *top)
+	}
 }
 
 // printHops merges every policy's hop histogram and renders the combined
@@ -158,41 +155,5 @@ func printServe(cells []*obs.CellMetrics) {
 			g["serve.accuracy.total"], 100*g["serve.wear.mean_density"],
 			cnt["serve.bist.scans"], cnt["serve.maintain.rounds"],
 			cnt["serve.remap.swaps"], cnt["serve.wear.faults"])
-	}
-}
-
-// printPhases renders the harness profile's costliest phases in
-// recorded order.
-func printPhases(prof *obs.ProfileData, top int) {
-	if len(prof.Phases) == 0 {
-		return
-	}
-	fmt.Printf("\n==== harness phases (wall time, allocations) ====\n\n")
-	fmt.Printf("%-55s %9s %10s\n", "phase", "seconds", "alloc-mb")
-	n := len(prof.Phases)
-	if n > top {
-		n = top
-	}
-	for _, ph := range prof.Phases[:n] {
-		fmt.Printf("%-55s %9.2f %10.1f\n", ph.Name, ph.Seconds, float64(ph.AllocBytes)/(1<<20))
-	}
-}
-
-// printSlowest renders the cells that held a runner slot longest (see
-// obs.SlowestSpans), from their lifecycle spans: seconds is the slot
-// time (total less queue), run the worker-reported execution time summed
-// over attempts.
-func printSlowest(slowest []obs.CellSpanData) {
-	if len(slowest) == 0 {
-		return
-	}
-	fmt.Printf("\n==== slowest cells ====\n\n")
-	fmt.Printf("%-55s %9s %9s %9s %8s\n", "cell", "seconds", "queue", "run", "attempts")
-	for _, sp := range slowest {
-		var run float64
-		for _, a := range sp.Attempts {
-			run += a.RunSeconds
-		}
-		fmt.Printf("%-55s %9.2f %9.2f %9.2f %8d\n", sp.Cell, sp.SlotSeconds(), sp.QueueSeconds, run, len(sp.Attempts))
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -17,19 +18,18 @@ import (
 const defaultWatchEvery = 2 * time.Second
 
 // statusDoc is the typed shape of a coordinator's GET /status document.
-// Sections are optional: a run without -listen has no fleet table, one
-// without spans has no aggregates.
+// Sections are optional: a run without -dist or -listen has no fleet
+// table, a tool that builds no timeline no timeline summary.
 type statusDoc struct {
-	Grid  *obs.GridStatus    `json:"grid"`
-	Fleet *dist.FleetStats   `json:"fleet"`
-	Spans *obs.SpanAggregate `json:"spans"`
+	Timeline *obs.FleetSummary `json:"timeline"`
+	Fleet    *dist.FleetStats  `json:"fleet"`
 }
 
 // watchMain is the -watch mode: poll a coordinator's -status-addr and
 // redraw a single-screen live view until interrupted. Wall-clock use
 // here is pure operator UX (a poll ticker and an HTTP timeout); the
 // watcher only ever reads the run, never influences it.
-func watchMain(addr string, every time.Duration) error {
+func watchMain(addr string, every time.Duration, top int) error {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
@@ -54,7 +54,7 @@ func watchMain(addr string, every time.Duration) error {
 		if err != nil {
 			fmt.Printf("status unavailable: %v\n", err)
 		} else {
-			renderStatus(doc)
+			renderStatus(os.Stdout, doc, top)
 		}
 		select {
 		case <-stop:
@@ -82,44 +82,44 @@ func fetchStatus(client *http.Client, url string) (*statusDoc, error) {
 	return &doc, nil
 }
 
-// renderStatus draws one frame of the live view.
-func renderStatus(doc *statusDoc) {
-	if doc.Grid != nil {
-		g := doc.Grid
+// renderStatus draws one frame of the live view: the timeline summary's
+// counts, each live fleet row joined to its worker's counts by name, and
+// the top costliest phases and slowest cells.
+func renderStatus(w io.Writer, doc *statusDoc, top int) {
+	var sum obs.FleetSummary
+	if doc.Timeline != nil {
+		sum = *doc.Timeline
 		pct := 0.0
-		if g.Total > 0 {
-			pct = 100 * float64(g.Done) / float64(g.Total)
+		if sum.Cells > 0 {
+			pct = 100 * float64(sum.CellsDone) / float64(sum.Cells)
 		}
-		fmt.Printf("grid: %d/%d cells (%.0f%%), %d failed, elapsed %s\n",
-			g.Done, g.Total, pct, g.Failed, time.Duration(g.ElapsedSeconds*float64(time.Second)).Round(time.Second))
+		fmt.Fprintf(w, "timeline: %d/%d cells (%.0f%%), %d failed, %d requeued, elapsed %s; queue %.1fs, wire %.1fs, run %.1fs\n",
+			sum.CellsDone, sum.Cells, pct, sum.CellsFailed, sum.Requeues,
+			time.Duration(sum.ElapsedSeconds*float64(time.Second)).Round(time.Second),
+			sum.QueueSeconds, sum.WireSeconds, sum.RunSeconds)
 	}
-	if doc.Fleet != nil {
-		f := doc.Fleet
-		fmt.Printf("fleet: %d worker(s), %d/%d slots busy; totals: %d done, %d requeued, %d failed, %d stall(s)\n",
-			len(f.Workers), f.Inflight, f.Slots, f.Done, f.Requeued, f.Failed, f.Stalls)
+	if f := doc.Fleet; f != nil {
+		fmt.Fprintf(w, "fleet: %d worker(s), %d/%d slots busy; joins %d, drops %d, stall(s) %d\n",
+			len(f.Workers), f.Inflight, f.Slots, sum.Joins, sum.Drops, sum.Stalls)
+		counts := map[string]obs.FleetWorkerSummary{}
+		for _, ws := range sum.Workers {
+			counts[ws.Worker] = ws
+		}
 		if len(f.Workers) > 0 {
-			fmt.Printf("\n%-20s %6s %5s %6s %9s %9s %10s %9s %9s\n",
-				"worker", "proto", "busy", "done", "requeued", "rtt-ms", "in-mb", "out-mb", "seen-ago")
-			for _, w := range f.Workers {
-				name := w.Worker
-				if w.Draining {
+			fmt.Fprintf(w, "\n%-20s %6s %5s %6s %6s %9s %9s %9s %9s %9s\n",
+				"worker", "proto", "busy", "done", "failed", "requeued", "rtt-ms", "in-mb", "out-mb", "seen-ago")
+			for _, ws := range f.Workers {
+				name := ws.Worker
+				if ws.Draining {
 					name += " (draining)"
 				}
-				fmt.Printf("%-20s %6d %2d/%-2d %6d %9d %10.1f %9.2f %9.2f %8.1fs\n",
-					name, w.Proto, w.Inflight, w.Slots, w.Done, w.Requeued,
-					w.RTTMillis, float64(w.BytesIn)/(1<<20), float64(w.BytesOut)/(1<<20), w.LastSeenSeconds)
+				c := counts[ws.Worker]
+				fmt.Fprintf(w, "%-20s %6d %2d/%-2d %6d %6d %9d %9.2f %9.2f %9.2f %8.1fs\n",
+					name, ws.Proto, ws.Inflight, ws.Slots, c.Done, c.Failed, c.Requeues,
+					ws.RTTMillis, float64(ws.BytesIn)/(1<<20), float64(ws.BytesOut)/(1<<20), ws.LastSeenSeconds)
 			}
 		}
 	}
-	if doc.Spans != nil && doc.Spans.Cells > 0 {
-		s := doc.Spans
-		fmt.Printf("\nspans: %d cells, %d attempts (%d requeued); queue %.1fs, wire %.1fs, run %.1fs\n",
-			s.Cells, s.Attempts, s.Requeues, s.QueueSeconds, s.WireSeconds, s.RunSeconds)
-		if len(s.Slowest) > 0 {
-			fmt.Printf("\nslowest cells:\n")
-			for _, sp := range s.Slowest {
-				fmt.Printf("  %-45s %6.1fs (%d attempt(s))\n", sp.Cell, sp.SlotSeconds(), len(sp.Attempts))
-			}
-		}
-	}
+	printPhases(w, sum.Phases, top)
+	printSlowest(w, sum.Slowest)
 }

@@ -112,7 +112,7 @@ func main() {
 	default:
 		log.Fatalf("unknown scale %q", *scale)
 	}
-	prof, cleanup, err := opts.Apply(&s, log.Printf)
+	trace, cleanup, err := opts.Apply(&s, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,18 +120,14 @@ func main() {
 	reg := experiments.DefaultRegime()
 	//lint:allow no-wall-clock operator-facing report timing; results are computed from seeds only
 	start := time.Now()
-	// section prints a header and, when profiling, closes the previous
-	// section's harness phase and opens the new one — every section body
-	// between two headers is one profiled phase.
-	var stopPhase func()
+	// section prints a header, closes the previous section's harness
+	// phase and opens the new one on the timeline — every section body
+	// between two headers is one phase (nothing is recorded without a
+	// timeline).
+	stopPhase := func() {}
 	section := func(title string) {
-		if stopPhase != nil {
-			stopPhase()
-			stopPhase = nil
-		}
-		if prof != nil {
-			stopPhase = prof.StartPhase(title)
-		}
+		stopPhase()
+		stopPhase = trace.StartPhase(title)
 		fmt.Printf("\n==== %s ====\n\n", title)
 	}
 
@@ -239,14 +235,9 @@ func main() {
 		fmt.Print(experiments.FormatBISTvsTruth(rb))
 	}
 
-	if stopPhase != nil {
-		stopPhase()
-	}
-	if prof != nil {
-		if err := prof.WriteJSON(opts.MetricsDir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntelemetry and harness profile written to %s\n", opts.MetricsDir)
+	stopPhase()
+	if opts.MetricsDir != "" {
+		fmt.Printf("\ntelemetry and harness timeline written to %s\n", opts.MetricsDir)
 	}
 	//lint:allow no-wall-clock operator-facing report timing; results are computed from seeds only
 	fmt.Printf("\nreport complete in %s (scale=%s)\n", time.Since(start).Round(time.Second), s.Name)

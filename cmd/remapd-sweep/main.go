@@ -64,7 +64,7 @@ func main() {
 	for i := 0; i < *seeds; i++ {
 		s.Seeds = append(s.Seeds, uint64(i+1))
 	}
-	prof, cleanup, err := opts.Apply(&s, log.Printf)
+	_, cleanup, err := opts.Apply(&s, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,10 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(experiments.FormatFig7(rows))
-	if prof != nil {
-		if err := prof.WriteJSON(opts.MetricsDir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntelemetry and harness profile written to %s\n", opts.MetricsDir)
+	if opts.MetricsDir != "" {
+		fmt.Printf("\ntelemetry and harness timeline written to %s\n", opts.MetricsDir)
 	}
 }

@@ -4,12 +4,13 @@
 // (workers, checkpoint-dir, metrics-dir, status-addr, …) with drifting
 // help strings; the dist worker mode would have been a fourth copy. The
 // Options struct binds each flag group once and knows how to apply
-// itself to an experiments.Scale, start the status server (the one
-// harness HTTP surface: /status, pprof, expvar), build a dist fleet, and
-// serve the worker loop. The grid tools (remapd-report,
-// remapd-sweep) bind the grid, dist and worker groups, so either one
-// coordinates a fleet or joins one; remapd-train binds the run and worker
-// groups, remapd-serve the run and serve groups.
+// itself to an experiments.Scale — building the run's harness timeline
+// and publishing its summary as the /status "timeline" section — start
+// the status server (the one harness HTTP surface: /status, pprof,
+// expvar), build a dist fleet, and serve the worker loop. The grid tools
+// (remapd-report, remapd-sweep) bind the grid, dist and worker groups,
+// so either one coordinates a fleet or joins one; remapd-train binds the
+// run and worker groups, remapd-serve the run and serve groups.
 package cli
 
 import (
@@ -88,8 +89,8 @@ type Options struct {
 	TrafficSeed uint64
 
 	// status is the registry StartStatus serves on -status-addr; Apply
-	// hands it to the runner and the fleet, which register their
-	// sections as they come up. Nil without -status-addr.
+	// registers the timeline and fleet sections into it. Nil without
+	// -status-addr.
 	status *obs.Status
 }
 
@@ -99,7 +100,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "j", 0, "parallelism cap: experiment cells for grid tools, GOMAXPROCS for single runs and workers (0 = all cores)")
 	fs.StringVar(&o.CheckpointDir, "checkpoint-dir", "", "persist per-epoch checkpoints here; an interrupted run resumes bit-identically")
 	fs.StringVar(&o.MetricsDir, "metrics-dir", "", "record simulation telemetry (metrics.json + events.jsonl) into this directory")
-	fs.StringVar(&o.StatusAddr, "status-addr", "", "serve live run status as JSON on this address (GET /status: grid progress, per-worker fleet table, span aggregates, serving stats), plus pprof under /debug/pprof/ and expvar at /debug/vars")
+	fs.StringVar(&o.StatusAddr, "status-addr", "", "serve live run status as JSON on this address (GET /status: the harness timeline summary, live fleet connections, serving stats), plus pprof under /debug/pprof/ and expvar at /debug/vars")
 }
 
 // BindRun registers the single-run group: -seed, -quiet.
@@ -227,14 +228,15 @@ func (o *Options) StartStatus(logf experiments.Logf) (*obs.Status, error) {
 }
 
 // Apply wires the options into a grid Scale: worker bound, progress
-// sink, checkpoint store, metrics sink + harness profile, telemetry
-// (the harness timeline, the /status sections StartStatus serves), and
-// (with -dist/-listen) the remote executor. Tools call StartStatus
-// first, so the runner and the fleet find its registry. It returns the profile (nil without -metrics-dir) and a
-// cleanup that must run before exit — it shuts worker processes down
-// gracefully and flushes the telemetry files. logf receives store
-// warnings and progress lines.
-func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profile, func(), error) {
+// sink, checkpoint store, metrics sink, the harness timeline with its
+// /status sections, and (with -dist/-listen) the remote executor. Tools
+// call StartStatus first, so Apply finds its registry. It returns the
+// timeline (nil unless -fleet-trace, -status-addr or -metrics-dir asks
+// for one), on which the tools open their report phases, and a cleanup
+// that must run before exit — it shuts worker processes down gracefully
+// and flushes the telemetry files. logf receives store warnings and
+// progress lines.
+func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.FleetTrace, func(), error) {
 	var cleanups []func()
 	cleanup := func() {
 		// Reverse order: the executor shuts down before the trace that
@@ -254,19 +256,17 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 		}
 		s.Checkpoints = store
 	}
-	var prof *obs.Profile
 	if o.MetricsDir != "" {
 		sink, err := obs.NewSink(o.MetricsDir)
 		if err != nil {
 			return nil, cleanup, err
 		}
 		s.Metrics = sink
-		prof = obs.NewProfile()
 	}
-	// One harness timeline records every cell's lifecycle and the
-	// fleet's membership whenever anyone can see it: -fleet-trace appends
-	// it to a file as it happens, the /status endpoint folds live span
-	// aggregates out of it, and the metrics dir keeps it as
+	// One harness timeline records every cell's lifecycle, the fleet's
+	// membership and the report phases whenever anyone can see it:
+	// -fleet-trace appends it to a file as it happens, the /status
+	// endpoint serves its summary, and the metrics dir keeps it as
 	// timeline.jsonl. Observation-only either way.
 	var trace *obs.FleetTrace
 	switch {
@@ -284,6 +284,9 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 	case o.status != nil || o.MetricsDir != "":
 		trace = obs.NewSpanRecorder()
 	}
+	if trace != nil {
+		o.status.Register("timeline", func() interface{} { return obs.SummarizeFleet(trace.Events()) })
+	}
 	if o.MetricsDir != "" {
 		dir := o.MetricsDir
 		cleanups = append(cleanups, func() {
@@ -293,7 +296,6 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 		})
 	}
 	s.Spans = trace
-	s.Status = o.status
 	var (
 		fleet *dist.Fleet
 		err   error
@@ -322,7 +324,7 @@ func (o *Options) Apply(s *experiments.Scale, logf experiments.Logf) (*obs.Profi
 		o.status.Register("fleet", fleet.StatusSection)
 		cleanups = append(cleanups, fleet.Close)
 	}
-	return prof, cleanup, nil
+	return trace, cleanup, nil
 }
 
 // NewFleet opens the -listen socket and wraps it in the elastic fleet

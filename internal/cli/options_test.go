@@ -3,8 +3,12 @@ package cli
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"remapd/internal/experiments"
+	"remapd/internal/obs"
 )
 
 // TestValidate pins which flag combinations Validate accepts, and names
@@ -78,5 +82,52 @@ func TestFlagSurface(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("parse %s = %v, want an unknown-flag error", retired, err)
 		}
+	}
+}
+
+// TestApplyRegistersTimeline: Apply builds a harness timeline exactly
+// when something can see it, returns it (the trace the tools open their
+// report phases on, and the one the runner records into), and registers
+// its summary as the /status "timeline" section exactly when it builds
+// one; a run without a fleet serves no "fleet" section.
+func TestApplyRegistersTimeline(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name      string
+		opts      Options
+		status    bool
+		wantTrace bool
+	}{
+		{"nothing observes", Options{}, false, false},
+		{"status only", Options{}, true, true},
+		{"metrics dir only", Options{MetricsDir: filepath.Join(dir, "m")}, false, true},
+		{"fleet trace and status", Options{FleetTrace: filepath.Join(dir, "trace.jsonl")}, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.opts
+			if tc.status {
+				o.status = obs.NewStatus()
+			}
+			var s experiments.Scale
+			trace, cleanup, err := o.Apply(&s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			if (trace != nil) != tc.wantTrace || s.Spans != trace {
+				t.Fatalf("Apply returned trace %v with Scale.Spans %v; want a trace: %v, and the same one on the scale", trace, s.Spans, tc.wantTrace)
+			}
+			if !tc.status {
+				return
+			}
+			trace.Emit(obs.FleetEvent{Kind: obs.FleetSubmit, Cell: "a"})
+			snap := o.status.Snapshot()
+			if len(snap) != 1 {
+				t.Errorf("status sections = %v, want only timeline", snap)
+			}
+			if sum, ok := snap["timeline"].(obs.FleetSummary); !ok || sum.Cells != 1 || sum.Events != 1 {
+				t.Errorf("timeline section = %+v, want the summary of the returned trace", snap["timeline"])
+			}
+		})
 	}
 }

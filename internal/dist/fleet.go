@@ -88,13 +88,6 @@ type Fleet struct {
 
 	nextID     atomic.Int64 // request IDs, shared across all connections
 	nextWorker atomic.Int64 // join counter, names workers deterministically
-
-	// Run totals, surviving worker churn (per-worker counters die with
-	// their connection).
-	done     atomic.Int64
-	failed   atomic.Int64
-	requeued atomic.Int64
-	stalls   atomic.Int64
 }
 
 // fleetWorker is one connected worker: its connection, advertised
@@ -105,12 +98,10 @@ type fleetWorker struct {
 	conn  net.Conn
 	slots int
 
-	// Harness-domain accounting (see stats.go). counts meters the raw
-	// connection; the rest are stamped by the read loop and Execute.
+	// Harness-domain connection state (see stats.go). counts meters the
+	// raw connection; the rest are stamped by the read loop and the
+	// heartbeat monitor.
 	counts        *countingConn
-	done          atomic.Int64
-	failed        atomic.Int64
-	requeued      atomic.Int64
 	lastSeenNano  atomic.Int64
 	rttNano       atomic.Int64
 	probeID       atomic.Int64
@@ -429,7 +420,6 @@ func (f *Fleet) acquire(ctx context.Context) (*fleetWorker, error) {
 			logged = true
 			if n == 0 {
 				f.logf("dist: fleet: no workers connected; grid is stalled until one joins")
-				f.stalls.Add(1)
 				f.opts.Trace.Emit(obs.FleetEvent{Kind: obs.FleetStall, Workers: n})
 			}
 			stall := time.NewTicker(fleetStallEvery)
@@ -484,8 +474,6 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 		result, err := f.runOn(ctx, w, spec, cell, logf)
 		f.release(w)
 		if err == nil {
-			w.done.Add(1)
-			f.done.Add(1)
 			res.Result = result
 			return res, nil
 		}
@@ -496,13 +484,9 @@ func (f *Fleet) Execute(ctx context.Context, slot int, cell experiments.Cell, lo
 		if errors.As(err, &fatal) {
 			// Deterministic cell failure: every worker would fail the
 			// same way. Wrap with the key like the in-process runner.
-			w.failed.Add(1)
-			f.failed.Add(1)
 			return res, fmt.Errorf("cell %s: %s", key, fatal.msg)
 		}
 		lastErr = err
-		w.requeued.Add(1)
-		f.requeued.Add(1)
 		f.logf("dist: fleet: cell %s attempt %d/%d failed: %v; requeueing on a surviving worker", key, attempt, DefaultRetries, err)
 		cell.Trace.Emit(obs.FleetEvent{Kind: obs.FleetRequeue, Worker: w.name, Cell: key.String(), Attempt: attempt, Cause: fmt.Sprint(err)})
 		if attempt < DefaultRetries {

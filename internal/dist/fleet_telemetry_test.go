@@ -163,8 +163,9 @@ func TestFleetTelemetryChaosSever(t *testing.T) {
 	}
 }
 
-// TestFleetStatusSection: the fleet's /status section must reflect
-// membership and completed work while the fleet is live.
+// TestFleetStatusSection: the fleet's /status section must reflect the
+// live connections — membership, slots and byte meters — while the
+// fleet is live. Completed work is the timeline's to count.
 func TestFleetStatusSection(t *testing.T) {
 	var capture logCapture
 	fleet := newTestFleet(t, dist.FleetOptions{Logf: capture.logf})
@@ -180,11 +181,11 @@ func TestFleetStatusSection(t *testing.T) {
 	if !ok {
 		t.Fatalf("StatusSection returned %T, want dist.FleetStats", fleet.StatusSection())
 	}
-	if len(stats.Workers) != 1 || stats.Done != 1 {
-		t.Fatalf("fleet stats = %+v, want 1 worker with 1 cell done", stats)
+	if len(stats.Workers) != 1 || stats.Slots != 1 || stats.Inflight != 0 {
+		t.Fatalf("fleet stats = %+v, want 1 idle worker with 1 slot", stats)
 	}
 	ws := stats.Workers[0]
-	if ws.Worker == "" || ws.Proto != dist.ProtoVersion || ws.Done != 1 {
+	if ws.Worker == "" || ws.Proto != dist.ProtoVersion || ws.Slots != 1 || ws.LastSeenSeconds < 0 {
 		t.Errorf("worker row incomplete: %+v", ws)
 	}
 	if ws.BytesIn == 0 || ws.BytesOut == 0 {

@@ -50,7 +50,7 @@ import "encoding/json"
 // coordinator admits exactly this one. Bump it (and run `make
 // wire-golden`) on any change to the field sets below, or to what a
 // run request's spec encodes.
-const ProtoVersion = 7
+const ProtoVersion = 8
 
 // Request is one coordinator→worker line.
 type Request struct {

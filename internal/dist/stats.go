@@ -8,10 +8,12 @@ import (
 	"remapd/internal/det"
 )
 
-// This file is the fleet's per-worker accounting: live counters each
-// connection carries (bytes, cells, heartbeat round-trip, last-seen) and
-// the Stats snapshot the /status endpoint serves. All of it is
-// harness-domain measurement — the scheduler never reads any of these
+// This file is the fleet's live connection state: what each connected
+// worker's link carries (bytes, heartbeat round-trip, last-seen) and the
+// Stats snapshot the /status "fleet" section serves. What the workers
+// did — cells done, failed and requeued, stalls — is the harness
+// timeline's to count (obs.SummarizeFleet), not the fleet's. All of it
+// is harness-domain measurement — the scheduler never reads these
 // numbers, so keeping them cannot change which worker runs which cell.
 
 // countingConn wraps a worker connection to meter the bytes crossing it
@@ -43,26 +45,18 @@ type WorkerStats struct {
 	Slots           int     `json:"slots"`
 	Inflight        int     `json:"inflight"`
 	Draining        bool    `json:"draining,omitempty"`
-	Done            int64   `json:"done"`
-	Failed          int64   `json:"failed"`
-	Requeued        int64   `json:"requeued"`
 	BytesIn         int64   `json:"bytes_in"`
 	BytesOut        int64   `json:"bytes_out"`
 	RTTMillis       float64 `json:"rtt_millis,omitempty"`
 	LastSeenSeconds float64 `json:"last_seen_seconds"`
 }
 
-// FleetStats is the fleet section of the status document: the worker
-// table plus pool-wide totals (which include workers that have since
-// left).
+// FleetStats is the fleet section of the status document: one row per
+// connected worker plus the pool's slot and in-flight totals.
 type FleetStats struct {
 	Workers  []WorkerStats `json:"workers"`
 	Slots    int           `json:"slots"`
 	Inflight int           `json:"inflight"`
-	Done     int64         `json:"done"`
-	Failed   int64         `json:"failed"`
-	Requeued int64         `json:"requeued"`
-	Stalls   int64         `json:"stalls"`
 }
 
 // markSeen stamps the worker's last-received-frame clock.
@@ -71,18 +65,12 @@ func (w *fleetWorker) markSeen() {
 	w.lastSeenNano.Store(time.Now().UnixNano())
 }
 
-// Stats snapshots the fleet: one row per connected worker (sorted by
-// name via the deterministic worker iteration order) plus run totals.
+// Stats snapshots the fleet: one row per connected worker, sorted by
+// name via the deterministic worker iteration order.
 func (f *Fleet) Stats() FleetStats {
 	//lint:allow no-wall-clock harness-domain status snapshot measures the machine, never the simulation
 	now := time.Now().UnixNano()
-	st := FleetStats{
-		Workers:  []WorkerStats{},
-		Done:     f.done.Load(),
-		Failed:   f.failed.Load(),
-		Requeued: f.requeued.Load(),
-		Stalls:   f.stalls.Load(),
-	}
+	var st FleetStats
 	f.mu.Lock()
 	workers := make([]*fleetWorker, 0, len(f.workers))
 	rows := make([]WorkerStats, 0, len(f.workers))
@@ -104,9 +92,6 @@ func (f *Fleet) Stats() FleetStats {
 	// Atomic counters are read outside f.mu: they belong to the
 	// connection, not the scheduler, and a torn row is impossible.
 	for i, w := range workers {
-		rows[i].Done = w.done.Load()
-		rows[i].Failed = w.failed.Load()
-		rows[i].Requeued = w.requeued.Load()
 		rows[i].BytesIn = w.counts.in.Load()
 		rows[i].BytesOut = w.counts.out.Load()
 		if rtt := w.rttNano.Load(); rtt > 0 {

@@ -62,9 +62,6 @@ type Scale struct {
 	// attribution — see obs.FoldSpans) fold out of it. Observation-only,
 	// like Metrics.
 	Spans *obs.FleetTrace
-	// Status, when non-nil, receives live grid-progress and span
-	// sections for the /status endpoint. Observation-only.
-	Status *obs.Status
 }
 
 // QuickScale is the benchmark-sized configuration: two models, one seed,

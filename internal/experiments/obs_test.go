@@ -81,10 +81,10 @@ func TestFig6TelemetryByteIdentical(t *testing.T) {
 }
 
 // TestFig6SpansByteIdentical is the same determinism proof for the
-// operational-telemetry layer: lifecycle spans and the live status
-// registry observe the harness, never the simulation, so wiring them in
-// must leave the Fig. 6 table byte-identical — and must record exactly
-// one finished span per grid cell.
+// operational-telemetry layer: the harness timeline observes the
+// harness, never the simulation, so wiring it in must leave the Fig. 6
+// table byte-identical — and must record exactly one finished span per
+// grid cell.
 func TestFig6SpansByteIdentical(t *testing.T) {
 	s := microScale()
 	reg := DefaultRegime()
@@ -97,7 +97,6 @@ func TestFig6SpansByteIdentical(t *testing.T) {
 
 	traced := s
 	traced.Spans = obs.NewSpanRecorder()
-	traced.Status = obs.NewStatus()
 	rows, err := Fig6(context.Background(), traced, reg, policies)
 	if err != nil {
 		t.Fatal(err)
@@ -119,23 +118,10 @@ func TestFig6SpansByteIdentical(t *testing.T) {
 			t.Errorf("in-process attempt missing its run segment: %+v", sp.Attempts[0])
 		}
 	}
-	agg := traced.Spans.Aggregate()
-	if agg.Cells != cells || agg.Attempts != cells || agg.Requeues != 0 {
-		t.Errorf("aggregate = %+v, want %d clean cells", agg, cells)
-	}
-
-	// The status registry must have been fed: after the run, the grid
-	// section reports every cell done.
-	snap := traced.Status.Snapshot()
-	grid, ok := snap["grid"].(obs.GridStatus)
-	if !ok {
-		t.Fatalf("status has no grid section: %+v", snap)
-	}
-	if grid.Total != cells || grid.Done != cells || grid.Failed != 0 {
-		t.Errorf("grid status = %+v, want %d/%d done", grid, cells, cells)
-	}
-	if _, ok := snap["spans"]; !ok {
-		t.Errorf("status has no spans section: %+v", snap)
+	// The summary /status serves counts every cell done, on no worker.
+	sum := obs.SummarizeFleet(traced.Spans.Events())
+	if sum.Cells != cells || sum.CellsDone != cells || sum.CellsFailed != 0 || sum.Requeues != 0 || sum.Workers != nil {
+		t.Errorf("summary = %+v, want %d clean in-process cells", sum, cells)
 	}
 }
 

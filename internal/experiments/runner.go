@@ -125,9 +125,6 @@ type Runner struct {
 	// is recorded into, and its spans fold out of (harness domain; never
 	// feeds back into results).
 	Spans *obs.FleetTrace
-	// Status, when non-nil, gets a "grid" section with live progress
-	// (total/done/failed cells) for the /status endpoint.
-	Status *obs.Status
 
 	// outMu serialises transcript flushes across workers.
 	outMu sync.Mutex
@@ -174,19 +171,7 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 	jobs := make(chan int)
 	//lint:allow no-wall-clock operator-facing elapsed display only; never reaches cell results
 	start := time.Now()
-	var done, failed atomic.Int64
-	r.Status.Register("grid", func() interface{} {
-		return obs.GridStatus{
-			Total:  len(cells),
-			Done:   int(done.Load()),
-			Failed: int(failed.Load()),
-			//lint:allow no-wall-clock operator-facing elapsed display only; never reaches cell results
-			ElapsedSeconds: time.Since(start).Seconds(),
-		}
-	})
-	if r.Spans != nil {
-		r.Status.Register("spans", func() interface{} { return r.Spans.Aggregate() })
-	}
+	var done atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -201,7 +186,6 @@ func (r *Runner) Run(ctx context.Context, specs []*CellSpec) ([]CellResult, erro
 				res.Key = key
 				results[i], errs[i] = res, err
 				if err != nil {
-					failed.Add(1)
 					cancel() // first failure stops the grid
 				}
 				n := done.Add(1)
@@ -271,7 +255,8 @@ feed:
 }
 
 // terminalEvent is the timeline event that seals a cell's span: its
-// result's provenance, its failure's cause, or its cancellation.
+// result's provenance, its failure's worker and cause, or its
+// cancellation.
 func terminalEvent(cell string, res CellResult, err error) obs.FleetEvent {
 	switch {
 	case err == nil:
@@ -279,7 +264,7 @@ func terminalEvent(cell string, res CellResult, err error) obs.FleetEvent {
 	case errors.Is(err, context.Canceled):
 		return obs.FleetEvent{Kind: obs.FleetCancel, Cell: cell}
 	default:
-		return obs.FleetEvent{Kind: obs.FleetFailed, Cell: cell, Cause: err.Error()}
+		return obs.FleetEvent{Kind: obs.FleetFailed, Cell: cell, Worker: res.Worker, Cause: err.Error()}
 	}
 }
 
@@ -302,12 +287,11 @@ func (r *Runner) cellLogf(key CellKey) (Logf, *[]string) {
 }
 
 // newRunner builds the runner a figure function uses, honouring the
-// scale's worker bound, progress sink, harness profile, executor, and
-// telemetry surfaces.
+// scale's worker bound, progress sink, executor and harness timeline.
 func newRunner(s Scale) *Runner {
 	exec := s.Exec
 	if exec == nil {
 		exec = localExecutor{rt: Runtime{Checkpoints: s.Checkpoints, Metrics: s.Metrics}}
 	}
-	return &Runner{Workers: s.Workers, Logf: s.Progress, Exec: exec, Spans: s.Spans, Status: s.Status}
+	return &Runner{Workers: s.Workers, Logf: s.Progress, Exec: exec, Spans: s.Spans}
 }

@@ -274,7 +274,6 @@ func TestCellFingerprintCoversEveryCoordinate(t *testing.T) {
 	o.Exec = localExecutor{}
 	o.Metrics = sink
 	o.Spans = obs.NewSpanRecorder()
-	o.Status = obs.NewStatus()
 	if got := fingerprint(fig6Specs(o, reg, []string{"remap-d"})[0]); got != want {
 		t.Fatalf("observation-only scale fields changed the fingerprint:\n  %s\n  %s", got, want)
 	}

@@ -17,14 +17,21 @@ import (
 // (spans.json), the fleet event trace (fleet JSONL), and the /status
 // document types.
 //
-// v3 dropped the per-cell entries from harness.json (ProfileData.Cells):
-// a cell's wall time is its span.
+// v3 dropped the per-cell entries from the harness profile: a cell's
+// wall time is its span.
 //
 // v4 made the fleet event trace the one harness timeline: cell lifecycle
 // kinds (submit, schedule, dispatch, run, cell-failed, cancel) joined
 // it, spans fold out of it (spans.json is gone; a metrics directory
 // keeps timeline.jsonl), and FleetSummary lost its slowest cells.
-const SchemaVersion = 4
+//
+// v5 made the timeline the harness's only record: report phases are
+// phase events (FleetEvent.Phase, AllocBytes; the harness profile and
+// its file are gone), FleetSummary is the one roll-up (cells
+// submitted and failed, queue/wire/run totals, the slowest cells,
+// phases, per-worker failures), and the runner's grid section and the
+// span aggregate left /status.
+const SchemaVersion = 5
 
 // Event is one structured trace record. Every event is keyed by simulated
 // coordinates only (epoch, crossbar id, tile id — never wall-clock

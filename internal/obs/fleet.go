@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,10 +16,12 @@ import (
 
 // This file is the HARNESS domain: the harness timeline. The experiment
 // runner, its executors and the dist fleet narrate every cell's
-// lifecycle and the fleet's membership as one stream of typed events —
-// one JSON object per line — alongside (not in place of) the free-form
-// Logf lines. A cell's span is a fold over that stream (FoldSpans), so
-// the stream is the only record of where a cell's wall time went, for
+// lifecycle and the fleet's membership, and the report tools each
+// report phase, as one stream of typed events — one JSON object per
+// line — alongside (not in place of) the free-form Logf lines. The
+// stream is the harness's only record: a cell's span is a fold over it
+// (FoldSpans), and every count the live /status document and
+// remapd-metrics show is one roll-up of it (SummarizeFleet), for
 // in-process and fleet runs alike. The schema is strict: decoding
 // rejects unknown event kinds, the same contract the per-cell event
 // stream enforces, and the wire-stability lint golden pins the field
@@ -48,6 +51,8 @@ const (
 	FleetDisconnect = "disconnect" // worker lost the link (will redial)
 	FleetDrain      = "drain"      // worker is draining (signal received)
 	FleetSever      = "sever"      // chaos injector cut the link on purpose
+	// Tool-side report phases.
+	FleetPhase = "phase" // a report phase ended (phase, seconds, alloc bytes)
 )
 
 // fleetKinds is the closed set DecodeFleetEvents admits.
@@ -57,7 +62,7 @@ var fleetKinds = map[string]bool{
 	FleetDispatch: true, FleetRun: true, FleetRequeue: true,
 	FleetJoin: true, FleetLeave: true, FleetDrop: true, FleetStall: true,
 	FleetConnect: true, FleetDisconnect: true, FleetDrain: true,
-	FleetSever: true,
+	FleetSever: true, FleetPhase: true,
 }
 
 // FleetEvent is one line of the trace. Seq and ElapsedSeconds are
@@ -77,6 +82,8 @@ type FleetEvent struct {
 	Attempt        int     `json:"attempt,omitempty"`
 	Cause          string  `json:"cause,omitempty"`
 	Seconds        float64 `json:"seconds,omitempty"`
+	Phase          string  `json:"phase,omitempty"`
+	AllocBytes     uint64  `json:"alloc_bytes,omitempty"`
 }
 
 // FleetTrace is a harness timeline: it records events in memory — every
@@ -121,8 +128,7 @@ func (t *FleetTrace) Emit(ev FleetEvent) {
 	}
 	t.mu.Lock()
 	ev.Seq = len(t.events) + 1
-	//lint:allow no-wall-clock harness-domain trace timestamps measure the machine, never the simulation
-	ev.ElapsedSeconds = time.Since(t.start).Seconds()
+	ev.ElapsedSeconds = t.elapsed()
 	t.events = append(t.events, ev)
 	if t.w != nil && t.err == nil {
 		data, err := json.Marshal(ev)
@@ -135,6 +141,30 @@ func (t *FleetTrace) Emit(ev FleetEvent) {
 		t.err = err
 	}
 	t.mu.Unlock()
+}
+
+// elapsed is the trace's clock: seconds since the trace was created.
+func (t *FleetTrace) elapsed() float64 {
+	//lint:allow no-wall-clock harness-domain trace timestamps measure the machine, never the simulation
+	return time.Since(t.start).Seconds()
+}
+
+// StartPhase begins timing a named harness phase (a report section) and
+// returns the stop function that records it as one phase event: its
+// wall seconds and its allocation volume, the runtime's TotalAlloc delta
+// (cumulative allocation, not live heap). Nil-safe: on a nil trace it
+// reads no clock and no MemStats, and the stop function does nothing.
+func (t *FleetTrace) StartPhase(name string) func() {
+	if t == nil {
+		return func() {}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	startAlloc, start := ms.TotalAlloc, t.elapsed()
+	return func() {
+		runtime.ReadMemStats(&ms)
+		t.Emit(FleetEvent{Kind: FleetPhase, Phase: name, Seconds: t.elapsed() - start, AllocBytes: ms.TotalAlloc - startAlloc})
+	}
 }
 
 // Events snapshots the in-memory record, oldest first. Nil-safe.
@@ -204,40 +234,52 @@ func DecodeFleetEvents(r io.Reader) ([]FleetEvent, error) {
 	return out, nil
 }
 
-// FleetWorkerSummary is one worker's row in a trace summary.
+// FleetWorkerSummary is one named worker's row in a timeline summary.
 // BusySeconds is the wall time the worker held cells, summed over every
 // attempt dispatched to it (run plus wire), requeued ones included.
 type FleetWorkerSummary struct {
 	Worker      string  `json:"worker"`
 	Done        int     `json:"done"`
+	Failed      int     `json:"failed"`
 	Requeues    int     `json:"requeues"`
 	BusySeconds float64 `json:"busy_seconds"`
 }
 
-// FleetSummary is what remapd-metrics -fleet prints: how the run went,
-// by worker and by failure cause.
+// FleetSummary is the one roll-up of a harness timeline: the live
+// /status "timeline" section and what remapd-metrics prints. It covers
+// cell progress, where the finished cells' wall time went (queue, wire
+// and run seconds summed over their spans, and the slowest of them),
+// membership churn, requeue causes, per-worker counts and the report
+// phases. ElapsedSeconds is the last event's offset.
 type FleetSummary struct {
-	Events        int                  `json:"events"`
-	Joins         int                  `json:"joins"`
-	Drops         int                  `json:"drops"`
-	Leaves        int                  `json:"leaves"`
-	Stalls        int                  `json:"stalls"`
-	Requeues      int                  `json:"requeues"`
-	CellsDone     int                  `json:"cells_done"`
-	RequeueCauses map[string]int       `json:"requeue_causes,omitempty"`
-	Workers       []FleetWorkerSummary `json:"workers,omitempty"`
+	Events         int                  `json:"events"`
+	ElapsedSeconds float64              `json:"elapsed_seconds"`
+	Joins          int                  `json:"joins"`
+	Drops          int                  `json:"drops"`
+	Leaves         int                  `json:"leaves"`
+	Stalls         int                  `json:"stalls"`
+	Requeues       int                  `json:"requeues"`
+	Cells          int                  `json:"cells"` // cells submitted
+	CellsDone      int                  `json:"cells_done"`
+	CellsFailed    int                  `json:"cells_failed"`
+	QueueSeconds   float64              `json:"queue_seconds"`
+	WireSeconds    float64              `json:"wire_seconds"`
+	RunSeconds     float64              `json:"run_seconds"`
+	RequeueCauses  map[string]int       `json:"requeue_causes,omitempty"`
+	Workers        []FleetWorkerSummary `json:"workers,omitempty"`
+	Phases         []FleetEvent         `json:"phases,omitempty"`  // phase events, in recorded order
+	Slowest        []CellSpanData       `json:"slowest,omitempty"` // see SlowestSpans
 }
 
-// SummarizeFleet rolls a trace up: membership churn, requeue causes and
-// per-worker utilization. The slowest cells are its spans' business
-// (SlowestSpans over FoldSpans).
+// slowestSpans caps how many full spans a summary carries.
+const slowestSpans = 5
+
+// SummarizeFleet rolls a timeline up. Worker rows come only from events
+// that name a worker, so an in-process run has none.
 func SummarizeFleet(events []FleetEvent) FleetSummary {
 	sum := FleetSummary{Events: len(events), RequeueCauses: map[string]int{}}
 	workers := map[string]*FleetWorkerSummary{}
 	worker := func(name string) *FleetWorkerSummary {
-		if name == "" {
-			name = "(unknown)"
-		}
 		w := workers[name]
 		if w == nil {
 			w = &FleetWorkerSummary{Worker: name}
@@ -263,19 +305,35 @@ func SummarizeFleet(events []FleetEvent) FleetSummary {
 			}
 			sum.RequeueCauses[cause]++
 			worker(ev.Worker).Requeues++
+		case FleetSubmit:
+			sum.Cells++
 		case FleetDone:
 			sum.CellsDone++
 			worker(ev.Worker).Done++
+		case FleetFailed:
+			sum.CellsFailed++
+			worker(ev.Worker).Failed++
+		case FleetPhase:
+			sum.Phases = append(sum.Phases, ev)
 		}
 	}
-	for _, sp := range FoldSpans(events) {
+	if n := len(events); n > 0 {
+		sum.ElapsedSeconds = events[n-1].ElapsedSeconds
+	}
+	spans := FoldSpans(events)
+	for _, sp := range spans {
+		sum.QueueSeconds += sp.QueueSeconds
 		for _, a := range sp.Attempts {
+			sum.WireSeconds += a.WireSeconds
+			sum.RunSeconds += a.RunSeconds
 			worker(a.Worker).BusySeconds += a.RunSeconds + a.WireSeconds
 		}
 	}
+	sum.Slowest = SlowestSpans(spans, slowestSpans)
 	if len(sum.RequeueCauses) == 0 {
 		sum.RequeueCauses = nil
 	}
+	delete(workers, "")
 	for _, name := range det.SortedKeys(workers) {
 		sum.Workers = append(sum.Workers, *workers[name])
 	}

@@ -11,13 +11,13 @@
 // so the disabled path costs nothing (zero allocations on the matmul hot
 // path, see BenchmarkWeightsWrittenNilRecorder).
 //
-// The *harness domain* (Profile, the harness timeline and the cell spans
-// folded from it, StartStatusServer) belongs to the runner and the cmd
-// tools: it measures wall time and allocations of the harness itself —
-// per report phase in the Profile, per experiment cell in the timeline —
-// behind explicit //lint:allow no-wall-clock directives, and serves
-// /status, net/http/pprof and expvar for live inspection. Nothing in the
-// harness domain feeds back into simulation state.
+// The *harness domain* (the harness timeline, the cell spans and the
+// summary folded from it, StartStatusServer) belongs to the runner and
+// the cmd tools: it measures wall time and allocations of the harness
+// itself — per experiment cell and per report phase, all as timeline
+// events — behind explicit //lint:allow no-wall-clock directives, and
+// serves /status, net/http/pprof and expvar for live inspection.
+// Nothing in the harness domain feeds back into simulation state.
 //
 // See DESIGN.md §11 for the event schema and the determinism contract.
 package obs

@@ -219,7 +219,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-// TestSinkReadDirRoundTrip writes two cells through a Sink and loads
+// TestSinkReadDirRoundTrip streams two cells through a Sink and loads
 // them back through the summarizer's ReadDir, checking the cell-start
 // header is stripped and swap accounting survives persistence.
 func TestSinkReadDirRoundTrip(t *testing.T) {
@@ -228,16 +228,22 @@ func TestSinkReadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSink: %v", err)
 	}
-	tr := NewTrace("vgg11/remap-d/seed3")
+	tr, err := sink.Stream("cell-a", "vgg11/remap-d/seed3")
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
 	tr.Add("remap.swaps", 3)
 	tr.Emit(&ReportEvent{Epoch: 0, Policy: "remap-d", Swaps: 2})
 	tr.Emit(&ReportEvent{Epoch: 1, Policy: "remap-d", Swaps: 1})
-	if err := sink.Write("cell-a", tr); err != nil {
-		t.Fatalf("write: %v", err)
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
-	tr2 := NewTrace("vgg11/none/seed3")
-	if err := sink.Write("cell-b", tr2); err != nil {
-		t.Fatalf("write: %v", err)
+	tr2, err := sink.Stream("cell-b", "vgg11/none/seed3")
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if err := tr2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 
 	cells, err := ReadDir(dir)
@@ -287,30 +293,33 @@ func TestSinkReadDirRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileRoundTrip covers the harness-domain profile: phase
-// recording and harness.json persistence.
-func TestProfileRoundTrip(t *testing.T) {
-	p := NewProfile()
-	p.StartPhase("fig6")()
-	p.StartPhase("fig7")()
-	d := p.Data()
-	if len(d.Phases) != 2 || d.Phases[0].Name != "fig6" || d.Phases[1].Name != "fig7" {
-		t.Fatalf("phases = %+v, want fig6 then fig7", d.Phases)
-	}
-
+// TestPhaseRoundTrip: report phases are timeline events, recorded in
+// completion order, kept in timeline.jsonl and rolled up by
+// SummarizeFleet; a nil trace records nothing.
+func TestPhaseRoundTrip(t *testing.T) {
+	tr := NewSpanRecorder()
+	tr.StartPhase("fig6")()
+	tr.StartPhase("fig7")()
 	dir := t.TempDir()
-	if err := p.WriteJSON(dir); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := tr.WriteTimeline(dir); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
 	}
-	back, err := ReadProfile(dir)
+	back, err := ReadTimeline(dir)
 	if err != nil {
-		t.Fatalf("ReadProfile: %v", err)
+		t.Fatalf("ReadTimeline: %v", err)
 	}
-	if back == nil || len(back.Phases) != 2 || back.Phases[1].Name != "fig7" {
-		t.Fatalf("ReadProfile = %+v, want the 2 recorded phases", back)
+	phases := SummarizeFleet(back).Phases
+	if len(phases) != 2 || phases[0].Phase != "fig6" || phases[1].Phase != "fig7" {
+		t.Fatalf("phases = %+v, want fig6 then fig7", phases)
 	}
-	missing, err := ReadProfile(t.TempDir())
-	if err != nil || missing != nil {
-		t.Errorf("ReadProfile on empty dir = (%+v, %v), want (nil, nil)", missing, err)
+	for _, ph := range phases {
+		if ph.Kind != FleetPhase || ph.Seconds < 0 {
+			t.Errorf("phase event mangled: %+v", ph)
+		}
+	}
+	var nilTrace *FleetTrace
+	nilTrace.StartPhase("fig6")()
+	if evs := nilTrace.Events(); evs != nil {
+		t.Errorf("nil trace recorded %+v", evs)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,24 +32,6 @@ const (
 	eventsSuffix  = ".events.jsonl"
 )
 
-// Write persists one cell's trace. It is called after the cell finishes
-// (successfully or not — a failed cell's partial trace is still
-// evidence), overwriting any previous files for the base.
-func (s *Sink) Write(base string, t *Trace) error {
-	if err := s.writeMetrics(base, t); err != nil {
-		return err
-	}
-	events := append([]Event{&CellStartEvent{Cell: t.Cell()}}, t.Events()...)
-	var buf bytes.Buffer
-	if err := EncodeEvents(&buf, events); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(s.dir, base+eventsSuffix), buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("obs: write events for %s: %w", t.Cell(), err)
-	}
-	return nil
-}
-
 // writeMetrics snapshots the trace's registry into <base>.metrics.json.
 func (s *Sink) writeMetrics(base string, t *Trace) error {
 	snap := t.Registry().Snapshot()
@@ -77,10 +58,10 @@ type Flusher interface {
 // instead of buffering for the cell's whole lifetime: each Flush appends
 // the events emitted since the previous flush to <base>.events.jsonl and
 // rewrites the <base>.metrics.json snapshot. The final on-disk bytes are
-// identical to a buffered Sink.Write of the same trace — streaming only
-// changes when they are written (and bounds the trace's memory, since
-// flushed events are released). Not safe for concurrent Flush/Close
-// calls; the trainer calls both from its single epoch loop.
+// those of the whole trace written in one go — streaming only changes
+// when they are written (and bounds the trace's memory, since flushed
+// events are released). Not safe for concurrent Flush/Close calls; the
+// trainer calls both from its single epoch loop.
 type StreamTrace struct {
 	*Trace
 	sink   *Sink

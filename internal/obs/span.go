@@ -127,49 +127,6 @@ var outcomes = map[string]string{FleetDone: "ok", FleetFailed: "failed", FleetCa
 // on a nil timeline (no spans).
 func (t *FleetTrace) Spans() []CellSpanData { return FoldSpans(t.Events()) }
 
-// SpanAggregate is the roll-up the /status endpoint serves: where the
-// grid's wall time went, and which cells held a slot longest.
-type SpanAggregate struct {
-	Cells            int            `json:"cells"`
-	Attempts         int            `json:"attempts"`
-	Requeues         int            `json:"requeues"`
-	QueueSeconds     float64        `json:"queue_seconds"`
-	WireSeconds      float64        `json:"wire_seconds"`
-	RunSeconds       float64        `json:"run_seconds"`
-	TotalSeconds     float64        `json:"total_seconds"`
-	MeanQueueSeconds float64        `json:"mean_queue_seconds"`
-	MeanRunSeconds   float64        `json:"mean_run_seconds"`
-	Slowest          []CellSpanData `json:"slowest,omitempty"`
-}
-
-// slowestSpans caps how many full spans the aggregate carries.
-const slowestSpans = 5
-
-// Aggregate rolls the timeline's spans up. Safe on a nil timeline (zero
-// aggregate).
-func (t *FleetTrace) Aggregate() SpanAggregate {
-	spans := t.Spans()
-	agg := SpanAggregate{Cells: len(spans)}
-	for _, sp := range spans {
-		agg.QueueSeconds += sp.QueueSeconds
-		agg.TotalSeconds += sp.TotalSeconds
-		agg.Attempts += len(sp.Attempts)
-		for _, a := range sp.Attempts {
-			agg.WireSeconds += a.WireSeconds
-			agg.RunSeconds += a.RunSeconds
-			if a.Failed {
-				agg.Requeues++
-			}
-		}
-	}
-	if agg.Cells > 0 {
-		agg.MeanQueueSeconds = agg.QueueSeconds / float64(agg.Cells)
-		agg.MeanRunSeconds = agg.RunSeconds / float64(agg.Cells)
-	}
-	agg.Slowest = SlowestSpans(spans, slowestSpans)
-	return agg
-}
-
 // SlotSeconds is the wall time the cell held a runner slot: from leaving
 // the queue to its outcome, every attempt and requeue included.
 func (d CellSpanData) SlotSeconds() float64 { return d.TotalSeconds - d.QueueSeconds }

@@ -13,23 +13,14 @@ import (
 )
 
 // This file is the HARNESS domain: the live /status endpoint. A Status
-// is a registry of named sections — "grid" from the experiment runner,
-// "fleet" from the dist fleet, "spans" folded from the harness timeline
-// — each a function returning a JSON-marshalable snapshot. GET /status
-// assembles them into one document, so an operator (or `remapd-metrics
-// -watch`) can see a multi-machine run's progress without tailing
-// stdout.
+// is a registry of named sections — "timeline", the SummarizeFleet
+// roll-up of the run's harness timeline; "fleet", the dist fleet's live
+// connection rows; "serve" from remapd-serve — each a function
+// returning a JSON-marshalable snapshot. GET /status assembles them into
+// one document, so an operator (or `remapd-metrics -watch`) can see a
+// multi-machine run's progress without tailing stdout.
 // Everything served is harness-side bookkeeping; serving it cannot
 // perturb simulation results.
-
-// GridStatus is the runner's "grid" section: how far through the cell
-// grid the run is.
-type GridStatus struct {
-	Total          int     `json:"total"`
-	Done           int     `json:"done"`
-	Failed         int     `json:"failed"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-}
 
 // Status is a concurrent registry of status sections. The zero value is
 // unusable; call NewStatus. All methods are safe on a nil receiver so

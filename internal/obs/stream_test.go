@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,7 @@ import (
 
 // TestStreamTraceMatchesBufferedWrite is the streaming contract: the final
 // on-disk bytes of a StreamTrace (flushed piecemeal across epochs) must be
-// identical to a buffered Sink.Write of the same trace.
+// identical to the whole trace written in one go (writeBuffered).
 func TestStreamTraceMatchesBufferedWrite(t *testing.T) {
 	record := func(r Recorder, from, to int) {
 		for e := from; e < to; e++ {
@@ -28,7 +29,7 @@ func TestStreamTraceMatchesBufferedWrite(t *testing.T) {
 	}
 	trace := NewTrace("cellA")
 	record(trace, 0, 3)
-	if err := bufSink.Write("cellA", trace); err != nil {
+	if err := writeBuffered(bufSink, "cellA", trace); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,6 +82,21 @@ func TestStreamTraceMatchesBufferedWrite(t *testing.T) {
 				suffix, buffered, streamed)
 		}
 	}
+}
+
+// writeBuffered is the byte oracle of the streaming contract: it writes a
+// whole trace in one go — the metrics snapshot, then the events file
+// headed by its cell-start line.
+func writeBuffered(s *Sink, base string, t *Trace) error {
+	if err := s.writeMetrics(base, t); err != nil {
+		return err
+	}
+	events := append([]Event{&CellStartEvent{Cell: t.Cell()}}, t.Events()...)
+	var buf bytes.Buffer
+	if err := EncodeEvents(&buf, events); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(s.dir, base+eventsSuffix), buf.Bytes(), 0o644)
 }
 
 // TestStreamTraceHeadsFileImmediately: a cell that dies before its first

@@ -302,7 +302,7 @@ func TestSpanAccounting(t *testing.T) {
 		})
 	}
 
-	// A live stream folds the same way, and its aggregate counts the
+	// A live stream folds the same way, and its summary counts the
 	// requeue.
 	tr := NewSpanRecorder()
 	tr.Emit(FleetEvent{Kind: FleetSubmit, Cell: "a"})
@@ -315,9 +315,9 @@ func TestSpanAccounting(t *testing.T) {
 	if got, want := tr.Spans(), FoldSpans(tr.Events()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Spans() = %+v, want the fold of Events() %+v", got, want)
 	}
-	agg := tr.Aggregate()
-	if agg.Cells != 1 || agg.Attempts != 2 || agg.Requeues != 1 || agg.RunSeconds != 0.25 {
-		t.Errorf("aggregate = %+v, want 1 cell / 2 attempts / 1 requeue / 0.25 s run", agg)
+	sum := SummarizeFleet(tr.Events())
+	if sum.Cells != 1 || sum.CellsDone != 1 || sum.Requeues != 1 || sum.RunSeconds != 0.25 {
+		t.Errorf("summary = %+v, want 1 cell done / 1 requeue / 0.25 s run", sum)
 	}
 }
 
@@ -351,8 +351,8 @@ func TestSpanNilSafe(t *testing.T) {
 	if spans := tr.Spans(); spans != nil {
 		t.Errorf("nil timeline folded spans: %+v", spans)
 	}
-	if agg := tr.Aggregate(); agg.Cells != 0 {
-		t.Errorf("nil timeline aggregate = %+v", agg)
+	if sum := SummarizeFleet(tr.Events()); sum.Events != 0 || sum.Cells != 0 || sum.Slowest != nil {
+		t.Errorf("nil timeline summary = %+v", sum)
 	}
 }
 
@@ -370,7 +370,7 @@ func TestSpanConcurrentFinish(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = tr.Aggregate()
+				_ = SummarizeFleet(tr.Events())
 			}
 		}
 	}()
@@ -406,8 +406,8 @@ func TestSpanConcurrentFinish(t *testing.T) {
 // registered sections as JSON.
 func TestStatusServer(t *testing.T) {
 	st := NewStatus()
-	st.Register("grid", func() interface{} {
-		return GridStatus{Total: 6, Done: 2, Failed: 0, ElapsedSeconds: 1.25}
+	st.Register("timeline", func() interface{} {
+		return FleetSummary{Cells: 6, CellsDone: 2, ElapsedSeconds: 1.25}
 	})
 	addr, err := StartStatusServer("127.0.0.1:0", st)
 	if err != nil {
@@ -423,13 +423,13 @@ func TestStatusServer(t *testing.T) {
 		t.Fatalf("GET /status: %s", resp.Status)
 	}
 	var doc struct {
-		Grid *GridStatus `json:"grid"`
+		Timeline *FleetSummary `json:"timeline"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Grid == nil || doc.Grid.Total != 6 || doc.Grid.Done != 2 {
-		t.Fatalf("status document mangled: %+v", doc.Grid)
+	if doc.Timeline == nil || doc.Timeline.Cells != 6 || doc.Timeline.CellsDone != 2 {
+		t.Fatalf("status document mangled: %+v", doc.Timeline)
 	}
 	// The same address is the process's one harness HTTP surface: pprof
 	// and expvar answer beside /status.
@@ -445,10 +445,10 @@ func TestStatusServer(t *testing.T) {
 	}
 
 	// Re-registration replaces; nil registry absorbs.
-	st.Register("grid", func() interface{} { return GridStatus{Total: 7} })
+	st.Register("timeline", func() interface{} { return FleetSummary{Cells: 7} })
 	snap := st.Snapshot()
-	if g, ok := snap["grid"].(GridStatus); !ok || g.Total != 7 {
-		t.Fatalf("re-registered section not visible: %+v", snap["grid"])
+	if g, ok := snap["timeline"].(FleetSummary); !ok || g.Cells != 7 {
+		t.Fatalf("re-registered section not visible: %+v", snap["timeline"])
 	}
 	var nilStatus *Status
 	nilStatus.Register("x", func() interface{} { return 1 })
@@ -459,7 +459,8 @@ func TestStatusServer(t *testing.T) {
 
 // TestSummarizeFleet rolls a synthetic trace up and checks attribution:
 // a worker's busy time is the run plus wire time of every attempt it
-// was dispatched, the requeued one included.
+// was dispatched, the requeued one included; a cell no worker ran
+// counts, but adds no worker row.
 func TestSummarizeFleet(t *testing.T) {
 	events := []FleetEvent{
 		{Seq: 1, Kind: FleetJoin, Worker: "fw1", Workers: 1},
@@ -476,10 +477,30 @@ func TestSummarizeFleet(t *testing.T) {
 		{Seq: 12, ElapsedSeconds: 4.75, Kind: FleetRun, Cell: "b", Seconds: 0.5},
 		{Seq: 13, ElapsedSeconds: 5, Kind: FleetDone, Worker: "fw2", Cell: "b", Attempt: 1},
 		{Seq: 14, ElapsedSeconds: 5, Kind: FleetStall, Workers: 0},
+		{Seq: 15, ElapsedSeconds: 5, Kind: FleetSubmit, Cell: "c"},
+		{Seq: 16, ElapsedSeconds: 5.5, Kind: FleetDispatch, Worker: "fw2", Cell: "c", Attempt: 1},
+		{Seq: 17, ElapsedSeconds: 6, Kind: FleetFailed, Worker: "fw2", Cell: "c", Cause: "boom"},
+		{Seq: 18, ElapsedSeconds: 6, Kind: FleetSubmit, Cell: "d"},
+		{Seq: 19, ElapsedSeconds: 6, Kind: FleetDispatch, Cell: "d", Attempt: 1},
+		{Seq: 20, ElapsedSeconds: 6.5, Kind: FleetRun, Cell: "d", Seconds: 0.25},
+		{Seq: 21, ElapsedSeconds: 6.5, Kind: FleetDone, Cell: "d", Attempt: 1},
+		{Seq: 22, ElapsedSeconds: 7, Kind: FleetPhase, Phase: "Fig. 6", Seconds: 7, AllocBytes: 1024},
 	}
 	sum := SummarizeFleet(events)
-	if sum.Joins != 2 || sum.Drops != 1 || sum.Stalls != 1 || sum.Requeues != 1 || sum.CellsDone != 2 {
+	if sum.Joins != 2 || sum.Drops != 1 || sum.Stalls != 1 || sum.Requeues != 1 ||
+		sum.Cells != 4 || sum.CellsDone != 3 || sum.CellsFailed != 1 || sum.ElapsedSeconds != 7 {
 		t.Fatalf("summary counts wrong: %+v", sum)
+	}
+	// Queue: a 0.5, b 4, c 0.5, d 0. Wire: a 1 + 0.75, b 0.5, c 0.5,
+	// d 0.25. Run: a 1.25, b 0.5, d 0.25.
+	if sum.QueueSeconds != 5 || sum.WireSeconds != 3 || sum.RunSeconds != 2 {
+		t.Errorf("second totals = queue %g, wire %g, run %g; want 5, 3, 2", sum.QueueSeconds, sum.WireSeconds, sum.RunSeconds)
+	}
+	if len(sum.Slowest) != 4 || sum.Slowest[0].Cell != "a" {
+		t.Errorf("slowest = %+v, want all 4 cells, a first", sum.Slowest)
+	}
+	if len(sum.Phases) != 1 || sum.Phases[0].Phase != "Fig. 6" || sum.Phases[0].AllocBytes != 1024 {
+		t.Errorf("phases = %+v, want the one Fig. 6 phase", sum.Phases)
 	}
 	if sum.RequeueCauses["fw1 died mid-cell"] != 1 {
 		t.Errorf("requeue cause lost: %+v", sum.RequeueCauses)
@@ -488,11 +509,11 @@ func TestSummarizeFleet(t *testing.T) {
 		t.Fatalf("worker rows = %+v, want 2", sum.Workers)
 	}
 	// Sorted by name: fw1 (1 requeue, 0 done, busy 1.5−0.5), fw2 (2
-	// done, busy 4−2 + 5−4).
+	// done, 1 failed, busy 4−2 + 5−4 + 6−5.5).
 	if w := sum.Workers[0]; w.Worker != "fw1" || w.Requeues != 1 || w.Done != 0 || w.BusySeconds != 1 {
 		t.Errorf("fw1 row: %+v", w)
 	}
-	if w := sum.Workers[1]; w.Worker != "fw2" || w.Done != 2 || w.BusySeconds != 3 {
+	if w := sum.Workers[1]; w.Worker != "fw2" || w.Done != 2 || w.Failed != 1 || w.BusySeconds != 3.5 {
 		t.Errorf("fw2 row: %+v", w)
 	}
 }
